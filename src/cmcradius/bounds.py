@@ -142,6 +142,10 @@ class BoundInput:
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
+        for name in ("delta", "H", "K_inf", "S_inf"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise PreconditionViolation(f"{name} must be finite, got {value}")
         if not 0.0 <= self.delta < 1.0:
             raise PreconditionViolation(f"delta must lie in [0, 1), got {self.delta}")
 

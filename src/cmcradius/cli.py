@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -37,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite(text: str) -> float:
+    """A finite float; anything else (including inf and nan) is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cmcradius", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -44,25 +56,25 @@ def _build_parser() -> _Parser:
 
     p_bound = sub.add_parser("bound", help="evaluate the optimized distance bound")
     p_bound.add_argument("--n", type=int, required=True)
-    p_bound.add_argument("--delta", type=float, required=True)
-    p_bound.add_argument("--H", type=float, required=True)
-    p_bound.add_argument("--K", type=float, default=0.0, help="ambient sectional curvature lower bound")
-    p_bound.add_argument("--S", type=float, default=None, help="ambient scalar curvature lower bound (n=2)")
+    p_bound.add_argument("--delta", type=_finite, required=True)
+    p_bound.add_argument("--H", type=_finite, required=True)
+    p_bound.add_argument("--K", type=_finite, default=0.0, help="ambient sectional curvature lower bound")
+    p_bound.add_argument("--S", type=_finite, default=None, help="ambient scalar curvature lower bound (n=2)")
 
     p_cap = sub.add_parser("cap", help="check the bound against the spectral cap oracle")
     p_cap.add_argument("--n", type=int, required=True)
-    p_cap.add_argument("--kappa", type=float, required=True)
-    p_cap.add_argument("--H", type=float, required=True)
-    p_cap.add_argument("--delta", type=float, required=True)
-    p_cap.add_argument("--tol", type=float, default=1e-6)
+    p_cap.add_argument("--kappa", type=_finite, required=True)
+    p_cap.add_argument("--H", type=_finite, required=True)
+    p_cap.add_argument("--delta", type=_finite, required=True)
+    p_cap.add_argument("--tol", type=_finite, default=1e-6)
 
     p_mesh = sub.add_parser("mesh", help="discrete verification on triangulated caps")
-    p_mesh.add_argument("--kappa", type=float, required=True)
-    p_mesh.add_argument("--H", type=float, required=True)
-    p_mesh.add_argument("--rho", type=float, required=True)
-    p_mesh.add_argument("--delta", type=float, required=True)
+    p_mesh.add_argument("--kappa", type=_finite, required=True)
+    p_mesh.add_argument("--H", type=_finite, required=True)
+    p_mesh.add_argument("--rho", type=_finite, required=True)
+    p_mesh.add_argument("--delta", type=_finite, required=True)
     p_mesh.add_argument("--levels", type=str, default="3,4,5")
-    p_mesh.add_argument("--tol", type=float, default=1e-10)
+    p_mesh.add_argument("--tol", type=_finite, default=1e-10)
     p_mesh.add_argument("--mesh-out", type=str, default=None, help="export finest mesh (plain text)")
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep from a config file")
@@ -116,7 +128,7 @@ def _cap_row(n: int, kappa: float, H: float, delta: float, tol: float) -> dict:
     }
 
 
-def _mesh_rows(kappa, H, rho, delta, levels, tol) -> tuple[list[dict], dict]:
+def _mesh_rows(kappa, H, rho, delta, levels, tol) -> tuple[list[dict], dict, mesh.TriMesh]:
     rep = discrete.mesh_verify(kappa, H, rho, delta, levels, tol=tol)
     rows = []
     for lv in rep.levels:
@@ -135,7 +147,7 @@ def _mesh_rows(kappa, H, rho, delta, levels, tol) -> tuple[list[dict], dict]:
         "convergence_order": rep.convergence_order,
         "agrees_with_oracle": rep.agrees_with_oracle,
     }
-    return rows, meta
+    return rows, meta, rep.finest_mesh
 
 
 def _algebra_rows(ns: list[int], samples: int, seed: int) -> list[dict]:
@@ -162,7 +174,10 @@ def _floats(grids: dict, key: str, default=None) -> list[float]:
         if default is None:
             raise UsageError(f"config is missing required key {key!r}")
         return default
-    return [float(v) for v in grids[key]]
+    try:
+        return [_finite(v) for v in grids[key]]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from None
 
 
 def _run_sweep(args) -> SweepReport:
@@ -223,11 +238,10 @@ def run(argv: list[str] | None = None) -> int:
             report.rows = [_cap_row(args.n, args.kappa, args.H, args.delta, args.tol)]
         elif args.command == "mesh":
             levels = [int(v) for v in args.levels.split(",") if v.strip()]
-            rows, meta = _mesh_rows(args.kappa, args.H, args.rho, args.delta, levels, args.tol)
+            rows, meta, finest = _mesh_rows(args.kappa, args.H, args.rho, args.delta, levels, args.tol)
             metadata = dict(metadata, **meta)
             report = SweepReport(kind="mesh", metadata=metadata, rows=rows)
             if args.mesh_out:
-                finest = mesh.build_cap_mesh(args.kappa, args.H, args.rho, max(levels))
                 mesh.save_mesh(finest, args.mesh_out)
         else:
             report = _run_sweep(args)

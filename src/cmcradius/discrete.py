@@ -2,8 +2,12 @@
 
 Cotangent stiffness and lumped mass are built from geodesic edge lengths
 (the triangles are treated as intrinsic, via law of cosines and Heron's
-formula), the constant stability potential is folded against the mass,
-and the first Dirichlet eigenvalue comes from shifted inverse iteration.
+formula), read from the mesh's topology record, and the constant
+stability potential is folded against the mass.  The first Dirichlet
+eigenvalue comes from shifted inverse iteration.  The shifted operator
+is symmetric positive definite, so it is factored once by SuperLU in
+symmetric mode: a minimum-degree ordering of A + A^T and diagonal pivots
+only, which keeps the LU fill well below that of a column ordering.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     NoApplicableBound,
     NonConvergence,
 )
-from .mesh import TriMesh, build_cap_mesh, face_edge_lengths, intrinsic_radius
+from .mesh import TriMesh, build_cap_mesh, intrinsic_radius, triangle_areas  # noqa: F401
 from .spaceforms import lambda1_ball, space_form_scalar_bound, sphere_from_H
 
 DEGENERATE_AREA_FRACTION = 1e-14
@@ -32,18 +36,10 @@ DEGENERATE_AREA_FRACTION = 1e-14
 MARGINAL_BAND = 0.02
 
 
-def triangle_areas(lengths: np.ndarray) -> np.ndarray:
-    """Heron areas from per-face edge lengths (nf, 3)."""
-    a, b, c = lengths[:, 0], lengths[:, 1], lengths[:, 2]
-    s = 0.5 * (a + b + c)
-    val = s * (s - a) * (s - b) * (s - c)
-    return np.sqrt(np.clip(val, 0.0, None))
-
-
 def cotangent_stiffness(mesh: TriMesh) -> csc_matrix:
     """Piecewise-linear stiffness matrix with cotangent weights (full, unreduced)."""
-    lengths = face_edge_lengths(mesh)
-    areas = triangle_areas(lengths)
+    lengths = mesh.topology.face_lengths
+    areas = mesh.topology.areas
     mean_area = areas.mean()
     if np.any(areas < DEGENERATE_AREA_FRACTION * mean_area):
         raise MeshError("degenerate triangle in mesh (area below 1e-14 of mean)")
@@ -66,8 +62,7 @@ def cotangent_stiffness(mesh: TriMesh) -> csc_matrix:
 
 def lumped_mass(mesh: TriMesh) -> np.ndarray:
     """Per-vertex lumped mass: one third of each incident triangle area."""
-    lengths = face_edge_lengths(mesh)
-    areas = triangle_areas(lengths)
+    areas = mesh.topology.areas
     m = np.zeros(mesh.num_vertices)
     for i in range(3):
         np.add.at(m, mesh.faces[:, i], areas / 3.0)
@@ -132,7 +127,12 @@ def lambda1_dirichlet(problem: SpectralProblem, tol: float = 1e-10, max_iter: in
     lu = None
     for attempt in range(4):
         try:
-            lu = splu((A - sigma * problem.mass).tocsc())
+            lu = splu(
+                (A - sigma * problem.mass).tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
             break
         except RuntimeError:
             sigma -= 10.0 ** (attempt - 6) * scale
@@ -180,10 +180,11 @@ class ConvergenceReport:
     levels: list[LevelResult] = field(default_factory=list)
     convergence_order: float | None = None
     agrees_with_oracle: bool = False
+    finest_mesh: TriMesh | None = field(default=None, repr=False, compare=False)  # mesh of the last level
 
 
 def _max_edge(mesh: TriMesh) -> float:
-    return float(face_edge_lengths(mesh).max())
+    return float(mesh.topology.face_lengths.max())
 
 
 def mesh_verify(
@@ -240,6 +241,7 @@ def mesh_verify(
                 bound_ok=bound_ok,
             )
         )
+    report.finest_mesh = m
 
     if len(report.levels) >= 2:
         hs = np.array([row.max_edge for row in report.levels])

@@ -10,7 +10,8 @@ second order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -46,6 +47,52 @@ class TriMesh:
     @property
     def interior(self) -> np.ndarray:
         return np.flatnonzero(~self.boundary)
+
+    @cached_property
+    def topology(self) -> MeshTopology:
+        """Edges, orientation, lengths and areas, derived once from faces and vertices.
+
+        Computed on first use, so faces and vertices must not change after
+        it.  Boundary flags are not part of it: they are read live.
+        """
+        return MeshTopology.of(self)
+
+
+@dataclass(frozen=True)
+class MeshTopology:
+    """Per-mesh quantities that the topology check, assembly and Dijkstra share."""
+
+    edges: np.ndarray  # (ne, 2) undirected edges i < j, in lexicographic order
+    edge_faces: np.ndarray  # (ne,) number of faces containing each edge
+    edge_lengths: np.ndarray  # (ne,) geodesic length of each edge
+    oriented: bool  # no directed edge appears in two faces
+    face_lengths: np.ndarray  # (nf, 3) geodesic lengths, entry i opposite corner i
+    areas: np.ndarray  # (nf,) Heron areas of the intrinsic triangles
+
+    @classmethod
+    def of(cls, mesh: TriMesh) -> MeshTopology:
+        f = mesh.faces
+        nv = mesh.num_vertices
+        lengths = face_edge_lengths(mesh)
+        # Half-edge i of a face runs from corner i+1 to corner i+2, opposite corner i,
+        # so its length is lengths[:, i].
+        tails = f[:, [1, 2, 0]].T.ravel()
+        heads = f[:, [2, 0, 1]].T.ravel()
+        # Key (min * nv + max) sorts like the (min, max) rows; the low bit keeps the direction.
+        key = (np.minimum(tails, heads) * nv + np.maximum(tails, heads)) * 2 + (tails > heads)
+        order = np.argsort(key)
+        key = key[order]
+        undirected = key >> 1
+        first = np.flatnonzero(np.concatenate([[True], undirected[1:] != undirected[:-1]]))
+        edge_keys = undirected[first]
+        return cls(
+            edges=np.stack([edge_keys // nv, edge_keys % nv], axis=1),
+            edge_faces=np.diff(np.append(first, key.size)),
+            edge_lengths=lengths.T.ravel()[order[first]],
+            oriented=not np.any(key[1:] == key[:-1]),
+            face_lengths=lengths,
+            areas=triangle_areas(lengths),
+        )
 
 
 def ambient_distance(kappa: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -85,26 +132,26 @@ def _model_points(kappa: float, r_ambient: float, phi: np.ndarray, theta: np.nda
     return out
 
 
-def _zip_rings(inner: np.ndarray, inner_ang: np.ndarray, outer: np.ndarray, outer_ang: np.ndarray):
+def _zip_rings(
+    inner: np.ndarray, inner_ang: np.ndarray, outer: np.ndarray, outer_ang: np.ndarray
+) -> np.ndarray:
     """Triangulate the band between two concentric vertex rings.
 
-    Walks both rings by angle; orientation keeps the disk interior on the
-    left of every directed edge (consistent CCW faces).
+    Walks both rings by angle: each step advances the ring whose next
+    vertex (the first one wrapped to 2 pi) comes first, the inner ring on
+    ties, which is a stable merge of the two angle lists.  Orientation
+    keeps the disk interior on the left of every directed edge
+    (consistent CCW faces).
     """
-    faces = []
     na, nb = len(inner), len(outer)
-    ia = ib = 0
-    ang_a = np.append(inner_ang, inner_ang[0] + 2.0 * math.pi)
-    ang_b = np.append(outer_ang, outer_ang[0] + 2.0 * math.pi)
-    while ia < na or ib < nb:
-        advance_a = ib >= nb or (ia < na and ang_a[ia + 1] <= ang_b[ib + 1])
-        if advance_a:
-            faces.append((inner[(ia + 1) % na], inner[ia], outer[ib % nb]))
-            ia += 1
-        else:
-            faces.append((outer[ib], outer[(ib + 1) % nb], inner[ia % na]))
-            ib += 1
-    return faces
+    ahead = np.concatenate([inner_ang[1:], [inner_ang[0] + 2.0 * math.pi],
+                            outer_ang[1:], [outer_ang[0] + 2.0 * math.pi]])
+    step_a = np.argsort(ahead, kind="stable") < na
+    ia = np.cumsum(step_a) - step_a  # inner vertices passed before each step
+    ib = np.arange(na + nb) - ia
+    a0, a1 = inner[ia % na], inner[(ia + 1) % na]
+    b0, b1 = outer[ib % nb], outer[(ib + 1) % nb]
+    return np.where(step_a[:, None], np.stack([a1, a0, b0], axis=1), np.stack([b0, b1, a0], axis=1))
 
 
 def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
@@ -145,17 +192,13 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
         kappa, geom.r_ambient, np.asarray(phis), np.asarray(thetas)
     )
 
-    faces: list[tuple[int, int, int]] = []
     first = ring_indices[0]
-    n0 = len(first)
-    for j in range(n0):
-        faces.append((int(first[j]), int(first[(j + 1) % n0]), 0))
-    for i in range(1, rings):
-        faces.extend(
-            _zip_rings(ring_indices[i - 1], ring_angles[i - 1], ring_indices[i], ring_angles[i])
-        )
-
-    faces_arr = np.asarray(faces, dtype=np.int64)
+    fan = np.stack([first, np.roll(first, -1), np.zeros_like(first)], axis=1)
+    strips = [
+        _zip_rings(ring_indices[i - 1], ring_angles[i - 1], ring_indices[i], ring_angles[i])
+        for i in range(1, rings)
+    ]
+    faces_arr = np.concatenate([fan, *strips]).astype(np.int64, copy=False)
     boundary = np.zeros(next_index, dtype=bool)
     boundary[ring_indices[-1]] = True
     potential = np.full(next_index, geom.normA2 + geom.ric_nu)
@@ -173,16 +216,9 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
     return mesh
 
 
-def edge_face_counts(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique undirected edges and the number of faces containing each."""
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    edges, counts = np.unique(e, axis=0, return_counts=True)
-    return edges, counts
-
-
 def _check_topology(mesh: TriMesh) -> None:
-    edges, counts = edge_face_counts(mesh.faces)
+    topo = mesh.topology
+    edges, counts = topo.edges, topo.edge_faces
     if counts.max(initial=0) > 2:
         raise MeshError("a mesh edge belongs to more than two faces")
     v = mesh.num_vertices
@@ -194,9 +230,7 @@ def _check_topology(mesh: TriMesh) -> None:
     if not np.array_equal(boundary_verts, flagged):
         raise MeshError("boundary flags do not match the topological boundary")
     # Orientation consistency: every interior edge appears once per direction.
-    directed = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]]])
-    _, dir_counts = np.unique(directed, axis=0, return_counts=True)
-    if dir_counts.max(initial=0) > 1:
+    if not topo.oriented:
         raise MeshError("inconsistent face orientation")
 
 
@@ -224,10 +258,18 @@ def face_edge_lengths(mesh: TriMesh) -> np.ndarray:
     return lengths
 
 
+def triangle_areas(lengths: np.ndarray) -> np.ndarray:
+    """Heron areas from per-face edge lengths (nf, 3)."""
+    a, b, c = lengths[:, 0], lengths[:, 1], lengths[:, 2]
+    s = 0.5 * (a + b + c)
+    val = s * (s - a) * (s - b) * (s - c)
+    return np.sqrt(np.clip(val, 0.0, None))
+
+
 def edge_graph(mesh: TriMesh) -> csr_matrix:
     """Sparse symmetric graph of mesh edges weighted by geodesic length."""
-    edges, _ = edge_face_counts(mesh.faces)
-    d = ambient_distance(mesh.kappa, mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]])
+    topo = mesh.topology
+    edges, d = topo.edges, topo.edge_lengths
     n = mesh.num_vertices
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -248,10 +290,19 @@ def intrinsic_radius(mesh: TriMesh) -> float:
     return float(dist[mesh.interior].max())
 
 
+#: Rows formatted per write in save_mesh; bounds the text held in memory.
+SAVE_CHUNK_ROWS = 4096
+
+
+def _write_rows(fh, line: str, rows: np.ndarray) -> None:
+    """Write `line % row` for every row, a chunk of rows per formatting call."""
+    for start in range(0, rows.shape[0], SAVE_CHUNK_ROWS):
+        chunk = rows[start : start + SAVE_CHUNK_ROWS]
+        fh.write((line * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
 def save_mesh(mesh: TriMesh, path: str) -> None:
     """Plain-text polygon export: vertex lines, then 1-indexed face lines."""
     with open(path, "w") as fh:
-        for row in mesh.vertices:
-            fh.write("v " + " ".join(f"{x:.17g}" for x in row) + "\n")
-        for a, b, c in mesh.faces:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        _write_rows(fh, "v" + " %.17g" * mesh.vertices.shape[1] + "\n", mesh.vertices)
+        _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)

@@ -68,6 +68,8 @@ def sphere_from_H(n: int, kappa: float, H: float) -> SphereGeometry:
     For kappa < 0 only H > sqrt(|kappa|) is attainable (horospheres are
     the limit), for kappa = 0 any H > 0, for kappa > 0 any H >= 0.
     """
+    if not (math.isfinite(kappa) and math.isfinite(H)):
+        raise PreconditionViolation(f"kappa and H must be finite, got kappa={kappa}, H={H}")
     if kappa < 0.0:
         sq = math.sqrt(-kappa)
         if H <= sq:
@@ -181,6 +183,8 @@ def lambda1_ball(n: int, c_int: float, rho: float, tol: float = 1e-8) -> float:
             raise NonConvergence("failed to bracket the first Dirichlet eigenvalue")
     while hi - lo > tol * c_int:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is down to adjacent floats; tol is below their spacing
         if vanishes_by_rho(mid):
             hi = mid
         else:

@@ -233,3 +233,17 @@ class TestBestBound:
     def test_no_applicable(self):
         with pytest.raises(NoApplicableBound):
             bounds.best_bound(bounds.BoundInput(3, 0.0, 1.0, -1.0))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("field", ["delta", "H", "K_inf", "S_inf"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejected(self, field, value):
+        kwargs = dict(n=2, delta=0.0, H=2.5, K_inf=-1.0, S_inf=-6.0)
+        kwargs[field] = value
+        with pytest.raises(PreconditionViolation, match=f"{field} must be finite"):
+            bounds.BoundInput(**kwargs)
+
+    def test_infinite_H_is_not_a_zero_radius_pass(self):
+        with pytest.raises(PreconditionViolation):
+            bounds.best_bound(bounds.BoundInput(2, 0.0, math.inf, -1.0))

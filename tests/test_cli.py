@@ -87,6 +87,41 @@ class TestMeshCommand:
         assert doc["metadata"]["oracle_lambda1"] is not None
         assert mesh_file.read_text().startswith("v ")
 
+    def test_mesh_out_matches_direct_export(self, capsys, tmp_path):
+        from cmcradius import mesh
+
+        args = ["--kappa", "-1", "--H", "2.5", "--rho", "0.6", "--delta", "0.1"]
+        mesh_file = tmp_path / "cap.txt"
+        code = cli.run(["mesh", *args, "--levels", "4,2,3", "--format", "json",
+                        "--out", str(tmp_path / "report.json"), "--mesh-out", str(mesh_file)])
+        assert code == 0
+        direct = tmp_path / "direct.txt"
+        mesh.save_mesh(mesh.build_cap_mesh(-1.0, 2.5, 0.6, 4), str(direct))
+        assert mesh_file.read_bytes() == direct.read_bytes()
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--n", "2", "--delta", "0", "--H", "inf", "--K", "-1"],
+        ["bound", "--n", "2", "--delta", "nan", "--H", "2.5"],
+        ["bound", "--n", "2", "--delta", "0", "--H", "2.5", "--K", "nan"],
+        ["bound", "--n", "2", "--delta", "0", "--H", "2.5", "--S=-inf"],
+        ["cap", "--n", "2", "--kappa", "-1", "--H", "nan", "--delta", "0"],
+        ["cap", "--n", "2", "--kappa", "inf", "--H", "2.5", "--delta", "0"],
+        ["mesh", "--kappa", "0", "--H", "1", "--rho", "inf", "--delta", "0", "--levels", "2"],
+        ["mesh", "--kappa", "0", "--H", "1", "--rho", "1", "--delta", "0", "--tol", "nan"],
+    ])
+    def test_usage_error(self, argv, capsys):
+        assert cli.run(argv) == 64
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["H = nan", "H = inf", "delta = -inf", "tol = nan", "kappa = 1e999"])
+    def test_sweep_config_value(self, line, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"mode = cap\nn = 2\nH = 2.5\n{line}\n")
+        assert cli.run(["sweep", "--config", str(cfg)]) == 64
+        assert "finite" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_cap_sweep_and_determinism(self, capsys, tmp_path):

@@ -130,3 +130,13 @@ class TestMeshVerify:
             assert 0.98 * rho <= r <= 1.1 * rho
             if level >= 5:
                 assert r >= rho
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("kappa, H, rho, delta", [(-1.0, 2.5, 0.6, 0.0), (1.0, 1.0, 1.0, 0.4)])
+    def test_lambda1_matches_dense_pencil(self, kappa, H, rho, delta):
+        from scipy.linalg import eigh
+
+        problem = dd.assemble_stability(mm.build_cap_mesh(kappa, H, rho, 3), delta)
+        dense = eigh(problem.operator.toarray(), problem.mass.toarray(), eigvals_only=True)
+        assert dd.lambda1_dirichlet(problem) == pytest.approx(dense[0], rel=1e-10)

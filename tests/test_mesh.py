@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ class TestBuildCapMesh:
 
     def test_level_zero_is_a_disk(self):
         m = mm.build_cap_mesh(0.0, 1.0, math.pi / 2, 0)
-        edges, counts = mm.edge_face_counts(m.faces)
+        edges, counts = m.topology.edges, m.topology.edge_faces
         assert m.num_vertices - len(edges) + m.num_faces == 1
         assert counts.max() <= 2
 
@@ -36,7 +37,7 @@ class TestBuildCapMesh:
 
     def test_boundary_is_last_ring(self):
         m = mm.build_cap_mesh(0.0, 1.0, 1.0, 3)
-        edges, counts = mm.edge_face_counts(m.faces)
+        edges, counts = m.topology.edges, m.topology.edge_faces
         boundary_verts = np.unique(edges[counts == 1])
         assert np.array_equal(boundary_verts, np.flatnonzero(m.boundary))
 
@@ -51,6 +52,27 @@ class TestBuildCapMesh:
         b = mm.build_cap_mesh(-1.0, 2.5, 0.6, 3)
         assert np.array_equal(a.vertices, b.vertices)
         assert np.array_equal(a.faces, b.faces)
+
+
+class TestTopologyRecord:
+    @pytest.mark.parametrize("kappa, H, level", [(-1.0, 2.5, 4), (0.0, 1.0, 5), (1.0, 1.0, 3)])
+    def test_matches_row_unique_reference(self, kappa, H, level):
+        m = mm.build_cap_mesh(kappa, H, 0.5 / math.sqrt(kappa + H * H), level)
+        f = m.faces
+        half = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
+        edges, counts = np.unique(half, axis=0, return_counts=True)
+        topo = m.topology
+        assert np.array_equal(topo.edges, edges)
+        assert np.array_equal(topo.edge_faces, counts)
+        lengths = mm.ambient_distance(kappa, m.vertices[edges[:, 0]], m.vertices[edges[:, 1]])
+        assert np.array_equal(topo.edge_lengths, lengths)
+        assert np.array_equal(topo.face_lengths, mm.face_edge_lengths(m))
+        assert np.array_equal(topo.areas, mm.triangle_areas(mm.face_edge_lengths(m)))
+        assert topo.oriented
+
+    def test_computed_once(self):
+        m = mm.build_cap_mesh(0.0, 1.0, 1.0, 2)
+        assert m.topology is m.topology
 
 
 class TestAmbientDistance:
@@ -118,3 +140,88 @@ class TestExport:
         mm.save_mesh(m, str(p1))
         mm.save_mesh(m, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _legacy_zip_rings(inner, inner_ang, outer, outer_ang):
+    """Step-by-step walk over both rings, kept as the oracle for the array-built strips."""
+    faces = []
+    na, nb = len(inner), len(outer)
+    ia = ib = 0
+    ang_a = np.append(inner_ang, inner_ang[0] + 2.0 * math.pi)
+    ang_b = np.append(outer_ang, outer_ang[0] + 2.0 * math.pi)
+    while ia < na or ib < nb:
+        advance_a = ib >= nb or (ia < na and ang_a[ia + 1] <= ang_b[ib + 1])
+        if advance_a:
+            faces.append((inner[(ia + 1) % na], inner[ia], outer[ib % nb]))
+            ia += 1
+        else:
+            faces.append((outer[ib], outer[(ib + 1) % nb], inner[ia % na]))
+            ib += 1
+    return np.array(faces, dtype=np.int64).reshape(-1, 3)
+
+
+class TestRingStrips:
+    @pytest.mark.parametrize("kappa, H", [(-1.0, 2.5), (0.0, 1.0), (1.0, 1.0)])
+    def test_faces_match_legacy_walk(self, kappa, H, monkeypatch):
+        rho = 0.6 * math.pi / math.sqrt(kappa + H * H)
+        built = [mm.build_cap_mesh(kappa, H, rho, level).faces for level in range(8)]
+        monkeypatch.setattr(mm, "_zip_rings", _legacy_zip_rings)
+        for level, faces in enumerate(built):
+            expected = mm.build_cap_mesh(kappa, H, rho, level).faces
+            assert np.array_equal(faces, expected), f"level {level}"
+
+    def test_unequal_rings_with_ties(self):
+        # Ring sizes sharing divisors put angles of both rings on the same value.
+        for na, nb in ((3, 9), (6, 12), (8, 12), (12, 18), (5, 7)):
+            inner, outer = np.arange(1, na + 1), np.arange(na + 1, na + nb + 1)
+            ang_a = 2.0 * math.pi * np.arange(na) / na
+            ang_b = 2.0 * math.pi * np.arange(nb) / nb
+            got = np.asarray(mm._zip_rings(inner, ang_a, outer, ang_b))
+            assert np.array_equal(got, _legacy_zip_rings(inner, ang_a, outer, ang_b))
+
+
+def _with_extra(m, vertices, faces, boundary):
+    """Copy of m with vertices and faces appended (new faces index the new vertices too)."""
+    return mm.TriMesh(
+        vertices=np.vstack([m.vertices, vertices]),
+        faces=np.vstack([m.faces, np.asarray(faces, dtype=np.int64).reshape(-1, 3)]),
+        boundary=np.concatenate([m.boundary, boundary]),
+        potential=np.concatenate([m.potential, np.full(len(vertices), m.potential[0])]),
+        kappa=m.kappa,
+    )
+
+
+class TestCheckTopology:
+    def _cap(self):
+        return mm.build_cap_mesh(0.0, 1.0, 1.0, 2)
+
+    def test_valid_cap_passes(self):
+        mm._check_topology(self._cap())
+
+    def test_edge_in_three_faces(self):
+        m = self._cap()
+        a, b, _ = m.faces[0]  # a-b is shared by the centre fan and the first strip
+        bad = _with_extra(m, [[5.0, 5.0, 5.0]], [[a, b, m.num_vertices]], [True])
+        with pytest.raises(MeshError, match="more than two faces"):
+            mm._check_topology(bad)
+
+    def test_one_flipped_face(self):
+        m = self._cap()
+        faces = m.faces.copy()
+        faces[0] = faces[0, ::-1]
+        with pytest.raises(MeshError, match="orientation"):
+            mm._check_topology(dataclasses.replace(m, faces=faces))
+
+    def test_wrong_boundary_flag(self):
+        m = self._cap()
+        m.boundary[0] = True
+        with pytest.raises(MeshError, match="boundary flags"):
+            mm._check_topology(m)
+
+    def test_extra_disjoint_triangle_is_not_a_disk(self):
+        m = self._cap()
+        nv = m.num_vertices
+        tri = [[5.0, 0.0, 0.0], [6.0, 0.0, 0.0], [5.0, 1.0, 0.0]]
+        bad = _with_extra(m, tri, [[nv, nv + 1, nv + 2]], [True, True, True])
+        with pytest.raises(MeshError, match="not a disk"):
+            mm._check_topology(bad)

@@ -94,6 +94,15 @@ class TestLambda1Ball:
         with pytest.raises(PreconditionViolation):
             sf.lambda1_ball(2, 1.0, math.pi + 0.1)
 
+    def test_tolerance_below_float_spacing_terminates(self):
+        # Near lambda = 6e8 the absolute tolerance tol * c_int = 1e-8 is below
+        # the float spacing, so the bisection stops on adjacent floats.
+        rho = 1e-4
+        lam = sf.lambda1_ball(2, 1.0, rho)
+        assert lam == pytest.approx(578318595.96, rel=1e-8)
+        j01 = 2.404825557695773  # first zero of the Bessel function J_0
+        assert lam == pytest.approx(j01**2 / rho**2, rel=1e-8)
+
 
 class TestMaxStableCapRadius:
     def test_hemisphere_at_delta_zero(self):
@@ -142,6 +151,19 @@ class TestClosedSphere:
     def test_vanishes_at_delta_one_limit(self):
         val = sf.closed_sphere_lowest_eigenvalue(2, -1.0, 2.5, 1.0 - 1e-15)
         assert val == pytest.approx(0.0, abs=1e-12)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("kappa, H", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.nan), (-1.0, math.inf),
+    ])
+    def test_sphere_from_H_rejects(self, kappa, H):
+        with pytest.raises(PreconditionViolation, match="finite"):
+            sf.sphere_from_H(2, kappa, H)
+
+    def test_verify_cap_bound_rejects_nan_H(self):
+        with pytest.raises(PreconditionViolation):
+            sf.verify_cap_bound(2, -1.0, math.nan, 0.0)
 
 
 class TestVerifyCapBound:
