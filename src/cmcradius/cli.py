@@ -49,31 +49,58 @@ def _finite(text: str) -> float:
     return value
 
 
+def _integer(text: str, lo: int = 0) -> int:
+    """An integer >= lo; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < lo:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+    return value
+
+
+def _dimension(text: str) -> int:
+    """A hypersurface dimension in bounds.SUPPORTED_DIMENSIONS."""
+    value = _integer(text)
+    if value not in bounds.SUPPORTED_DIMENSIONS:
+        raise argparse.ArgumentTypeError(
+            f"expected a dimension in {bounds.SUPPORTED_DIMENSIONS}, got {text!r}")
+    return value
+
+
+def _levels(text: str) -> list[int]:
+    """Comma-separated refinement levels, each an integer >= 0."""
+    levels = [_integer(v) for v in text.split(",") if v.strip()]
+    if not levels:
+        raise argparse.ArgumentTypeError(f"expected at least one level, got {text!r}")
+    return levels
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cmcradius", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate the optimized distance bound")
-    p_bound.add_argument("--n", type=int, required=True)
+    p_bound.add_argument("--n", type=_dimension, required=True)
     p_bound.add_argument("--delta", type=_finite, required=True)
     p_bound.add_argument("--H", type=_finite, required=True)
     p_bound.add_argument("--K", type=_finite, default=0.0, help="ambient sectional curvature lower bound")
     p_bound.add_argument("--S", type=_finite, default=None, help="ambient scalar curvature lower bound (n=2)")
 
     p_cap = sub.add_parser("cap", help="check the bound against the spectral cap oracle")
-    p_cap.add_argument("--n", type=int, required=True)
+    p_cap.add_argument("--n", type=_dimension, required=True)
     p_cap.add_argument("--kappa", type=_finite, required=True)
     p_cap.add_argument("--H", type=_finite, required=True)
     p_cap.add_argument("--delta", type=_finite, required=True)
-    p_cap.add_argument("--tol", type=_finite, default=1e-6)
 
     p_mesh = sub.add_parser("mesh", help="discrete verification on triangulated caps")
     p_mesh.add_argument("--kappa", type=_finite, required=True)
     p_mesh.add_argument("--H", type=_finite, required=True)
     p_mesh.add_argument("--rho", type=_finite, required=True)
     p_mesh.add_argument("--delta", type=_finite, required=True)
-    p_mesh.add_argument("--levels", type=str, default="3,4,5")
+    p_mesh.add_argument("--levels", type=_levels, default="3,4,5")
     p_mesh.add_argument("--tol", type=_finite, default=1e-10)
     p_mesh.add_argument("--mesh-out", type=str, default=None, help="export finest mesh (plain text)")
 
@@ -115,8 +142,8 @@ def _bound_row(n: int, delta: float, H: float, K: float, S: float | None) -> dic
     return row
 
 
-def _cap_row(n: int, kappa: float, H: float, delta: float, tol: float) -> dict:
-    rec = spaceforms.verify_cap_bound(n, kappa, H, delta, tol=tol)
+def _cap_row(n: int, kappa: float, H: float, delta: float) -> dict:
+    rec = spaceforms.verify_cap_bound(n, kappa, H, delta)
     if not rec.applicable:
         status = "not-applicable"
     else:
@@ -169,15 +196,27 @@ def _algebra_rows(ns: list[int], samples: int, seed: int) -> list[dict]:
     return rows
 
 
-def _floats(grids: dict, key: str, default=None) -> list[float]:
+def _values(grids: dict, key: str, parse, default=None) -> list:
     if key not in grids:
         if default is None:
             raise UsageError(f"config is missing required key {key!r}")
         return default
     try:
-        return [_finite(v) for v in grids[key]]
+        return [parse(v) for v in grids[key]]
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"config key {key!r}: {exc}") from None
+
+
+def _floats(grids: dict, key: str, default=None) -> list[float]:
+    return _values(grids, key, _finite, default)
+
+
+#: The config keys each sweep mode reads; any other key is a usage error.
+SWEEP_KEYS = {
+    "cap": ("mode", "n", "kappa", "delta", "H"),
+    "bound": ("mode", "n", "delta", "H", "K", "S"),
+    "algebra": ("mode", "n", "samples"),
+}
 
 
 def _run_sweep(args) -> SweepReport:
@@ -185,16 +224,20 @@ def _run_sweep(args) -> SweepReport:
     mode = grids.get("mode", ["cap"])[0]
     metadata = {"tool": "cmcradius", "version": __version__, "mode": mode, "seed": args.seed}
     report = SweepReport(kind=f"sweep-{mode}", metadata=metadata)
+    if mode not in SWEEP_KEYS:
+        raise UsageError(f"unknown sweep mode {mode!r} (expected cap, bound or algebra)")
+    unread = sorted(set(grids) - set(SWEEP_KEYS[mode]))
+    if unread:
+        raise UsageError(f"config key {unread[0]!r} is not read in {mode} mode")
     if mode == "cap":
-        ns = [int(v) for v in grids.get("n", ["2"])]
+        ns = _values(grids, "n", _dimension, [2])
         kappas = _floats(grids, "kappa", [0.0])
         deltas = _floats(grids, "delta", [0.0])
         hs = _floats(grids, "H")
-        tol = _floats(grids, "tol", [1e-6])[0]
         cases = sorted(itertools.product(ns, kappas, deltas, hs))
-        report.rows = [_cap_row(n, kappa, H, delta, tol) for n, kappa, delta, H in cases]
+        report.rows = [_cap_row(n, kappa, H, delta) for n, kappa, delta, H in cases]
     elif mode == "bound":
-        ns = [int(v) for v in grids.get("n", ["2"])]
+        ns = _values(grids, "n", _dimension, [2])
         deltas = _floats(grids, "delta", [0.0])
         hs = _floats(grids, "H")
         ks = _floats(grids, "K", [0.0])
@@ -202,12 +245,10 @@ def _run_sweep(args) -> SweepReport:
         cases = sorted(itertools.product(ns, deltas, hs, ks, ss), key=lambda t: tuple(
             -1.0 if x is None else float(x) for x in t))
         report.rows = [_bound_row(n, d, H, K, S) for n, d, H, K, S in cases]
-    elif mode == "algebra":
-        ns = [int(v) for v in grids.get("n", ["2", "3", "4"])]
-        samples = int(grids.get("samples", ["1000"])[0])
-        report.rows = _algebra_rows(sorted(ns), samples, args.seed)
     else:
-        raise UsageError(f"unknown sweep mode {mode!r} (expected cap, bound or algebra)")
+        ns = _values(grids, "n", _dimension, [2, 3, 4])
+        samples = _values(grids, "samples", lambda v: _integer(v, 1), [1000])[0]
+        report.rows = _algebra_rows(sorted(ns), samples, args.seed)
     return report
 
 
@@ -235,10 +276,9 @@ def run(argv: list[str] | None = None) -> int:
             report.rows = [_bound_row(args.n, args.delta, args.H, args.K, args.S)]
         elif args.command == "cap":
             report = SweepReport(kind="cap", metadata=metadata)
-            report.rows = [_cap_row(args.n, args.kappa, args.H, args.delta, args.tol)]
+            report.rows = [_cap_row(args.n, args.kappa, args.H, args.delta)]
         elif args.command == "mesh":
-            levels = [int(v) for v in args.levels.split(",") if v.strip()]
-            rows, meta, finest = _mesh_rows(args.kappa, args.H, args.rho, args.delta, levels, args.tol)
+            rows, meta, finest = _mesh_rows(args.kappa, args.H, args.rho, args.delta, args.levels, args.tol)
             metadata = dict(metadata, **meta)
             report = SweepReport(kind="mesh", metadata=metadata, rows=rows)
             if args.mesh_out:

@@ -195,7 +195,7 @@ def mesh_verify(
     levels: list[int],
     tol: float = 1e-10,
 ) -> ConvergenceReport:
-    """Discrete stability verdicts and eigenvalue convergence against the ODE oracle."""
+    """Discrete stability verdicts and eigenvalue convergence against the closed-form oracle."""
     if not levels:
         raise MeshError("at least one refinement level is required")
     geom = sphere_from_H(2, kappa, H)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +74,24 @@ class TestCapCommand:
         assert row["ratio"] == pytest.approx(0.7955, abs=2e-4)
         assert row["status"] == "pass"
 
+    def test_no_radius_exit_2(self, capsys):
+        # The zero of the radial function lies past the scan end, and delta
+        # is past every threshold: not applicable, with no radius.
+        code = cli.run(["cap", "--n", "2", "--kappa", "0", "--H", "1", "--delta", "0.999",
+                        "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        row = doc["rows"][0]
+        assert row["rho_star"] is None
+        assert row["status"] == "not-applicable"
+
+    def test_import_skips_scipy_integrate(self):
+        code = "import sys, cmcradius.cli; print('scipy.integrate' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "False"
+
 
 class TestMeshCommand:
     def test_small_run(self, capsys, tmp_path):
@@ -115,12 +136,45 @@ class TestNonFiniteFlags:
         assert cli.run(argv) == 64
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["H = nan", "H = inf", "delta = -inf", "tol = nan", "kappa = 1e999"])
+    @pytest.mark.parametrize("line", ["H = nan", "H = inf", "delta = -inf", "kappa = 1e999"])
     def test_sweep_config_value(self, line, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"mode = cap\nn = 2\nH = 2.5\n{line}\n")
         assert cli.run(["sweep", "--config", str(cfg)]) == 64
         assert "finite" in capsys.readouterr().err
+
+
+class TestMalformedIntegers:
+    MESH = ["mesh", "--kappa", "0", "--H", "1", "--rho", "1", "--delta", "0"]
+
+    @pytest.mark.parametrize("argv", [
+        [*MESH, "--levels", "3,x"],
+        [*MESH, "--levels", "-1"],
+        [*MESH, "--levels", "2.5"],
+        [*MESH, "--levels", ","],
+        ["cap", "--n", "5", "--kappa", "0", "--H", "1", "--delta", "0"],
+        ["cap", "--n", "two", "--kappa", "0", "--H", "1", "--delta", "0"],
+        ["bound", "--n", "1", "--delta", "0", "--H", "1"],
+    ])
+    def test_usage_error(self, argv, capsys):
+        assert cli.run(argv) == 64
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, line", [
+        ("cap", "n = two"),
+        ("cap", "n = 5"),
+        ("bound", "n = 1"),
+        ("algebra", "samples = x"),
+        ("algebra", "samples = 0"),
+        ("algebra", "n = 3.0"),
+    ], ids=lambda v: v)
+    def test_sweep_config(self, mode, line, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        required = "" if mode == "algebra" else "H = 2.5\n"
+        cfg.write_text(f"mode = {mode}\n{required}{line}\n")
+        assert cli.run(["sweep", "--config", str(cfg)]) == 64
+        key = line.split(" = ")[0]
+        assert f"usage error: config key {key!r}" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -160,6 +214,25 @@ class TestSweepCommand:
         cfg = tmp_path / "na.cfg"
         cfg.write_text("mode = cap\nn = 3\nkappa = -1\nH = 1.5\ndelta = 0\n")
         assert cli.run(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("mode, line", [
+        ("cap", "tol = nan"),
+        ("cap", "tol = 1e-6"),
+        ("cap", "K = 0"),
+        ("bound", "kappa = 0"),
+        ("algebra", "H = 2.5"),
+    ], ids=lambda v: v)
+    def test_unknown_config_key(self, mode, line, capsys, tmp_path):
+        # A key that the mode does not read is an error, not silently ignored.
+        cfg = tmp_path / "extra.cfg"
+        cfg.write_text(f"mode = {mode}\nn = 2\nH = 2.5\n{line}\n")
+        assert cli.run(["sweep", "--config", str(cfg)]) == 64
+        key = line.split(" = ")[0]
+        assert repr(key) in capsys.readouterr().err
+
+    def test_cap_tol_flag_removed(self, capsys):
+        argv = ["cap", "--n", "2", "--kappa", "0", "--H", "1", "--delta", "0", "--tol", "1e-6"]
+        assert cli.run(argv) == 64
 
     def test_bad_config(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
