@@ -2,15 +2,16 @@
 
 Everything here is scalar arithmetic: admissible ranges for the conformal
 exponent k, the coefficients A and B entering the distance bound
-c = pi * sqrt(A / B), and the optimization of c over k.  Interval
-endpoints and dimension thresholds are kept as exact rationals; the rest
-is floating point.
+c = pi * sqrt(A / B), and its closed-form minimisation over k (one
+quadratic in t = 4/(n-1) - k).  Interval endpoints and dimension
+thresholds are kept as exact rationals; the rest is floating point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 
 from .errors import (
@@ -23,12 +24,9 @@ from .errors import (
 
 SUPPORTED_DIMENSIONS = (2, 3, 4)
 
-# Golden-section constants (see the classic bounded scalar search).
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
 #: Relative offset used to stay strictly inside the open k-interval.
 INTERIOR_OFFSET = 1e-9
+_PAD = Fraction(str(INTERIOR_OFFSET))
 
 
 def _check_dimension(n: int) -> None:
@@ -36,6 +34,7 @@ def _check_dimension(n: int) -> None:
         raise DimensionError(f"hypersurface dimension must be one of {SUPPORTED_DIMENSIONS}, got {n}")
 
 
+@lru_cache(maxsize=None)
 def delta_threshold(n: int) -> Fraction:
     """Largest near-stability parameter for which the k-interval is nonempty.
 
@@ -162,97 +161,91 @@ class BoundResult:
     hypotheses_met: dict[str, bool] = field(default_factory=dict)
 
 
-def _sectional_hypotheses(inp: BoundInput) -> dict[str, bool]:
-    return {
-        "delta_threshold": Fraction(inp.delta) < delta_threshold(inp.n),
+def _sectional_setup(inp: BoundInput) -> tuple[dict[str, bool], KInterval]:
+    """Hypothesis flags and the exact k-interval, computed once per query."""
+    d = Fraction(inp.delta)
+    flags = {
+        "delta_threshold": d < delta_threshold(inp.n),
         "H_threshold": abs(inp.H) > mean_curvature_threshold(inp.K_inf),
     }
-
-
-def radius_bound_fixed_k(inp: BoundInput, k: float) -> BoundResult:
-    """Distance bound at a caller-chosen admissible k (sectional-curvature route)."""
-    flags = _sectional_hypotheses(inp)
     if not flags["delta_threshold"]:
         raise HypothesisViolation(
             f"delta={inp.delta} is not below the n={inp.n} threshold {delta_threshold(inp.n)}"
         )
-    interval = k_interval(inp.n, inp.delta)
-    problems = []
-    if not interval.contains(k):
-        problems.append(f"k={k} is not strictly inside ({interval.lo}, {interval.hi})")
-    if not flags["H_threshold"]:
-        problems.append(
-            f"|H|={abs(inp.H)} does not exceed the threshold {mean_curvature_threshold(inp.K_inf)}"
-        )
-    A = coeff_A(inp.n, k) if k < float(interval.hi) else float("nan")
-    B = coeff_B(inp.n, k, inp.delta, inp.H, inp.K_inf)
+    return flags, k_interval(inp.n, d)
+
+
+def _H_problem(inp: BoundInput) -> str:
+    return f"|H|={abs(inp.H)} does not exceed the threshold {mean_curvature_threshold(inp.K_inf)}"
+
+
+def _sectional_result(k: float, A: float, B: float, flags: dict[str, bool],
+                      problems: list[str]) -> BoundResult:
+    """Gate on B > 0 and a representable c, then package the bound at k."""
     flags["B_positive"] = B > 0.0
     if not flags["B_positive"]:
         problems.append(f"B={B} is not positive")
     if problems:
         raise HypothesisViolation("; ".join(problems))
     c = math.pi * math.sqrt(A / B)
+    if not 0.0 < c < math.inf:
+        raise HypothesisViolation(f"c = pi*sqrt(A/B) = {c} with A={A}, B={B} is out of float range")
     return BoundResult(k_star=k, A=A, B=B, c=c, source="sectional", hypotheses_met=flags)
 
 
-def _golden_section(f, a: float, b: float, tol: float) -> float:
-    """Golden-section minimizer of a unimodal f on [a, b]; returns the argmin."""
-    h = b - a
-    if h <= tol:
-        return 0.5 * (a + b)
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    while h > tol:
-        h *= _INV_PHI
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * h
-            yd = f(d)
-    return 0.5 * (a + b)
+def radius_bound_fixed_k(inp: BoundInput, k: float) -> BoundResult:
+    """Distance bound at a caller-chosen admissible k (sectional-curvature route)."""
+    flags, interval = _sectional_setup(inp)
+    problems = []
+    if not interval.contains(k):
+        problems.append(f"k={k} is not strictly inside ({interval.lo}, {interval.hi})")
+    if not flags["H_threshold"]:
+        problems.append(_H_problem(inp))
+    A = coeff_A(inp.n, k) if k < float(interval.hi) else float("nan")
+    B = coeff_B(inp.n, k, inp.delta, inp.H, inp.K_inf)
+    return _sectional_result(k, A, B, flags, problems)
 
 
-GRID_POINTS = 64
+def _real_roots(qa: float, qb: float, qc: float) -> list[float]:
+    """Real roots of qa x^2 + qb x + qc = 0 (cancellation-free); NaN marks a missing one."""
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return []
+    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    return [q / qa if qa else math.nan, qc / q if q else math.nan]
 
 
 def radius_bound(inp: BoundInput) -> BoundResult:
-    """Smallest sectional-route bound over the admissible k-interval.
+    """Smallest sectional-route bound over the admissible k-interval, in closed form.
 
     The theorem holds for every admissible k, so the infimum over k is the
-    strongest verified claim.  Seeded by a dense grid scan, refined by
-    golden-section search, clamped strictly inside the open interval.
+    strongest verified claim.  With m = n-1, a1 = 2-n, p0 = 4 a1 + m^2 and
+    t = 4/m - k: A = 4(p0 - m a1 t) / (m^2 t) and B = beta - b1 t, where
+    b1 = n(1-delta)(H^2 + min(0,K)) and beta is B at k = 4/m.  A/B is
+    stationary where a1 m t^2 - 2 p0 t + p0 beta/b1 = 0, so the optimum is a
+    real root or an end padded `INTERIOR_OFFSET * width` inside.  The ends
+    are exact rationals, rounded only as t, so 4 - m k = m t keeps its
+    digits when the interval is narrower than the float spacing at 4/m.
     """
-    flags = _sectional_hypotheses(inp)
-    if not flags["delta_threshold"]:
-        raise HypothesisViolation(
-            f"delta={inp.delta} is not below the n={inp.n} threshold {delta_threshold(inp.n)}"
-        )
+    flags, interval = _sectional_setup(inp)
     if not flags["H_threshold"]:
-        raise HypothesisViolation(
-            f"|H|={abs(inp.H)} does not exceed the threshold {mean_curvature_threshold(inp.K_inf)}"
-        )
-    interval = k_interval(inp.n, inp.delta)
-    a, b = interval.interior()
-
-    def objective(k: float) -> float:
-        B = coeff_B(inp.n, k, inp.delta, inp.H, inp.K_inf)
-        if B <= 0.0:
-            return float("inf")
-        return coeff_A(inp.n, k) / B
-
-    grid = [a + (b - a) * i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
-    values = [objective(k) for k in grid]
-    i_best = min(range(GRID_POINTS), key=values.__getitem__)
-    lo = grid[max(i_best - 1, 0)]
-    hi = grid[min(i_best + 1, GRID_POINTS - 1)]
-    k_star = _golden_section(objective, lo, hi, tol=1e-12 * (b - a))
-    if objective(k_star) > values[i_best]:
-        k_star = grid[i_best]
-    return radius_bound_fixed_k(inp, k_star)
+        raise HypothesisViolation(_H_problem(inp))
+    n, m, a1 = inp.n, inp.n - 1, 2 - inp.n
+    p0 = 4 * a1 + m * m
+    Km, H2 = min(0.0, inp.K_inf), inp.H * inp.H
+    b1 = n * (1.0 - inp.delta) * (H2 + Km)
+    beta = (4.0 * b1 + m * ((-n * n + 5 * n - 5) * H2 + m * Km)) / m
+    pad = interval.width * _PAD
+    ends = (interval.width - pad, pad)  # t at the padded lower and upper ends
+    t_lo, t_hi = float(ends[0]), float(ends[1])
+    roots = _real_roots(a1 * m, -2.0 * p0, p0 * beta / b1) if b1 > 0.0 else []
+    candidates = []
+    for t in (*ends, *(r for r in roots if t_hi < r < t_lo)):
+        tf = float(t)
+        A, B = 4.0 * (p0 - m * a1 * tf) / (m * m * tf), beta - b1 * tf
+        candidates.append((A / B if B > 0.0 else math.inf, t, A, B))
+    _, t, A, B = min(candidates, key=lambda cand: cand[0])  # B <= 0 everywhere raises below
+    return _sectional_result(float(interval.hi - Fraction(t)), A, B, flags, [])
 
 
 def radius_bound_scalar(delta: float, H: float, S_inf: float) -> BoundResult:
@@ -273,6 +266,8 @@ def radius_bound_scalar(delta: float, H: float, S_inf: float) -> BoundResult:
         raise HypothesisViolation("; ".join(problems))
     A = 4.0 * (1.0 - delta) / (3.0 - 4.0 * delta)
     c = 2.0 * math.pi * math.sqrt((1.0 - delta) / ((3.0 - 4.0 * delta) * B))
+    if not 0.0 < c < math.inf:
+        raise HypothesisViolation(f"c = {c} with 3H^2 + S = {B} is out of float range")
     return BoundResult(
         k_star=1.0 / (1.0 - delta), A=A, B=B, c=c, source="scalar", hypotheses_met=flags
     )

@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from cmcradius import bounds
 from cmcradius.errors import (
@@ -247,3 +249,119 @@ class TestNonFiniteInput:
     def test_infinite_H_is_not_a_zero_radius_pass(self):
         with pytest.raises(PreconditionViolation):
             bounds.best_bound(bounds.BoundInput(2, 0.0, math.inf, -1.0))
+
+
+def _mpf(q: Fraction):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def exact_infimum(n, delta, H, K):
+    """Infimum of pi*sqrt(A/B) over the open k-interval, from exact coefficients.
+
+    A/B = 4(a1 k + a0) / ((4 - m k)(b1 k + b0)) with m = n-1, a1 = 2-n,
+    a0 = n-1, b1 = n(1-d)(H^2 + min(0,K)), b0 = (-n^2+5n-5)H^2 + m min(0,K).
+    Its derivative vanishes where a1 m b1 k^2 + 2 a0 m b1 k
+    + (4 a1 b0 - 4 a0 b1 + a0 m b0) = 0; the coefficients are Fractions and
+    the roots are taken at 40 digits, so the infimum is the smallest value
+    at a root inside the interval or at an end (A/B is finite at 4/m only
+    for n = 3, where A = 2).
+    """
+    d, h, kk = Fraction(delta), Fraction(H), Fraction(K)
+    m, a1, a0 = n - 1, 2 - n, n - 1
+    Km = min(Fraction(0), kk)
+    b1 = n * (1 - d) * (h * h + Km)
+    b0 = (-n * n + 5 * n - 5) * h * h + m * Km
+    lo, hi = Fraction(5 * m, 4 * n) / (1 - d), Fraction(4, m)
+    assert b1 * lo + b0 > 0
+
+    def ratio(k):
+        return 4 * (a1 * k + a0) / ((4 - m * k) * (b1 * k + b0))
+
+    with mp.workdps(40):
+        cands = [_mpf(ratio(lo))] + ([_mpf(2 / (b1 * hi + b0))] if n == 3 else [])
+        qa, qb, qc = a1 * m * b1, 2 * a0 * m * b1, 4 * a1 * b0 - 4 * a0 * b1 + a0 * m * b0
+        if qa == 0:
+            roots = [_mpf(-qc / qb)]
+        else:
+            disc = qb * qb - 4 * qa * qc
+            roots = [] if disc < 0 else [(-_mpf(qb) + sign * mp.sqrt(_mpf(disc))) / (2 * _mpf(qa))
+                                         for sign in (1, -1)]
+        for r in roots:
+            if _mpf(lo) < r < _mpf(hi):
+                cands.append(4 * (a1 * r + a0) / ((4 - m * r) * (_mpf(b1) * r + _mpf(b0))))
+        return float(mp.pi * mp.sqrt(min(cands)))
+
+
+def assert_matches_reference(inp):
+    res = bounds.radius_bound(inp)
+    inf = exact_infimum(inp.n, inp.delta, inp.H, inp.K_inf)
+    assert res.c >= inf * (1 - 5e-12)
+    assert res.c <= inf * (1 + 1e-8)
+    iv = bounds.k_interval(inp.n, inp.delta)
+    assert iv.lo < Fraction(res.k_star) < iv.hi or res.k_star in (float(iv.lo), float(iv.hi))
+    assert res.c == pytest.approx(math.pi * math.sqrt(res.A / res.B), rel=1e-15)
+
+
+def _largest_float_below(q: Fraction) -> float:
+    x = float(q)
+    return x if Fraction(x) < q else math.nextafter(x, 0.0)
+
+
+class TestExactReference:
+    def test_random_admissible_inputs(self):
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            n = rng.choice((2, 3, 4))
+            thr = bounds.delta_threshold(n)
+            if rng.random() < 0.1:  # within 1e-13..1e-3 of the threshold
+                delta = float(thr - Fraction(10.0 ** -rng.uniform(3, 13)))
+            else:
+                delta = rng.uniform(0.0, _largest_float_below(thr))
+            H = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-1.5, 1.5)
+            K = rng.choice((0.0, rng.uniform(0.0, 5.0), -rng.uniform(0.0, 0.999) * H * H / 4))
+            assert_matches_reference(bounds.BoundInput(n, delta, H, K))
+
+    def test_reference_reproduces_parabola_vertex(self):
+        # n = 2, delta = 0, H = 2.5, K = -1: the optimum is k = 7/4.
+        assert exact_infimum(2, 0.0, 2.5, -1.0) == pytest.approx(
+            (4 * math.sqrt(2) / 9) * math.pi / math.sqrt(5.25), rel=1e-15)
+
+
+class TestNearThreshold:
+    @pytest.mark.parametrize("eps", [1e-9, 1e-11, 1e-13])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("K", [0.0, -0.05])
+    def test_bound_exists_and_is_tight(self, n, eps, K):
+        delta = float(bounds.delta_threshold(n) - Fraction(eps))
+        assert_matches_reference(bounds.BoundInput(n, delta, 3.0, K))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_largest_float_below_threshold(self, n):
+        delta = _largest_float_below(bounds.delta_threshold(n))
+        inp = bounds.BoundInput(n, delta, 3.0, 0.0)
+        try:
+            res = bounds.radius_bound(inp)
+        except HypothesisViolation as exc:
+            assert "k must satisfy" not in str(exc)
+        else:
+            assert 0 < res.c < math.inf
+            assert_matches_reference(inp)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_first_float_at_or_above_threshold_raises(self, n):
+        thr = bounds.delta_threshold(n)
+        delta = float(thr) if Fraction(float(thr)) >= thr else math.nextafter(float(thr), 1.0)
+        with pytest.raises(HypothesisViolation, match="threshold"):
+            bounds.radius_bound(bounds.BoundInput(n, delta, 3.0, 0.0))
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("H", [1e-170, 1e160, 1e300])
+    def test_unrepresentable_bound_raises(self, H):
+        for n in (2, 3, 4):
+            with pytest.raises(HypothesisViolation):
+                bounds.radius_bound(bounds.BoundInput(n, 0.0, H, 0.0))
+
+    def test_scalar_route_out_of_range(self):
+        with pytest.raises(HypothesisViolation, match="float range"):
+            bounds.radius_bound_scalar(0.0, 1e200, 0.0)

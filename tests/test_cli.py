@@ -56,6 +56,16 @@ class TestBoundCommand:
     def test_usage_error(self, capsys):
         assert cli.run(["bound", "--n", "2"]) == 64
 
+    def test_near_threshold_has_a_bound(self, capsys):
+        # delta is 1e-9 below 19/64: the k-interval is narrow but a bound exists.
+        code = cli.run(["bound", "--n", "4", "--delta", "0.296874999", "--H", "3", "--K", "0",
+                        "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        row = doc["rows"][0]
+        assert row["status"] == "pass" and row["source"] == "sectional"
+        assert 0 < row["c"] < float("inf")
+
     def test_json_output(self, capsys):
         code = cli.run(["bound", "--n", "2", "--delta", "0", "--H", "1", "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
