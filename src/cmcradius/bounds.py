@@ -161,18 +161,36 @@ class BoundResult:
     hypotheses_met: dict[str, bool] = field(default_factory=dict)
 
 
-def _sectional_setup(inp: BoundInput) -> tuple[dict[str, bool], KInterval]:
-    """Hypothesis flags and the exact k-interval, computed once per query."""
-    d = Fraction(inp.delta)
+@lru_cache(maxsize=1024)
+def _exact_setup(n: int, delta: float) -> tuple[KInterval, tuple[tuple[float, float], ...]] | None:
+    """The exact k-interval of (n, delta) and (t, k) at its padded ends, rounded to floats.
+
+    None when delta is at or above delta_threshold(n).  The rational
+    arithmetic depends on (n, delta) only, and a sweep repeats each pair
+    for many (H, K), so it is done once per pair.
+    """
+    d = Fraction(delta)
+    if d >= delta_threshold(n):
+        return None
+    interval = k_interval(n, d)
+    pad = interval.width * _PAD
+    lower = (float(interval.width - pad), float(interval.lo + pad))
+    upper = (float(pad), float(interval.hi - pad))
+    return interval, (lower, upper)
+
+
+def _sectional_setup(inp: BoundInput) -> tuple[dict[str, bool], KInterval, tuple]:
+    """Hypothesis flags, the exact k-interval and its padded ends (t, k), lowest k first."""
+    setup = _exact_setup(inp.n, inp.delta)
     flags = {
-        "delta_threshold": d < delta_threshold(inp.n),
+        "delta_threshold": setup is not None,
         "H_threshold": abs(inp.H) > mean_curvature_threshold(inp.K_inf),
     }
-    if not flags["delta_threshold"]:
+    if setup is None:
         raise HypothesisViolation(
             f"delta={inp.delta} is not below the n={inp.n} threshold {delta_threshold(inp.n)}"
         )
-    return flags, k_interval(inp.n, d)
+    return (flags, *setup)
 
 
 def _H_problem(inp: BoundInput) -> str:
@@ -183,7 +201,9 @@ def _sectional_result(k: float, A: float, B: float, flags: dict[str, bool],
                       problems: list[str]) -> BoundResult:
     """Gate on B > 0 and a representable c, then package the bound at k."""
     flags["B_positive"] = B > 0.0
-    if not flags["B_positive"]:
+    if not math.isfinite(B):
+        problems.append(f"B={B} is out of float range: H^2 or K overflows")
+    elif not flags["B_positive"]:
         problems.append(f"B={B} is not positive")
     if problems:
         raise HypothesisViolation("; ".join(problems))
@@ -195,7 +215,7 @@ def _sectional_result(k: float, A: float, B: float, flags: dict[str, bool],
 
 def radius_bound_fixed_k(inp: BoundInput, k: float) -> BoundResult:
     """Distance bound at a caller-chosen admissible k (sectional-curvature route)."""
-    flags, interval = _sectional_setup(inp)
+    flags, interval, _ = _sectional_setup(inp)
     problems = []
     if not interval.contains(k):
         problems.append(f"k={k} is not strictly inside ({interval.lo}, {interval.hi})")
@@ -227,7 +247,7 @@ def radius_bound(inp: BoundInput) -> BoundResult:
     are exact rationals, rounded only as t, so 4 - m k = m t keeps its
     digits when the interval is narrower than the float spacing at 4/m.
     """
-    flags, interval = _sectional_setup(inp)
+    flags, interval, ends = _sectional_setup(inp)
     if not flags["H_threshold"]:
         raise HypothesisViolation(_H_problem(inp))
     n, m, a1 = inp.n, inp.n - 1, 2 - inp.n
@@ -235,17 +255,17 @@ def radius_bound(inp: BoundInput) -> BoundResult:
     Km, H2 = min(0.0, inp.K_inf), inp.H * inp.H
     b1 = n * (1.0 - inp.delta) * (H2 + Km)
     beta = (4.0 * b1 + m * ((-n * n + 5 * n - 5) * H2 + m * Km)) / m
-    pad = interval.width * _PAD
-    ends = (interval.width - pad, pad)  # t at the padded lower and upper ends
-    t_lo, t_hi = float(ends[0]), float(ends[1])
+    (t_lo, _), (t_hi, _) = ends
     roots = _real_roots(a1 * m, -2.0 * p0, p0 * beta / b1) if b1 > 0.0 else []
     candidates = []
-    for t in (*ends, *(r for r in roots if t_hi < r < t_lo)):
-        tf = float(t)
-        A, B = 4.0 * (p0 - m * a1 * tf) / (m * m * tf), beta - b1 * tf
-        candidates.append((A / B if B > 0.0 else math.inf, t, A, B))
-    _, t, A, B = min(candidates, key=lambda cand: cand[0])  # B <= 0 everywhere raises below
-    return _sectional_result(float(interval.hi - Fraction(t)), A, B, flags, [])
+    # A root's k is rounded from the exact interval end only if the root wins.
+    for t, k in (*ends, *((r, None) for r in roots if t_hi < r < t_lo)):
+        A, B = 4.0 * (p0 - m * a1 * t) / (m * m * t), beta - b1 * t
+        candidates.append((A / B if B > 0.0 else math.inf, t, k, A, B))
+    _, t, k, A, B = min(candidates, key=lambda cand: cand[0])  # B <= 0 everywhere raises below
+    if k is None:
+        k = float(interval.hi - Fraction(t))
+    return _sectional_result(k, A, B, flags, [])
 
 
 def radius_bound_scalar(delta: float, H: float, S_inf: float) -> BoundResult:

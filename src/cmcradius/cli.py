@@ -11,10 +11,11 @@ import argparse
 import itertools
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, algebra, bounds, discrete, mesh, spaceforms
+# Only standard-library modules load here, so `bound` and `cap` start fast:
+# the numpy and scipy modules are imported where `mesh` and the algebra sweep run.
+from . import __version__, bounds, spaceforms
 from .errors import (
     CmcRadiusError,
     EmptyIntervalError,
@@ -22,6 +23,9 @@ from .errors import (
     NoApplicableBound,
 )
 from .report import FORMATS, SweepReport, emit_report
+
+if TYPE_CHECKING:
+    from .mesh import TriMesh
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -155,7 +159,9 @@ def _cap_row(n: int, kappa: float, H: float, delta: float) -> dict:
     }
 
 
-def _mesh_rows(kappa, H, rho, delta, levels, tol) -> tuple[list[dict], dict, mesh.TriMesh]:
+def _mesh_rows(kappa, H, rho, delta, levels, tol) -> tuple[list[dict], dict, TriMesh]:
+    from . import discrete
+
     rep = discrete.mesh_verify(kappa, H, rho, delta, levels, tol=tol)
     rows = []
     for lv in rep.levels:
@@ -178,6 +184,10 @@ def _mesh_rows(kappa, H, rho, delta, levels, tol) -> tuple[list[dict], dict, mes
 
 
 def _algebra_rows(ns: list[int], samples: int, seed: int) -> list[dict]:
+    import numpy as np
+
+    from . import algebra
+
     rng = np.random.default_rng(seed)
     rows = []
     for n in ns:
@@ -278,6 +288,8 @@ def run(argv: list[str] | None = None) -> int:
             report = SweepReport(kind="cap", metadata=metadata)
             report.rows = [_cap_row(args.n, args.kappa, args.H, args.delta)]
         elif args.command == "mesh":
+            from . import mesh
+
             rows, meta, finest = _mesh_rows(args.kappa, args.H, args.rho, args.delta, args.levels, args.tol)
             metadata = dict(metadata, **meta)
             report = SweepReport(kind="mesh", metadata=metadata, rows=rows)

@@ -56,7 +56,7 @@ def emit_report(report: SweepReport, fmt: str = "table") -> str:
     if fmt == "json":
         doc = {
             "kind": report.kind,
-            "metadata": report.metadata,
+            "metadata": {k: format_number(v) for k, v in report.metadata.items()},
             "rows": rows,
             "summary": report.summary,
         }

@@ -65,7 +65,8 @@ def sphere_from_H(n: int, kappa: float, H: float) -> SphereGeometry:
     """Invert cot_kappa: the umbilic sphere with mean curvature H.
 
     For kappa < 0 only H > sqrt(|kappa|) is attainable (horospheres are
-    the limit), for kappa = 0 any H > 0, for kappa > 0 any H >= 0.
+    the limit), for kappa = 0 any H > 0, for kappa > 0 any H >= 0.  The
+    intrinsic curvature kappa + H^2 must also be a positive finite float.
     """
     if not (math.isfinite(kappa) and math.isfinite(H)):
         raise PreconditionViolation(f"kappa and H must be finite, got kappa={kappa}, H={H}")
@@ -85,6 +86,12 @@ def sphere_from_H(n: int, kappa: float, H: float) -> SphereGeometry:
             raise UnattainableCurvature(f"expected H >= 0 for kappa > 0, got {H}")
         sq = math.sqrt(kappa)
         r = math.atan2(sq, H) / sq
+    c_int = kappa + H * H
+    if not 0.0 < c_int < math.inf:
+        raise PreconditionViolation(
+            f"intrinsic curvature kappa + H^2 = {c_int} is out of float range "
+            f"(kappa={kappa}, H={H})"
+        )
     return SphereGeometry(
         n=n,
         kappa=kappa,
@@ -92,7 +99,7 @@ def sphere_from_H(n: int, kappa: float, H: float) -> SphereGeometry:
         r_ambient=r,
         normA2=n * H * H,
         ric_nu=n * kappa,
-        c_int=kappa + H * H,
+        c_int=c_int,
     )
 
 

@@ -362,6 +362,13 @@ class TestFloatRange:
             with pytest.raises(HypothesisViolation):
                 bounds.radius_bound(bounds.BoundInput(n, 0.0, H, 0.0))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_overflowing_B_is_named(self, n):
+        # H^2 overflows, so B is inf - inf = nan: the reason names the overflow.
+        with pytest.raises(HypothesisViolation, match="float range") as info:
+            bounds.radius_bound(bounds.BoundInput(n, 0.0, 1e200, 0.0))
+        assert "not positive" not in str(info.value)
+
     def test_scalar_route_out_of_range(self):
         with pytest.raises(HypothesisViolation, match="float range"):
             bounds.radius_bound_scalar(0.0, 1e200, 0.0)

@@ -39,6 +39,17 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             emit_report(SweepReport(kind="x"), "yaml")
 
+    def test_metadata_floats_rounded(self):
+        # Two values one bit apart print the same bytes, as row values do.
+        texts = []
+        for c_best in (0.765136702741496, 0.7651367027414959):
+            rep = SweepReport(kind="mesh", metadata={"tool": "cmcradius", "c_best": c_best,
+                                                     "agrees_with_oracle": True})
+            texts.append(emit_report(rep, "json"))
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["metadata"] == {
+            "tool": "cmcradius", "c_best": 0.765136702741, "agrees_with_oracle": True}
+
 
 class TestBoundCommand:
     def test_reference_case(self, capsys):
@@ -65,6 +76,12 @@ class TestBoundCommand:
         row = doc["rows"][0]
         assert row["status"] == "pass" and row["source"] == "sectional"
         assert 0 < row["c"] < float("inf")
+
+    def test_overflowing_H_names_the_overflow(self, capsys):
+        code = cli.run(["bound", "--n", "4", "--delta", "0", "--H", "1e200", "--K", "0"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "float range" in out and "not positive" not in out
 
     def test_json_output(self, capsys):
         code = cli.run(["bound", "--n", "2", "--delta", "0", "--H", "1", "--format", "json"])
@@ -95,12 +112,82 @@ class TestCapCommand:
         assert row["rho_star"] is None
         assert row["status"] == "not-applicable"
 
-    def test_import_skips_scipy_integrate(self):
-        code = "import sys, cmcradius.cli; print('scipy.integrate' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                             check=True).stdout
-        assert out.strip() == "False"
+    def test_overflowing_H_is_an_error(self, capsys):
+        # H^2 overflows: kappa + H^2 is not a curvature the oracle can use.
+        code = cli.run(["cap", "--n", "4", "--kappa", "0", "--H", "1e200", "--delta", "0"])
+        assert code == 1
+        assert "float range" in capsys.readouterr().err
+
+    def test_underflowing_H_is_an_error(self, capsys):
+        # H^2 underflows to 0: the sphere would be flat, with no finite radius.
+        code = cli.run(["cap", "--n", "3", "--kappa", "0", "--H", "1e-200", "--delta", "0.5"])
+        assert code == 1
+        assert "float range" in capsys.readouterr().err
+
+
+# Runs commands through cli.run, optionally with numpy and scipy blocked
+# (an import of either then raises ImportError), and prints the exit codes,
+# the report bytes and the numeric modules that were loaded.
+_LANE_SCRIPT = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = sys.modules["scipy"] = None
+from cmcradius import cli
+results = []
+for i, argv in enumerate(json.loads(sys.argv[2])):
+    out = f"report{i}.txt"
+    code = cli.run(argv + ["--out", out])
+    with open(out) as fh:
+        results.append([code, fh.read()])
+numeric = sorted(m for m, mod in sys.modules.items()
+                 if m.split(".")[0] in ("numpy", "scipy") and mod is not None)
+print(json.dumps({"results": results, "numeric": numeric}))
+"""
+
+
+def _run_isolated(code: str, *args: str, cwd) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout
+
+
+class TestScalarLane:
+    """`bound`, `cap` and their sweeps need neither numpy nor scipy."""
+
+    def test_runs_with_numpy_and_scipy_blocked(self, tmp_path):
+        (tmp_path / "bound.cfg").write_text(
+            "mode = bound\nn = 2\nn = 4\ndelta = 0\ndelta = 0.2\nH = 2.5\nK = -1\nS = 0\n")
+        (tmp_path / "cap.cfg").write_text(
+            "mode = cap\nn = 2\nn = 3\nkappa = -1\nkappa = 1\ndelta = 0.1\nH = 2.5\n")
+        commands = [
+            ["bound", "--n", "2", "--delta", "0", "--H", "2.5", "--K", "-1", "--S", "0"],
+            ["bound", "--n", "3", "--delta", "0.6", "--H", "3", "--format", "csv"],
+            ["cap", "--n", "2", "--kappa", "-1", "--H", "2.5", "--delta", "0", "--format", "json"],
+            ["sweep", "--config", "bound.cfg", "--format", "csv"],
+            ["sweep", "--config", "cap.cfg", "--format", "json"],
+        ]
+        runs = {mode: json.loads(_run_isolated(_LANE_SCRIPT, mode, json.dumps(commands), cwd=tmp_path))
+                for mode in ("blocked", "unblocked")}
+        assert [code for code, _ in runs["blocked"]["results"]] == [0, 2, 0, 0, 0]
+        assert runs["blocked"]["results"] == runs["unblocked"]["results"]
+        assert runs["unblocked"]["numeric"] == []
+
+    def test_package_resolves_submodules_on_access(self, tmp_path):
+        code = (
+            "import sys, cmcradius\n"
+            "loaded = 'cmcradius.mesh' in sys.modules\n"
+            "names = [cmcradius.mesh.__name__, cmcradius.discrete.__name__, cmcradius.algebra.__name__]\n"
+            "from cmcradius import discrete\n"
+            "try:\n"
+            "    cmcradius.no_such_module\n"
+            "    missing = 'resolved'\n"
+            "except AttributeError:\n"
+            "    missing = 'AttributeError'\n"
+            "print(loaded, *names, discrete is cmcradius.discrete, missing)\n"
+        )
+        out = _run_isolated(code, cwd=tmp_path).split()
+        assert out == ["False", "cmcradius.mesh", "cmcradius.discrete", "cmcradius.algebra",
+                       "True", "AttributeError"]
 
 
 class TestMeshCommand:

@@ -268,6 +268,12 @@ class TestNonFiniteInput:
         with pytest.raises(PreconditionViolation, match="finite"):
             sf.sphere_from_H(2, kappa, H)
 
+    @pytest.mark.parametrize("kappa, H", [(0.0, 1e-200), (0.0, 1e200), (1e308, 1e154)])
+    def test_sphere_from_H_rejects_curvature_out_of_float_range(self, kappa, H):
+        # kappa + H^2 underflows to 0 or overflows to inf.
+        with pytest.raises(PreconditionViolation, match="float range"):
+            sf.sphere_from_H(2, kappa, H)
+
     def test_verify_cap_bound_rejects_nan_H(self):
         with pytest.raises(PreconditionViolation):
             sf.verify_cap_bound(2, -1.0, math.nan, 0.0)
