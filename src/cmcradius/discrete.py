@@ -2,12 +2,13 @@
 
 Cotangent stiffness and lumped mass are built from geodesic edge lengths
 (the triangles are treated as intrinsic, via law of cosines and Heron's
-formula), read from the mesh's topology record, and the constant
-stability potential is folded against the mass.  The first Dirichlet
-eigenvalue comes from shifted inverse iteration.  The shifted operator
-is symmetric positive definite, so it is factored once by SuperLU in
-symmetric mode: a minimum-degree ordering of A + A^T and diagonal pivots
-only, which keeps the LU fill well below that of a column ordering.
+formula), read from the mesh's topology record.  The cap's stability
+potential is constant, so it only shifts the spectrum of (stiffness,
+mass).  The first Dirichlet eigenvalue comes from inverse iteration on
+the Dirichlet stiffness, which is factored once by SuperLU in symmetric
+mode with diagonal pivots only, after a symmetric permutation to a
+geometric nested-dissection order of the cap's pole chart; that order
+gives less fill than SuperLU's minimum-degree ordering of A + A^T.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ def cotangent_stiffness(mesh: TriMesh) -> csc_matrix:
     lengths = mesh.topology.face_lengths
     areas = mesh.topology.areas
     mean_area = areas.mean()
-    if np.any(areas < DEGENERATE_AREA_FRACTION * mean_area):
-        raise MeshError("degenerate triangle in mesh (area below 1e-14 of mean)")
+    if not (0.0 < mean_area < math.inf and np.all(areas >= DEGENERATE_AREA_FRACTION * mean_area)):
+        raise MeshError("degenerate triangle in mesh (area below 1e-14 of mean, or not finite)")
     l2 = lengths**2
     n = mesh.num_vertices
     rows, cols, vals = [], [], []
@@ -69,23 +70,88 @@ def lumped_mass(mesh: TriMesh) -> np.ndarray:
     return m
 
 
+#: Vertices per leaf cell of the nested-dissection order, about.
+LEAF_SIZE = 16
+
+
+def pole_chart(mesh: TriMesh, idx: np.ndarray) -> np.ndarray:
+    """Azimuthal equidistant chart (phi cos theta, phi sin theta) of vertices idx.
+
+    phi and theta are the polar angle and azimuth of each vertex's model
+    direction about the pole axis: model coordinates 0-2, or 1-3 on the
+    hyperboloid.  Unlike an ambient projection it does not fold caps that
+    pass the equator.
+    """
+    v = mesh.vertices[idx]
+    d = v[:, 1:4] if mesh.kappa < 0.0 else v[:, 0:3]
+    phi = np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
+    theta = np.arctan2(d[:, 1], d[:, 0])
+    return np.stack([phi * np.cos(theta), phi * np.sin(theta)], axis=1)
+
+
+def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Fill-reducing elimination order of a mesh graph by geometric nested dissection.
+
+    The points' bounding box is bisected at midpoints, widest side first,
+    ceil(log2(n / LEAF_SIZE)) times; every cell of a depth has the same
+    shape, so one cut axis per depth gives each vertex an integer code of
+    cell bits.  Where the codes of an edge first differ at depth d and
+    neither endpoint already separates a shallower cell, the endpoint on
+    side 0 becomes a separator at depth d.  A base-3 post-order key (left
+    cell, right cell, separator) then orders every cell's separator after
+    both halves (George, SIAM J. Numer. Anal. 10, 1973).
+    """
+    n = points.shape[0]
+    depth = ((n - 1) // LEAF_SIZE).bit_length()
+    rel = (points - points.min(axis=0)).T.copy()  # one contiguous row per axis
+    width = rel.max(axis=1)
+    origin = np.zeros_like(rel)
+    code = np.zeros(n, dtype=np.int64)
+    for _ in range(depth):
+        a = int(np.argmax(width))
+        width[a] *= 0.5
+        upper = rel[a] >= origin[a] + width[a]
+        origin[a] += width[a] * upper
+        code = 2 * code + upper
+
+    i, j = edges[:, 0], edges[:, 1]
+    ci, cj = code[i], code[j]
+    # Depth of the first differing bit; depth itself where the codes agree.
+    cut_depth = depth - np.frexp((ci ^ cj).astype(float))[1]
+    cut = np.flatnonzero(cut_depth < depth)
+    cut = cut[np.argsort(cut_depth[cut], kind="stable")]
+    starts = np.searchsorted(cut_depth[cut], np.arange(depth + 1))
+    i, j, side0 = i[cut], j[cut], np.where(ci < cj, i, j)[cut]
+    sep = np.full(n, depth)
+    for d in range(depth):
+        at = slice(starts[d], starts[d + 1])
+        free = (sep[i[at]] == depth) & (sep[j[at]] == depth)
+        sep[side0[at][free]] = d
+
+    key = np.zeros(n, dtype=np.int64)
+    for d in range(depth):
+        bit = (code >> (depth - 1 - d)) & 1
+        key = 3 * key + np.where(sep > d, bit, 2 * (sep == d))
+    return np.argsort(key, kind="stable")
+
+
 @dataclass
 class SpectralProblem:
     """Dirichlet-reduced generalized eigenproblem for the stability operator.
 
-    stiffness, mass and potential are restricted to interior vertices;
-    the potential diagonal is -(1-delta) * potential * mass.
+    stiffness and mass are restricted to interior vertices.  The cap
+    potential is constant, so the potential term is shift * mass with
+    shift = -(1-delta) * potential, and the eigenvalues are those of
+    (stiffness, mass) plus shift.  order is the nested-dissection
+    elimination order of the interior vertices.
     """
 
     stiffness: csc_matrix
     mass: csc_matrix
-    potential: csc_matrix
+    shift: float
+    order: np.ndarray
     interior: np.ndarray
     num_total: int
-
-    @property
-    def operator(self) -> csc_matrix:
-        return (self.stiffness + self.potential).tocsc()
 
 
 def assemble_stability(mesh: TriMesh, delta: float) -> SpectralProblem:
@@ -98,54 +164,55 @@ def assemble_stability(mesh: TriMesh, delta: float) -> SpectralProblem:
     kernel_residual = np.abs(K @ np.ones(mesh.num_vertices)).max()
     if kernel_residual > 1e-10 * max(1.0, abs(K).max()):
         raise MeshError(f"stiffness does not annihilate constants (residual {kernel_residual})")
-    v = -(1.0 - delta) * mesh.potential * m
     idx = mesh.interior
     if idx.size == 0:
         raise MeshError("no interior vertices")
-    K_ii = K[np.ix_(idx, idx)].tocsc()
-    M_ii = diags(m[idx]).tocsc()
-    V_ii = diags(v[idx]).tocsc()
+    potential = mesh.potential[idx]
+    if potential.min() != potential.max():
+        raise MeshError("stability potential is not constant on the interior")
+    position = np.full(mesh.num_vertices, -1)
+    position[idx] = np.arange(idx.size)
+    edges = position[mesh.topology.edges]
+    edges = edges[(edges >= 0).all(axis=1)]
     return SpectralProblem(
-        stiffness=K_ii, mass=M_ii, potential=V_ii, interior=idx, num_total=mesh.num_vertices
+        stiffness=K[np.ix_(idx, idx)].tocsc(),
+        mass=diags(m[idx]).tocsc(),
+        shift=-(1.0 - delta) * float(potential[0]),
+        order=nested_dissection(pole_chart(mesh, idx), edges),
+        interior=idx,
+        num_total=mesh.num_vertices,
     )
 
 
 def lambda1_dirichlet(problem: SpectralProblem, tol: float = 1e-10, max_iter: int = 500) -> float:
-    """Smallest generalized eigenvalue of (stiffness + potential, mass).
+    """Smallest generalized eigenvalue of (stiffness + shift * mass, mass).
 
-    Shifted inverse iteration with the shift at the potential's lower
-    bound (a guaranteed lower bound for the spectrum since the stiffness
-    is positive semidefinite), so the iteration converges to the ground
-    state.  Stops when successive Rayleigh quotients agree to tol
-    relatively.
+    Inverse iteration on (stiffness, mass): the Dirichlet stiffness is
+    symmetric positive definite, so it is factored once, symmetrically
+    permuted to the nested-dissection order, with diagonal pivots only.
+    Stops when successive Rayleigh quotients of the operator agree to tol
+    relatively, against at least max(1, |shift|).
     """
-    A = problem.operator
+    K = problem.stiffness
     m_diag = problem.mass.diagonal()
-    v_over_m = problem.potential.diagonal() / m_diag
-    scale = max(1.0, float(np.abs(v_over_m).max()))
-    sigma = float(v_over_m.min())
-    lu = None
-    for attempt in range(4):
-        try:
-            lu = splu(
-                (A - sigma * problem.mass).tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-            break
-        except RuntimeError:
-            sigma -= 10.0 ** (attempt - 6) * scale
-    if lu is None:
-        raise NonConvergence("singular-shift retries exhausted")
+    shift = problem.shift
+    scale = max(1.0, abs(shift))
+    p = problem.order
+    lu = splu(
+        K[p][:, p],
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
 
-    x = np.ones(A.shape[0])
+    x = np.ones(K.shape[0])
     x /= math.sqrt(float(x @ (m_diag * x)))
-    rayleigh = float(x @ (A @ x))
+    rayleigh = float(x @ (K @ x)) + shift
     for _ in range(max_iter):
-        y = lu.solve(m_diag * x)
+        y = np.empty_like(x)
+        y[p] = lu.solve((m_diag * x)[p])
         y /= math.sqrt(float(y @ (m_diag * y)))
-        new_rayleigh = float(y @ (A @ y)) / float(y @ (m_diag * y))
+        new_rayleigh = float(y @ (K @ y)) / float(y @ (m_diag * y)) + shift
         x = y
         if abs(new_rayleigh - rayleigh) <= tol * max(abs(new_rayleigh), scale):
             return new_rayleigh
@@ -199,15 +266,14 @@ def mesh_verify(
     if not levels:
         raise MeshError("at least one refinement level is required")
     geom = sphere_from_H(2, kappa, H)
+    S_inf = space_form_scalar_bound(kappa)
     c = geom.c_int
     q = 2.0 * (1.0 - delta) * c
     oracle = lambda1_ball(2, c, rho) - q
 
     c_best: float | None
     try:
-        result = bounds.best_bound(
-            bounds.BoundInput(n=2, delta=delta, H=H, K_inf=kappa, S_inf=space_form_scalar_bound(kappa))
-        )
+        result = bounds.best_bound(bounds.BoundInput(n=2, delta=delta, H=H, K_inf=kappa, S_inf=S_inf))
         c_best = result.c
     except (NoApplicableBound, HypothesisViolation, EmptyIntervalError):
         c_best = None

@@ -73,9 +73,7 @@ class MeshTopology:
     def of(cls, mesh: TriMesh) -> MeshTopology:
         f = mesh.faces
         nv = mesh.num_vertices
-        lengths = face_edge_lengths(mesh)
-        # Half-edge i of a face runs from corner i+1 to corner i+2, opposite corner i,
-        # so its length is lengths[:, i].
+        # Half-edge i of a face runs from corner i+1 to corner i+2, opposite corner i.
         tails = f[:, [1, 2, 0]].T.ravel()
         heads = f[:, [2, 0, 1]].T.ravel()
         # Key (min * nv + max) sorts like the (min, max) rows; the low bit keeps the direction.
@@ -83,15 +81,24 @@ class MeshTopology:
         order = np.argsort(key)
         key = key[order]
         undirected = key >> 1
-        first = np.flatnonzero(np.concatenate([[True], undirected[1:] != undirected[:-1]]))
+        starts = np.concatenate([[True], undirected[1:] != undirected[:-1]])
+        first = np.flatnonzero(starts)
         edge_keys = undirected[first]
+        edges = np.stack([edge_keys // nv, edge_keys % nv], axis=1)
+        v = mesh.vertices
+        edge_lengths = ambient_distance(mesh.kappa, v[edges[:, 0]], v[edges[:, 1]])
+        # One distance per undirected edge, scattered back to its half-edges:
+        # ambient_distance is exactly symmetric in its two points.
+        edge_of_half_edge = np.empty(key.size, dtype=np.int64)
+        edge_of_half_edge[order] = np.cumsum(starts) - 1
+        face_lengths = edge_lengths[edge_of_half_edge].reshape(3, -1).T
         return cls(
-            edges=np.stack([edge_keys // nv, edge_keys % nv], axis=1),
+            edges=edges,
             edge_faces=np.diff(np.append(first, key.size)),
-            edge_lengths=lengths.T.ravel()[order[first]],
+            edge_lengths=edge_lengths,
             oriented=not np.any(key[1:] == key[:-1]),
-            face_lengths=lengths,
-            areas=triangle_areas(lengths),
+            face_lengths=face_lengths,
+            areas=triangle_areas(face_lengths),
         )
 
 
@@ -246,16 +253,6 @@ def model_constraint_residual(mesh: TriMesh) -> float:
         return float(np.abs(norm - 1.0 / mesh.kappa).max())
     norm = np.sum(v**2, axis=1)
     return float(np.abs(norm - 1.0 / mesh.kappa).max())
-
-
-def face_edge_lengths(mesh: TriMesh) -> np.ndarray:
-    """(nf, 3) geodesic edge lengths, entry i opposite face corner i."""
-    v = mesh.vertices
-    f = mesh.faces
-    lengths = np.empty((f.shape[0], 3))
-    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        lengths[:, i] = ambient_distance(mesh.kappa, v[f[:, j]], v[f[:, k]])
-    return lengths
 
 
 def triangle_areas(lengths: np.ndarray) -> np.ndarray:

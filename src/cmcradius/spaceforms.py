@@ -366,7 +366,12 @@ class VerificationRecord:
 
 def space_form_scalar_bound(kappa: float) -> float:
     """Ambient scalar curvature 6*kappa of the 3-dimensional space form (exact)."""
-    return 6.0 * kappa
+    S = 6.0 * kappa
+    if not math.isfinite(S):
+        raise PreconditionViolation(
+            f"ambient scalar curvature 6*kappa = {S} is out of float range (kappa={kappa})"
+        )
+    return S
 
 
 def verify_cap_bound(n: int, kappa: float, H: float, delta: float) -> VerificationRecord:
@@ -377,12 +382,12 @@ def verify_cap_bound(n: int, kappa: float, H: float, delta: float) -> Verificati
     apply and no stable-cap radius exists (the zero lies past S_MAX), the
     record is not applicable with rho_star None.
     """
+    S_inf = space_form_scalar_bound(kappa) if n == 2 else None
     try:
         rho_star = max_stable_cap_radius(n, kappa, H, delta)
         no_radius = None
     except NonConvergence as exc:
         rho_star, no_radius = None, exc
-    S_inf = space_form_scalar_bound(kappa) if n == 2 else None
     inp = bounds.BoundInput(n=n, delta=delta, H=H, K_inf=kappa, S_inf=S_inf)
     try:
         result = bounds.best_bound(inp)

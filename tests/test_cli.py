@@ -124,6 +124,13 @@ class TestCapCommand:
         assert code == 1
         assert "float range" in capsys.readouterr().err
 
+    def test_overflowing_scalar_curvature_names_kappa(self, capsys):
+        # 6 * kappa overflows: the scalar route has no finite S to use.
+        code = cli.run(["cap", "--n", "2", "--kappa", "1e308", "--H", "1", "--delta", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "float range" in err and "kappa=1e+308" in err and "S_inf" not in err
+
 
 # Runs commands through cli.run, optionally with numpy and scipy blocked
 # (an import of either then raises ImportError), and prints the exit codes,
@@ -216,6 +223,13 @@ class TestMeshCommand:
         direct = tmp_path / "direct.txt"
         mesh.save_mesh(mesh.build_cap_mesh(-1.0, 2.5, 0.6, 4), str(direct))
         assert mesh_file.read_bytes() == direct.read_bytes()
+
+    def test_overflowing_scalar_curvature_names_kappa(self, capsys, tmp_path):
+        code = cli.run(["mesh", "--kappa", "1e308", "--H", "1", "--rho", "1e-160", "--delta", "0",
+                        "--levels", "0", "--out", str(tmp_path / "report.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "float range" in err and "kappa=1e+308" in err and "S_inf" not in err
 
 
 class TestNonFiniteFlags:

@@ -21,6 +21,19 @@ def _flat_triangle_mesh(points, faces, boundary):
     )
 
 
+def _flat_grid_mesh(k):
+    """Unit square cut into k x k cells, each split into two triangles, in the plane z = 0."""
+    xs = np.linspace(0.0, 1.0, k + 1)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    points = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
+    a = (np.arange(k)[:, None] * (k + 1) + np.arange(k)[None, :]).ravel()
+    b, c, d = a + k + 1, a + k + 2, a + 1
+    faces = np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)])
+    i, j = np.divmod(np.arange(gx.size), k + 1)
+    boundary = (i == 0) | (i == k) | (j == 0) | (j == k)
+    return _flat_triangle_mesh(points, faces, boundary)
+
+
 class TestStiffness:
     def test_equilateral_cotangent_weight(self):
         m = _flat_triangle_mesh(
@@ -57,7 +70,7 @@ class TestStiffness:
     def test_mass_rowsums_are_vertex_areas(self):
         m = mm.build_cap_mesh(0.0, 1.0, 1.0, 3)
         masses = dd.lumped_mass(m)
-        total = dd.triangle_areas(mm.face_edge_lengths(m)).sum()
+        total = dd.triangle_areas(m.topology.face_lengths).sum()
         assert masses.sum() == pytest.approx(total, rel=1e-12)
         assert (masses > 0).all()
 
@@ -137,6 +150,87 @@ class TestDenseReference:
     def test_lambda1_matches_dense_pencil(self, kappa, H, rho, delta):
         from scipy.linalg import eigh
 
-        problem = dd.assemble_stability(mm.build_cap_mesh(kappa, H, rho, 3), delta)
-        dense = eigh(problem.operator.toarray(), problem.mass.toarray(), eigvals_only=True)
+        m = mm.build_cap_mesh(kappa, H, rho, 3)
+        problem = dd.assemble_stability(m, delta)
+        idx = problem.interior
+        K_ii = dd.cotangent_stiffness(m).toarray()[np.ix_(idx, idx)]
+        mass = dd.lumped_mass(m)[idx]
+        V = np.diag(-(1.0 - delta) * m.potential[idx] * mass)
+        dense = eigh(K_ii + V, np.diag(mass), eigvals_only=True)
         assert dd.lambda1_dirichlet(problem) == pytest.approx(dense[0], rel=1e-10)
+
+    def test_grid_with_collapsed_chart(self):
+        # Grid points on one ray from the origin share a chart point, so the
+        # order has ties in every cell; the un-permuted solve still gives
+        # the dense eigenvalue.
+        from scipy.linalg import eigh
+
+        m = _flat_grid_mesh(9)
+        problem = dd.assemble_stability(m, 0.0)
+        dense = eigh(problem.stiffness.toarray(), problem.mass.toarray(), eigvals_only=True)
+        assert dd.lambda1_dirichlet(problem) == pytest.approx(dense[0], rel=1e-10)
+
+
+# One study per model with the scaled radii s = rho * sqrt(kappa + H^2) of the
+# mesh-refine benchmark: (kappa, H, rho, delta).
+STUDIES = [
+    (-1.0, 2.7, 1.25 / math.sqrt(-1.0 + 2.7**2), 0.15),
+    (0.0, 2.0, 1.9 / 2.0, 0.05),
+    (1.0, 1.0, 1.4 / math.sqrt(2.0), 0.45),
+]
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+    def test_order_is_a_permutation_of_the_interior(self, kappa):
+        H = 2.5 if kappa < 0 else 1.0
+        for level in range(8):
+            m = mm.build_cap_mesh(kappa, H, 1.4 / math.sqrt(kappa + H * H), level)
+            order = dd.assemble_stability(m, 0.0).order
+            assert np.array_equal(np.sort(order), np.arange(m.interior.size)), f"level {level}"
+
+    def test_order_on_hand_built_flat_meshes(self):
+        square = _flat_triangle_mesh(
+            [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.5, 0.5, 0]],
+            [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
+            [True, True, True, True, False],
+        )
+        triangle = _flat_triangle_mesh(
+            [[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0]], [[0, 1, 2]], [True, True, False]
+        )
+        for m in (square, triangle, _flat_grid_mesh(9), _flat_grid_mesh(20)):
+            order = dd.assemble_stability(m, 0.0).order
+            assert np.array_equal(np.sort(order), np.arange(m.interior.size))
+
+    def test_order_without_edges(self):
+        # No edge crosses a cell, so nothing separates: cells in post-order.
+        points = np.random.default_rng(5).random((500, 2))
+        order = dd.nested_dissection(points, np.zeros((0, 2), dtype=np.int64))
+        assert np.array_equal(np.sort(order), np.arange(500))
+
+    @pytest.mark.parametrize("kappa, H, rho, delta", STUDIES)
+    def test_level5_matches_eigsh(self, kappa, H, rho, delta):
+        from scipy.sparse.linalg import eigsh
+
+        m = mm.build_cap_mesh(kappa, H, rho, 5)
+        problem = dd.assemble_stability(m, delta)
+        lam_K = eigsh(problem.stiffness, k=1, M=problem.mass, sigma=0, return_eigenvectors=False)[0]
+        expected = lam_K - (1.0 - delta) * m.potential[0]
+        assert dd.lambda1_dirichlet(problem) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("kappa, H, rho, delta", STUDIES)
+    def test_level7_fill_at_most_minimum_degree(self, kappa, H, rho, delta):
+        from scipy.sparse.linalg import splu
+
+        problem = dd.assemble_stability(mm.build_cap_mesh(kappa, H, rho, 7), delta)
+        K, p = problem.stiffness, problem.order
+        opts = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        nd = splu(K[p][:, p], permc_spec="NATURAL", **opts)
+        mmd = splu(K, permc_spec="MMD_AT_PLUS_A", **opts)
+        assert nd.L.nnz + nd.U.nnz <= mmd.L.nnz + mmd.U.nnz
+
+    def test_non_constant_potential_rejected(self):
+        m = _flat_grid_mesh(5)
+        m.potential[m.interior[0]] = 1.0
+        with pytest.raises(MeshError, match="not constant"):
+            dd.assemble_stability(m, 0.0)

@@ -9,10 +9,19 @@ from cmcradius.discrete import triangle_areas
 from cmcradius.errors import MeshError
 
 
+def _per_corner_lengths(m):
+    """(nf, 3) geodesic lengths computed at every face corner, entry i opposite corner i."""
+    v, f = m.vertices, m.faces
+    return np.stack(
+        [mm.ambient_distance(m.kappa, v[f[:, j]], v[f[:, k]]) for j, k in ((1, 2), (2, 0), (0, 1))],
+        axis=1,
+    )
+
+
 class TestBuildCapMesh:
     def test_hemisphere_area(self):
         m = mm.build_cap_mesh(0.0, 1.0, math.pi / 2, 4)
-        area = triangle_areas(mm.face_edge_lengths(m)).sum()
+        area = triangle_areas(_per_corner_lengths(m)).sum()
         assert area == pytest.approx(2 * math.pi, rel=0.01)
 
     def test_level_zero_is_a_disk(self):
@@ -66,9 +75,17 @@ class TestTopologyRecord:
         assert np.array_equal(topo.edge_faces, counts)
         lengths = mm.ambient_distance(kappa, m.vertices[edges[:, 0]], m.vertices[edges[:, 1]])
         assert np.array_equal(topo.edge_lengths, lengths)
-        assert np.array_equal(topo.face_lengths, mm.face_edge_lengths(m))
-        assert np.array_equal(topo.areas, mm.triangle_areas(mm.face_edge_lengths(m)))
+        assert np.array_equal(topo.face_lengths, _per_corner_lengths(m))
+        assert np.array_equal(topo.areas, mm.triangle_areas(_per_corner_lengths(m)))
         assert topo.oriented
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+    def test_edge_lengths_scatter_to_faces_exactly(self, kappa):
+        # One distance per undirected edge is bit-identical to one per face corner.
+        H = 2.5 if kappa < 0 else 1.0
+        for level in range(8):
+            m = mm.build_cap_mesh(kappa, H, 1.4 / math.sqrt(kappa + H * H), level)
+            assert np.array_equal(m.topology.face_lengths, _per_corner_lengths(m)), f"level {level}"
 
     def test_computed_once(self):
         m = mm.build_cap_mesh(0.0, 1.0, 1.0, 2)
