@@ -105,7 +105,6 @@ def _build_parser() -> _Parser:
     p_mesh.add_argument("--rho", type=_finite, required=True)
     p_mesh.add_argument("--delta", type=_finite, required=True)
     p_mesh.add_argument("--levels", type=_levels, default="3,4,5")
-    p_mesh.add_argument("--tol", type=_finite, default=1e-10)
     p_mesh.add_argument("--mesh-out", type=str, default=None, help="export finest mesh (plain text)")
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep from a config file")
@@ -159,10 +158,10 @@ def _cap_row(n: int, kappa: float, H: float, delta: float) -> dict:
     }
 
 
-def _mesh_rows(kappa, H, rho, delta, levels, tol) -> tuple[list[dict], dict, TriMesh]:
+def _mesh_rows(kappa, H, rho, delta, levels) -> tuple[list[dict], dict, TriMesh]:
     from . import discrete
 
-    rep = discrete.mesh_verify(kappa, H, rho, delta, levels, tol=tol)
+    rep = discrete.mesh_verify(kappa, H, rho, delta, levels)
     rows = []
     for lv in rep.levels:
         status = "pass"
@@ -290,7 +289,7 @@ def run(argv: list[str] | None = None) -> int:
         elif args.command == "mesh":
             from . import mesh
 
-            rows, meta, finest = _mesh_rows(args.kappa, args.H, args.rho, args.delta, args.levels, args.tol)
+            rows, meta, finest = _mesh_rows(args.kappa, args.H, args.rho, args.delta, args.levels)
             metadata = dict(metadata, **meta)
             report = SweepReport(kind="mesh", metadata=metadata, rows=rows)
             if args.mesh_out:

@@ -4,11 +4,11 @@ Cotangent stiffness and lumped mass are built from geodesic edge lengths
 (the triangles are treated as intrinsic, via law of cosines and Heron's
 formula), read from the mesh's topology record.  The cap's stability
 potential is constant, so it only shifts the spectrum of (stiffness,
-mass).  The first Dirichlet eigenvalue comes from inverse iteration on
-the Dirichlet stiffness, which is factored once by SuperLU in symmetric
-mode with diagonal pivots only, after a symmetric permutation to a
-geometric nested-dissection order of the cap's pole chart; that order
-gives less fill than SuperLU's minimum-degree ordering of A + A^T.
+mass).  The Dirichlet system is assembled in a geometric
+nested-dissection order of the cap's pole chart, which gives less fill
+than SuperLU's minimum-degree ordering of A + A^T.  Its first eigenvalue
+comes from inverse iteration on the Dirichlet stiffness, factored once
+by SuperLU in symmetric mode with diagonal pivots only.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix, diags
+from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
 from . import bounds
@@ -28,13 +28,18 @@ from .errors import (
     NoApplicableBound,
     NonConvergence,
 )
-from .mesh import TriMesh, build_cap_mesh, intrinsic_radius, triangle_areas  # noqa: F401
+from .mesh import TriMesh, build_cap_mesh, intrinsic_radius, pole_chart
 from .spaceforms import lambda1_ball, space_form_scalar_bound, sphere_from_H
 
 DEGENERATE_AREA_FRACTION = 1e-14
 
 #: Relative band (against the potential q) in which a verdict is "marginal".
 MARGINAL_BAND = 0.02
+
+#: Inverse iteration stops when successive Rayleigh quotients agree to this
+#: relative tolerance, and raises NonConvergence after MAX_INVERSE_STEPS.
+STOP_TOL = 1e-10
+MAX_INVERSE_STEPS = 500
 
 
 def cotangent_stiffness(mesh: TriMesh) -> csc_matrix:
@@ -72,21 +77,6 @@ def lumped_mass(mesh: TriMesh) -> np.ndarray:
 
 #: Vertices per leaf cell of the nested-dissection order, about.
 LEAF_SIZE = 16
-
-
-def pole_chart(mesh: TriMesh, idx: np.ndarray) -> np.ndarray:
-    """Azimuthal equidistant chart (phi cos theta, phi sin theta) of vertices idx.
-
-    phi and theta are the polar angle and azimuth of each vertex's model
-    direction about the pole axis: model coordinates 0-2, or 1-3 on the
-    hyperboloid.  Unlike an ambient projection it does not fold caps that
-    pass the equator.
-    """
-    v = mesh.vertices[idx]
-    d = v[:, 1:4] if mesh.kappa < 0.0 else v[:, 0:3]
-    phi = np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
-    theta = np.arctan2(d[:, 1], d[:, 0])
-    return np.stack([phi * np.cos(theta), phi * np.sin(theta)], axis=1)
 
 
 def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -137,25 +127,20 @@ def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SpectralProblem:
-    """Dirichlet-reduced generalized eigenproblem for the stability operator.
+    """Dirichlet-reduced generalized eigenproblem (stiffness, mass).
 
-    stiffness and mass are restricted to interior vertices.  The cap
-    potential is constant, so the potential term is shift * mass with
-    shift = -(1-delta) * potential, and the eigenvalues are those of
-    (stiffness, mass) plus shift.  order is the nested-dissection
-    elimination order of the interior vertices.
+    interior lists the interior vertices in nested-dissection elimination
+    order; stiffness is the full stiffness restricted to them and mass
+    their lumped masses, both in that order.
     """
 
     stiffness: csc_matrix
-    mass: csc_matrix
-    shift: float
-    order: np.ndarray
+    mass: np.ndarray
     interior: np.ndarray
-    num_total: int
 
 
-def assemble_stability(mesh: TriMesh, delta: float) -> SpectralProblem:
-    """Assemble the discrete quadratic form of the delta-stability operator."""
+def assemble_stability(mesh: TriMesh) -> SpectralProblem:
+    """Assemble the Dirichlet stiffness and lumped mass of the cap, in elimination order."""
     K = cotangent_stiffness(mesh)
     m = lumped_mass(mesh)
     asym = abs(K - K.T).max()
@@ -167,57 +152,40 @@ def assemble_stability(mesh: TriMesh, delta: float) -> SpectralProblem:
     idx = mesh.interior
     if idx.size == 0:
         raise MeshError("no interior vertices")
-    potential = mesh.potential[idx]
-    if potential.min() != potential.max():
-        raise MeshError("stability potential is not constant on the interior")
     position = np.full(mesh.num_vertices, -1)
     position[idx] = np.arange(idx.size)
     edges = position[mesh.topology.edges]
     edges = edges[(edges >= 0).all(axis=1)]
-    return SpectralProblem(
-        stiffness=K[np.ix_(idx, idx)].tocsc(),
-        mass=diags(m[idx]).tocsc(),
-        shift=-(1.0 - delta) * float(potential[0]),
-        order=nested_dissection(pole_chart(mesh, idx), edges),
-        interior=idx,
-        num_total=mesh.num_vertices,
-    )
+    idx = idx[nested_dissection(pole_chart(mesh, idx), edges)]
+    return SpectralProblem(stiffness=K[np.ix_(idx, idx)].tocsc(), mass=m[idx], interior=idx)
 
 
-def lambda1_dirichlet(problem: SpectralProblem, tol: float = 1e-10, max_iter: int = 500) -> float:
+def lambda1_dirichlet(problem: SpectralProblem, shift: float) -> float:
     """Smallest generalized eigenvalue of (stiffness + shift * mass, mass).
 
     Inverse iteration on (stiffness, mass): the Dirichlet stiffness is
-    symmetric positive definite, so it is factored once, symmetrically
-    permuted to the nested-dissection order, with diagonal pivots only.
-    Stops when successive Rayleigh quotients of the operator agree to tol
+    symmetric positive definite and already in elimination order, so it
+    is factored once as given, with diagonal pivots only.  Stops when
+    successive Rayleigh quotients of the operator agree to STOP_TOL
     relatively, against at least max(1, |shift|).
     """
     K = problem.stiffness
-    m_diag = problem.mass.diagonal()
-    shift = problem.shift
+    m = problem.mass
     scale = max(1.0, abs(shift))
-    p = problem.order
-    lu = splu(
-        K[p][:, p],
-        permc_spec="NATURAL",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     x = np.ones(K.shape[0])
-    x /= math.sqrt(float(x @ (m_diag * x)))
+    x /= math.sqrt(float(x @ (m * x)))
     rayleigh = float(x @ (K @ x)) + shift
-    for _ in range(max_iter):
-        y = np.empty_like(x)
-        y[p] = lu.solve((m_diag * x)[p])
-        y /= math.sqrt(float(y @ (m_diag * y)))
-        new_rayleigh = float(y @ (K @ y)) / float(y @ (m_diag * y)) + shift
-        x = y
-        if abs(new_rayleigh - rayleigh) <= tol * max(abs(new_rayleigh), scale):
+    for _ in range(MAX_INVERSE_STEPS):
+        y = lu.solve(m * x)
+        norm2 = float(y @ (m * y))
+        new_rayleigh = float(y @ (K @ y)) / norm2 + shift
+        x = y / math.sqrt(norm2)
+        if abs(new_rayleigh - rayleigh) <= STOP_TOL * max(abs(new_rayleigh), scale):
             return new_rayleigh
         rayleigh = new_rayleigh
-    raise NonConvergence(f"inverse iteration did not converge in {max_iter} steps")
+    raise NonConvergence(f"inverse iteration did not converge in {MAX_INVERSE_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -260,7 +228,6 @@ def mesh_verify(
     rho: float,
     delta: float,
     levels: list[int],
-    tol: float = 1e-10,
 ) -> ConvergenceReport:
     """Discrete stability verdicts and eigenvalue convergence against the closed-form oracle."""
     if not levels:
@@ -283,8 +250,7 @@ def mesh_verify(
     )
     for level in sorted(levels):
         m = build_cap_mesh(kappa, H, rho, level)
-        problem = assemble_stability(m, delta)
-        lam = lambda1_dirichlet(problem, tol=tol)
+        lam = lambda1_dirichlet(assemble_stability(m), -q)
         radius = intrinsic_radius(m)
         if abs(lam) <= MARGINAL_BAND * q:
             verdict = "marginal"

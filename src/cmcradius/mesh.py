@@ -2,9 +2,12 @@
 
 Vertices live in the ambient model: Euclidean 3-space for kappa = 0, the
 hyperboloid in Minkowski 4-space for kappa < 0, the round 3-sphere in
-Euclidean 4-space for kappa > 0.  Edge lengths are exact ambient geodesic
-distances between vertices, which approximate the intrinsic cap metric to
-second order.
+Euclidean 4-space for kappa > 0.  This module owns that column layout.
+Edge lengths are exact ambient geodesic distances between vertices,
+computed from the model chord so that short edges keep full precision;
+they approximate the intrinsic cap metric to second order.  The stability
+potential of a cap is constant and is not stored here: the FEM check
+applies it as a spectral shift.
 """
 
 from __future__ import annotations
@@ -20,21 +23,16 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import MeshError
 from .spaceforms import SphereGeometry, sphere_from_H
 
-MODEL_CONSTRAINT_TOL = 1e-10
-
 
 @dataclass
 class TriMesh:
-    """Triangulated disk with per-vertex boundary flags and stability potential."""
+    """Triangulated disk with per-vertex boundary flags."""
 
     vertices: np.ndarray  # (nv, 3) for kappa = 0, (nv, 4) otherwise
     faces: np.ndarray  # (nf, 3) int
     boundary: np.ndarray  # (nv,) bool
-    potential: np.ndarray  # (nv,) |A|^2 + Ric(nu), before the (1-delta) factor
     kappa: float
     geometry: SphereGeometry | None = None
-    rho: float | None = None
-    level: int | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -103,18 +101,22 @@ class MeshTopology:
 
 
 def ambient_distance(kappa: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Geodesic distance in the ambient space form between model points."""
-    p = np.atleast_2d(p)
-    q = np.atleast_2d(q)
+    """Geodesic distance in the ambient space form between model points.
+
+    Computed from the model chord |p - q| (its Minkowski norm on the
+    hyperboloid), which stays well conditioned for edges much shorter
+    than the curvature radius, where an inner product near 1 does not.
+    """
+    d = np.atleast_2d(p) - np.atleast_2d(q)
     if kappa == 0.0:
-        return np.linalg.norm(p - q, axis=-1)
+        return np.linalg.norm(d, axis=-1)
+    sq = math.sqrt(abs(kappa))
     if kappa < 0.0:
-        # Minkowski signature (-, +, +, +): <x, x> = 1/kappa on the hyperboloid.
-        inner = -p[:, 0] * q[:, 0] + np.sum(p[:, 1:] * q[:, 1:], axis=-1)
-        ch = np.clip(-inner * (-kappa), 1.0, None)
-        return np.arccosh(ch) / math.sqrt(-kappa)
-    cos = np.clip(np.sum(p * q, axis=-1) * kappa, -1.0, 1.0)
-    return np.arccos(cos) / math.sqrt(kappa)
+        # Minkowski signature (-, +, +, +): chords between points of the hyperboloid are spacelike.
+        half = 0.5 * sq * np.sqrt(np.clip(np.sum(d[:, 1:] ** 2, axis=-1) - d[:, 0] ** 2, 0.0, None))
+        return 2.0 * np.arcsinh(half) / sq
+    half = 0.5 * sq * np.linalg.norm(d, axis=-1)
+    return 2.0 * np.arcsin(np.clip(half, None, 1.0)) / sq
 
 
 def _model_points(kappa: float, r_ambient: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -208,17 +210,7 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
     faces_arr = np.concatenate([fan, *strips]).astype(np.int64, copy=False)
     boundary = np.zeros(next_index, dtype=bool)
     boundary[ring_indices[-1]] = True
-    potential = np.full(next_index, geom.normA2 + geom.ric_nu)
-    mesh = TriMesh(
-        vertices=vertices,
-        faces=faces_arr,
-        boundary=boundary,
-        potential=potential,
-        kappa=kappa,
-        geometry=geom,
-        rho=rho,
-        level=level,
-    )
+    mesh = TriMesh(vertices=vertices, faces=faces_arr, boundary=boundary, kappa=kappa, geometry=geom)
     _check_topology(mesh)
     return mesh
 
@@ -253,6 +245,21 @@ def model_constraint_residual(mesh: TriMesh) -> float:
         return float(np.abs(norm - 1.0 / mesh.kappa).max())
     norm = np.sum(v**2, axis=1)
     return float(np.abs(norm - 1.0 / mesh.kappa).max())
+
+
+def pole_chart(mesh: TriMesh, idx: np.ndarray) -> np.ndarray:
+    """Azimuthal equidistant chart (phi cos theta, phi sin theta) of vertices idx.
+
+    phi and theta are the polar angle and azimuth of each vertex's model
+    direction about the pole axis: model coordinates 0-2, or 1-3 on the
+    hyperboloid.  Unlike an ambient projection it does not fold caps that
+    pass the equator.
+    """
+    v = mesh.vertices[idx]
+    d = v[:, 1:4] if mesh.kappa < 0.0 else v[:, 0:3]
+    phi = np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
+    theta = np.arctan2(d[:, 1], d[:, 0])
+    return np.stack([phi * np.cos(theta), phi * np.sin(theta)], axis=1)
 
 
 def triangle_areas(lengths: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +227,11 @@ class TestMeshCommand:
         mesh.save_mesh(mesh.build_cap_mesh(-1.0, 2.5, 0.6, 4), str(direct))
         assert mesh_file.read_bytes() == direct.read_bytes()
 
+    def test_tol_flag_removed(self, capsys):
+        # The inverse-iteration stop rule is fixed; there is no knob for it.
+        argv = ["mesh", "--kappa", "0", "--H", "1", "--rho", "1", "--delta", "0", "--tol", "1e-6"]
+        assert cli.run(argv) == 64
+
     def test_overflowing_scalar_curvature_names_kappa(self, capsys, tmp_path):
         code = cli.run(["mesh", "--kappa", "1e308", "--H", "1", "--rho", "1e-160", "--delta", "0",
                         "--levels", "0", "--out", str(tmp_path / "report.txt")])
@@ -241,7 +249,7 @@ class TestNonFiniteFlags:
         ["cap", "--n", "2", "--kappa", "-1", "--H", "nan", "--delta", "0"],
         ["cap", "--n", "2", "--kappa", "inf", "--H", "2.5", "--delta", "0"],
         ["mesh", "--kappa", "0", "--H", "1", "--rho", "inf", "--delta", "0", "--levels", "2"],
-        ["mesh", "--kappa", "0", "--H", "1", "--rho", "1", "--delta", "0", "--tol", "nan"],
+        ["mesh", "--kappa", "0", "--H", "nan", "--rho", "1", "--delta", "0", "--levels", "2"],
     ])
     def test_usage_error(self, argv, capsys):
         assert cli.run(argv) == 64
@@ -349,3 +357,25 @@ class TestSweepCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mode cap\n")
         assert cli.run(["sweep", "--config", str(cfg)]) == 64
+
+
+def _readme_cli_section() -> tuple[list[list[str]], str]:
+    """The `cmcradius` commands of the README's CLI section, and its sweep-config example."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```(\w*)\n(.*?)```", section, re.S)
+    script = "".join(body for lang, body in blocks if lang == "sh").replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in script.splitlines() if line.startswith("cmcradius ")]
+    (config,) = [body for lang, body in blocks if not lang]
+    return commands, config
+
+
+class TestReadme:
+    def test_cli_section_commands_run(self, capsys, tmp_path, monkeypatch):
+        # A flag removed or renamed in the CLI must not leave the README stale.
+        commands, config = _readme_cli_section()
+        assert len(commands) == 4
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sweep.cfg").write_text(config)
+        for argv in commands:
+            assert cli.run(argv) == 0, argv

@@ -11,12 +11,10 @@ from cmcradius.mesh import TriMesh
 
 
 def _flat_triangle_mesh(points, faces, boundary):
-    n = len(points)
     return TriMesh(
         vertices=np.asarray(points, dtype=float),
         faces=np.asarray(faces, dtype=np.int64),
         boundary=np.asarray(boundary, dtype=bool),
-        potential=np.zeros(n),
         kappa=0.0,
     )
 
@@ -70,7 +68,7 @@ class TestStiffness:
     def test_mass_rowsums_are_vertex_areas(self):
         m = mm.build_cap_mesh(0.0, 1.0, 1.0, 3)
         masses = dd.lumped_mass(m)
-        total = dd.triangle_areas(m.topology.face_lengths).sum()
+        total = mm.triangle_areas(m.topology.face_lengths).sum()
         assert masses.sum() == pytest.approx(total, rel=1e-12)
         assert (masses > 0).all()
 
@@ -82,29 +80,35 @@ class TestLambda1Dirichlet:
         pts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.5, 0.5, 0]]
         faces = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
         m = _flat_triangle_mesh(pts, faces, [True, True, True, True, False])
-        problem = dd.assemble_stability(m, 0.0)
+        problem = dd.assemble_stability(m)
         K = dd.cotangent_stiffness(m).toarray()
         mass = dd.lumped_mass(m)
         expected = K[4, 4] / mass[4]
-        assert dd.lambda1_dirichlet(problem) == pytest.approx(expected, rel=1e-10)
+        assert dd.lambda1_dirichlet(problem, 0.0) == pytest.approx(expected, rel=1e-10)
 
     def test_flat_cap_matches_ode_oracle(self):
         rho = math.pi / 3
         m = mm.build_cap_mesh(0.0, 1.0, rho, 6)
-        problem = dd.assemble_stability(m, 0.0)
-        lam = dd.lambda1_dirichlet(problem)
+        lam = dd.lambda1_dirichlet(dd.assemble_stability(m), -2.0)
         oracle = sf.lambda1_ball(2, 1.0, rho) - 2.0
         assert lam == pytest.approx(oracle, rel=0.02)
 
     def test_potential_shift_is_exact(self):
-        # Constant potential only shifts the spectrum.
+        # A constant potential only shifts the spectrum: the iterates do not
+        # depend on the shift, which is added to the same Rayleigh quotient.
         m = mm.build_cap_mesh(-1.0, 2.5, 0.5, 4)
-        p0 = dd.assemble_stability(m, 0.0)
-        p1 = dd.assemble_stability(m, 0.5)
-        lam0 = dd.lambda1_dirichlet(p0)
-        lam1 = dd.lambda1_dirichlet(p1)
-        q = m.potential[0]
-        assert lam1 - lam0 == pytest.approx(0.5 * q, rel=1e-8)
+        problem = dd.assemble_stability(m)
+        lam0 = dd.lambda1_dirichlet(problem, 0.0)
+        for s in (-8.5, -1.25, 3.0):
+            assert dd.lambda1_dirichlet(problem, s) - lam0 == pytest.approx(s, rel=1e-12, abs=1e-12)
+
+    def test_stiffness_is_full_stiffness_on_the_interior(self):
+        m = mm.build_cap_mesh(1.0, 1.0, 1.0, 4)
+        problem = dd.assemble_stability(m)
+        idx = problem.interior
+        full = dd.cotangent_stiffness(m)
+        assert (problem.stiffness != full[np.ix_(idx, idx)]).nnz == 0
+        assert np.array_equal(problem.mass, dd.lumped_mass(m)[idx])
 
 
 class TestMeshVerify:
@@ -145,19 +149,45 @@ class TestMeshVerify:
                 assert r >= rho
 
 
+class TestShortEdges:
+    # Caps whose edges are far shorter than the curvature radius, or whose
+    # model coordinates are huge: edge lengths come from the model chord.
+    def test_small_cap_on_unit_sphere_converges(self):
+        rep = dd.mesh_verify(1.0, 1.0, 1e-5, 0.0, [3, 5, 7])
+        assert 1.9 <= rep.convergence_order <= 2.1
+        errors = [row.oracle_error for row in rep.levels]
+        assert errors == sorted(errors, reverse=True)
+        assert rep.agrees_with_oracle
+
+    def test_tiny_cap_resolves_its_edges(self):
+        rho = 1.4478499894312238e-39
+        rep = dd.mesh_verify(1.298757156924908, 2.7158195916232217, rho, 4.168669966605997e-26, [1, 2])
+        assert all(row.max_edge < rho for row in rep.levels)
+        assert 1.9 <= rep.convergence_order <= 2.1
+        assert rep.agrees_with_oracle
+
+    def test_tiny_negative_kappa_is_stable(self):
+        rho = 2.7146211501970328
+        rep = dd.mesh_verify(-3.204783484537852e-74, 0.561453524084345, rho, 0.7846050826883366, [0, 1, 2, 3])
+        assert all(row.max_edge < rho for row in rep.levels)
+        assert rep.oracle_lambda1 > 0.0
+        assert rep.levels[-1].verdict == "stable"
+        assert rep.agrees_with_oracle
+
+
 class TestDenseReference:
     @pytest.mark.parametrize("kappa, H, rho, delta", [(-1.0, 2.5, 0.6, 0.0), (1.0, 1.0, 1.0, 0.4)])
     def test_lambda1_matches_dense_pencil(self, kappa, H, rho, delta):
         from scipy.linalg import eigh
 
         m = mm.build_cap_mesh(kappa, H, rho, 3)
-        problem = dd.assemble_stability(m, delta)
-        idx = problem.interior
+        problem = dd.assemble_stability(m)
+        idx = m.interior
         K_ii = dd.cotangent_stiffness(m).toarray()[np.ix_(idx, idx)]
         mass = dd.lumped_mass(m)[idx]
-        V = np.diag(-(1.0 - delta) * m.potential[idx] * mass)
-        dense = eigh(K_ii + V, np.diag(mass), eigvals_only=True)
-        assert dd.lambda1_dirichlet(problem) == pytest.approx(dense[0], rel=1e-10)
+        q = 2.0 * (1.0 - delta) * (kappa + H * H)
+        dense = eigh(K_ii - q * np.diag(mass), np.diag(mass), eigvals_only=True)
+        assert dd.lambda1_dirichlet(problem, -q) == pytest.approx(dense[0], rel=1e-10)
 
     def test_grid_with_collapsed_chart(self):
         # Grid points on one ray from the origin share a chart point, so the
@@ -166,9 +196,9 @@ class TestDenseReference:
         from scipy.linalg import eigh
 
         m = _flat_grid_mesh(9)
-        problem = dd.assemble_stability(m, 0.0)
-        dense = eigh(problem.stiffness.toarray(), problem.mass.toarray(), eigvals_only=True)
-        assert dd.lambda1_dirichlet(problem) == pytest.approx(dense[0], rel=1e-10)
+        problem = dd.assemble_stability(m)
+        dense = eigh(problem.stiffness.toarray(), np.diag(problem.mass), eigvals_only=True)
+        assert dd.lambda1_dirichlet(problem, 0.0) == pytest.approx(dense[0], rel=1e-10)
 
 
 # One study per model with the scaled radii s = rho * sqrt(kappa + H^2) of the
@@ -186,8 +216,8 @@ class TestNestedDissection:
         H = 2.5 if kappa < 0 else 1.0
         for level in range(8):
             m = mm.build_cap_mesh(kappa, H, 1.4 / math.sqrt(kappa + H * H), level)
-            order = dd.assemble_stability(m, 0.0).order
-            assert np.array_equal(np.sort(order), np.arange(m.interior.size)), f"level {level}"
+            interior = dd.assemble_stability(m).interior
+            assert np.array_equal(np.sort(interior), m.interior), f"level {level}"
 
     def test_order_on_hand_built_flat_meshes(self):
         square = _flat_triangle_mesh(
@@ -199,8 +229,8 @@ class TestNestedDissection:
             [[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0]], [[0, 1, 2]], [True, True, False]
         )
         for m in (square, triangle, _flat_grid_mesh(9), _flat_grid_mesh(20)):
-            order = dd.assemble_stability(m, 0.0).order
-            assert np.array_equal(np.sort(order), np.arange(m.interior.size))
+            interior = dd.assemble_stability(m).interior
+            assert np.array_equal(np.sort(interior), m.interior)
 
     def test_order_without_edges(self):
         # No edge crosses a cell, so nothing separates: cells in post-order.
@@ -212,25 +242,23 @@ class TestNestedDissection:
     def test_level5_matches_eigsh(self, kappa, H, rho, delta):
         from scipy.sparse.linalg import eigsh
 
+        from scipy.sparse import diags
+
         m = mm.build_cap_mesh(kappa, H, rho, 5)
-        problem = dd.assemble_stability(m, delta)
-        lam_K = eigsh(problem.stiffness, k=1, M=problem.mass, sigma=0, return_eigenvectors=False)[0]
-        expected = lam_K - (1.0 - delta) * m.potential[0]
-        assert dd.lambda1_dirichlet(problem) == pytest.approx(expected, rel=1e-10)
+        problem = dd.assemble_stability(m)
+        M = diags(problem.mass).tocsc()
+        lam_K = eigsh(problem.stiffness, k=1, M=M, sigma=0, return_eigenvectors=False)[0]
+        q = 2.0 * (1.0 - delta) * (kappa + H * H)
+        assert dd.lambda1_dirichlet(problem, -q) == pytest.approx(lam_K - q, rel=1e-10)
 
     @pytest.mark.parametrize("kappa, H, rho, delta", STUDIES)
     def test_level7_fill_at_most_minimum_degree(self, kappa, H, rho, delta):
         from scipy.sparse.linalg import splu
 
-        problem = dd.assemble_stability(mm.build_cap_mesh(kappa, H, rho, 7), delta)
-        K, p = problem.stiffness, problem.order
+        m = mm.build_cap_mesh(kappa, H, rho, 7)
+        idx = m.interior
+        K_ii = dd.cotangent_stiffness(m)[np.ix_(idx, idx)].tocsc()
         opts = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        nd = splu(K[p][:, p], permc_spec="NATURAL", **opts)
-        mmd = splu(K, permc_spec="MMD_AT_PLUS_A", **opts)
+        nd = splu(dd.assemble_stability(m).stiffness, permc_spec="NATURAL", **opts)
+        mmd = splu(K_ii, permc_spec="MMD_AT_PLUS_A", **opts)
         assert nd.L.nnz + nd.U.nnz <= mmd.L.nnz + mmd.U.nnz
-
-    def test_non_constant_potential_rejected(self):
-        m = _flat_grid_mesh(5)
-        m.potential[m.interior[0]] = 1.0
-        with pytest.raises(MeshError, match="not constant"):
-            dd.assemble_stability(m, 0.0)

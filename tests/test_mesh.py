@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cmcradius import mesh as mm
-from cmcradius.discrete import triangle_areas
 from cmcradius.errors import MeshError
 
 
@@ -21,7 +20,7 @@ def _per_corner_lengths(m):
 class TestBuildCapMesh:
     def test_hemisphere_area(self):
         m = mm.build_cap_mesh(0.0, 1.0, math.pi / 2, 4)
-        area = triangle_areas(_per_corner_lengths(m)).sum()
+        area = mm.triangle_areas(_per_corner_lengths(m)).sum()
         assert area == pytest.approx(2 * math.pi, rel=0.01)
 
     def test_level_zero_is_a_disk(self):
@@ -38,11 +37,6 @@ class TestBuildCapMesh:
     def test_spherical_model_constraint(self):
         m = mm.build_cap_mesh(1.0, 1.0, 0.4, 3)
         assert mm.model_constraint_residual(m) <= 1e-10
-
-    def test_potential_is_constant(self):
-        m = mm.build_cap_mesh(-1.0, 2.5, 0.5, 3)
-        expected = 2 * 2.5**2 + 2 * (-1.0)
-        assert np.allclose(m.potential, expected)
 
     def test_boundary_is_last_ring(self):
         m = mm.build_cap_mesh(0.0, 1.0, 1.0, 3)
@@ -109,6 +103,46 @@ class TestAmbientDistance:
         p = np.array([[1.0, 0.0, 0.0, 0.0]])
         q = np.array([[0.0, 1.0, 0.0, 0.0]])
         assert mm.ambient_distance(1.0, p, q)[0] == pytest.approx(math.pi / 2, rel=1e-12)
+
+
+def _mpmath_distance(kappa, p, q):
+    """Geodesic distance, at 200 digits, between the model projections of float points p and q."""
+    import mpmath
+
+    with mpmath.workdps(200):
+        k = mpmath.mpf(kappa)
+        P, Q = ([mpmath.mpf(float(x)) for x in v] for v in (p, q))
+        sign = [1 if kappa > 0 else -1] + [1] * (len(P) - 1)
+
+        def dot(a, b):
+            return sum(s * x * y for s, x, y in zip(sign, a, b))
+
+        cos = k * dot(P, Q) / mpmath.sqrt(k * dot(P, P) * k * dot(Q, Q))
+        angle = mpmath.acos(cos) if kappa > 0 else mpmath.acosh(cos)
+        return angle / mpmath.sqrt(abs(k))
+
+
+class TestEdgeLengthPrecision:
+    # (kappa, H, rho, level): the kappa = -1 and kappa = 1 studies of the
+    # mesh-refine benchmark, a cap 1e-5 across on the unit sphere, a
+    # hyperboloid whose model coordinates reach 1/sqrt|kappa| = 5.6e36, and
+    # a cap 1.4e-39 across.
+    @pytest.mark.parametrize("kappa, H, rho, level", [
+        (-1.0, 2.7, 1.25 / math.sqrt(-1.0 + 2.7**2), 6),
+        (1.0, 1.0, 1.4 / math.sqrt(2.0), 6),
+        (1.0, 1.0, 1e-5, 6),
+        (-3.204783484537852e-74, 0.561453524084345, 2.7146211501970328, 3),
+        (1.298757156924908, 2.7158195916232217, 1.4478499894312238e-39, 2),
+    ])
+    def test_edge_lengths_match_mpmath(self, kappa, H, rho, level):
+        m = mm.build_cap_mesh(kappa, H, rho, level)
+        topo = m.topology
+        sample = np.random.default_rng(0).choice(len(topo.edges), size=min(200, len(topo.edges)),
+                                                 replace=False)
+        for e in sample:
+            i, j = topo.edges[e]
+            exact = _mpmath_distance(kappa, m.vertices[i], m.vertices[j])
+            assert abs(topo.edge_lengths[e] - exact) <= 2 * np.finfo(float).eps * exact
 
 
 class TestIntrinsicRadius:
@@ -203,7 +237,6 @@ def _with_extra(m, vertices, faces, boundary):
         vertices=np.vstack([m.vertices, vertices]),
         faces=np.vstack([m.faces, np.asarray(faces, dtype=np.int64).reshape(-1, 3)]),
         boundary=np.concatenate([m.boundary, boundary]),
-        potential=np.concatenate([m.potential, np.full(len(vertices), m.potential[0])]),
         kappa=m.kappa,
     )
 
