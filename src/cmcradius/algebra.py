@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bounds
 from .errors import PreconditionViolation
 
 TRACE_TOL = 1e-12
@@ -71,11 +72,13 @@ def check_potential_remainder(phi: TracelessMatrix, k: float, delta: float) -> f
     Nonnegative whenever k exceeds the exponent lower bound
     5(n-1)/(4n(1-d)).
     """
+    bounds.check_delta(delta)
     n = phi.n
     lo = 5.0 * (n - 1) / (4.0 * n * (1.0 - delta))
     if not k > lo:
         raise PreconditionViolation(f"k={k} must exceed 5(n-1)/(4n(1-delta)) = {lo}")
-    return k * (1.0 - delta) * phi.norm2 - 1.25 * phi.first_diag**2 - phi.first_row_tail2
+    remainder = k * (1.0 - delta) * phi.norm2 - 1.25 * phi.first_diag**2 - phi.first_row_tail2
+    return bounds._finite("remainder", remainder)
 
 
 def gauss_ricci_contraction(phi: TracelessMatrix, H: float, ambient_sectional_sum: float) -> float:

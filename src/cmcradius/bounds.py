@@ -5,12 +5,15 @@ exponent k, the coefficients A and B entering the distance bound
 c = pi * sqrt(A / B), and its closed-form minimisation over k (one
 quadratic in t = 4/(n-1) - k).  Interval endpoints and dimension
 thresholds are kept as exact rationals; the rest is floating point.
+A delta outside [0, 1) is a PreconditionViolation everywhere (check_delta),
+and no entry point returns a value that is not finite: a non-finite
+argument or an overflow raises a package error instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 
@@ -24,14 +27,26 @@ from .errors import (
 
 SUPPORTED_DIMENSIONS = (2, 3, 4)
 
-#: Relative offset used to stay strictly inside the open k-interval.
-INTERIOR_OFFSET = 1e-9
-_PAD = Fraction(str(INTERIOR_OFFSET))
+#: Each end of the open k-interval is padded inward by this fraction of its width.
+INTERIOR_OFFSET = Fraction(1, 10**9)
 
 
 def _check_dimension(n: int) -> None:
     if n not in SUPPORTED_DIMENSIONS:
         raise DimensionError(f"hypersurface dimension must be one of {SUPPORTED_DIMENSIONS}, got {n}")
+
+
+def check_delta(delta) -> None:
+    """Reject a near-stability parameter that is not a finite number in [0, 1)."""
+    if not 0 <= delta < 1:  # also false for nan and +-inf
+        raise PreconditionViolation(f"delta must be finite and lie in [0, 1), got {delta}")
+
+
+def _finite(name: str, value: float) -> float:
+    """value, or PreconditionViolation if it is not a finite float."""
+    if not math.isfinite(value):
+        raise PreconditionViolation(f"{name} must be finite, got {value}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -51,22 +66,9 @@ class KInterval:
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self) -> None:
-        if self.lo >= self.hi:
-            raise EmptyIntervalError(f"empty k-interval: ({self.lo}, {self.hi})")
-
-    def contains(self, k: float) -> bool:
-        """Strict interior membership (the endpoints are excluded)."""
-        return self.lo < Fraction(k) < self.hi
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def interior(self, offset: float = INTERIOR_OFFSET) -> tuple[float, float]:
-        """Floating-point sub-interval clamped `offset * width` inside each end."""
-        pad = float(self.width) * offset
-        return float(self.lo) + pad, float(self.hi) - pad
 
 
 def k_interval(n: int, delta) -> KInterval:
@@ -75,9 +77,8 @@ def k_interval(n: int, delta) -> KInterval:
     Raises EmptyIntervalError when delta is at or above delta_threshold(n).
     """
     _check_dimension(n)
+    check_delta(delta)
     d = Fraction(delta)
-    if not 0 <= d < 1:
-        raise PreconditionViolation(f"delta must lie in [0, 1), got {delta}")
     lo = Fraction(5 * (n - 1), 4 * n) / (1 - d)
     hi = Fraction(4, n - 1)
     if lo >= hi:
@@ -93,7 +94,7 @@ def coeff_A(n: int, k: float) -> float:
     denom = 4.0 - k * (n - 1)
     if denom <= 0.0:
         raise HypothesisViolation(f"k must satisfy k < 4/(n-1) = {4 / (n - 1)}, got k={k}")
-    return 4.0 * (k * (2 - n) + (n - 1)) / denom
+    return _finite("A", 4.0 * (k * (2 - n) + (n - 1)) / denom)
 
 
 def coeff_B(n: int, k: float, delta: float, H: float, K_inf: float) -> float:
@@ -103,25 +104,28 @@ def coeff_B(n: int, k: float, delta: float, H: float, K_inf: float) -> float:
     the curvature term drops out automatically when K_inf >= 0.
     """
     _check_dimension(n)
+    check_delta(delta)
     p = k * n * (1.0 - delta)
-    return (p - n * n + 5 * n - 5) * H * H + (p + n - 1) * min(0.0, K_inf)
+    curvature = min(0.0, _finite("K_inf", K_inf))
+    return _finite("B", (p - n * n + 5 * n - 5) * H * H + (p + n - 1) * curvature)
 
 
 def mean_curvature_threshold(K_inf: float) -> float:
     """Strict lower bound 2*sqrt(|min(0, K_inf)|) that |H| must exceed."""
-    return 2.0 * math.sqrt(abs(min(0.0, K_inf)))
+    return 2.0 * math.sqrt(abs(min(0.0, _finite("K_inf", K_inf))))
 
 
 def check_quotient_bound(n: int, k: float, delta: float) -> float:
     """Quotient (kn(1-d)+n-1) / (kn(1-d)-n^2+5n-5); stays below 4 inside the interval."""
     _check_dimension(n)
+    check_delta(delta)
     p = k * n * (1.0 - delta)
     denom = p - n * n + 5 * n - 5
     if denom <= 0.0:
         raise PreconditionViolation(
             f"quotient denominator nonpositive ({denom}); k below admissible range"
         )
-    return (p + n - 1) / denom
+    return _finite("quotient", (p + n - 1) / denom)
 
 
 @dataclass(frozen=True)
@@ -141,12 +145,10 @@ class BoundInput:
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
-        for name in ("delta", "H", "K_inf", "S_inf"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise PreconditionViolation(f"{name} must be finite, got {value}")
-        if not 0.0 <= self.delta < 1.0:
-            raise PreconditionViolation(f"delta must lie in [0, 1), got {self.delta}")
+        check_delta(self.delta)
+        for name in ("H", "K_inf", "S_inf"):
+            if getattr(self, name) is not None:
+                _finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,6 @@ class BoundResult:
     B: float
     c: float
     source: str  # "sectional" or "scalar"
-    hypotheses_met: dict[str, bool] = field(default_factory=dict)
 
 
 @lru_cache(maxsize=1024)
@@ -173,57 +174,54 @@ def _exact_setup(n: int, delta: float) -> tuple[KInterval, tuple[tuple[float, fl
     if d >= delta_threshold(n):
         return None
     interval = k_interval(n, d)
-    pad = interval.width * _PAD
+    pad = interval.width * INTERIOR_OFFSET
     lower = (float(interval.width - pad), float(interval.lo + pad))
     upper = (float(pad), float(interval.hi - pad))
     return interval, (lower, upper)
 
 
-def _sectional_setup(inp: BoundInput) -> tuple[dict[str, bool], KInterval, tuple]:
-    """Hypothesis flags, the exact k-interval and its padded ends (t, k), lowest k first."""
+def _sectional_setup(inp: BoundInput) -> tuple[KInterval, tuple]:
+    """The exact k-interval and its padded ends (t, k), lowest k first."""
     setup = _exact_setup(inp.n, inp.delta)
-    flags = {
-        "delta_threshold": setup is not None,
-        "H_threshold": abs(inp.H) > mean_curvature_threshold(inp.K_inf),
-    }
     if setup is None:
         raise HypothesisViolation(
             f"delta={inp.delta} is not below the n={inp.n} threshold {delta_threshold(inp.n)}"
         )
-    return (flags, *setup)
+    return setup
 
 
-def _H_problem(inp: BoundInput) -> str:
-    return f"|H|={abs(inp.H)} does not exceed the threshold {mean_curvature_threshold(inp.K_inf)}"
+def _H_problems(inp: BoundInput) -> list[str]:
+    """Why |H| does not exceed the sectional route's threshold, if it does not."""
+    threshold = mean_curvature_threshold(inp.K_inf)
+    if abs(inp.H) > threshold:
+        return []
+    return [f"|H|={abs(inp.H)} does not exceed the threshold {threshold}"]
 
 
-def _sectional_result(k: float, A: float, B: float, flags: dict[str, bool],
-                      problems: list[str]) -> BoundResult:
+def _sectional_result(k: float, A: float, B: float, problems: list[str]) -> BoundResult:
     """Gate on B > 0 and a representable c, then package the bound at k."""
-    flags["B_positive"] = B > 0.0
     if not math.isfinite(B):
         problems.append(f"B={B} is out of float range: H^2 or K overflows")
-    elif not flags["B_positive"]:
+    elif not B > 0.0:
         problems.append(f"B={B} is not positive")
     if problems:
         raise HypothesisViolation("; ".join(problems))
     c = math.pi * math.sqrt(A / B)
     if not 0.0 < c < math.inf:
         raise HypothesisViolation(f"c = pi*sqrt(A/B) = {c} with A={A}, B={B} is out of float range")
-    return BoundResult(k_star=k, A=A, B=B, c=c, source="sectional", hypotheses_met=flags)
+    return BoundResult(k_star=k, A=A, B=B, c=c, source="sectional")
 
 
 def radius_bound_fixed_k(inp: BoundInput, k: float) -> BoundResult:
     """Distance bound at a caller-chosen admissible k (sectional-curvature route)."""
-    flags, interval, _ = _sectional_setup(inp)
+    interval, _ = _sectional_setup(inp)
     problems = []
-    if not interval.contains(k):
+    if not interval.lo < _finite("k", k) < interval.hi:
         problems.append(f"k={k} is not strictly inside ({interval.lo}, {interval.hi})")
-    if not flags["H_threshold"]:
-        problems.append(_H_problem(inp))
+    problems += _H_problems(inp)
     A = coeff_A(inp.n, k) if k < float(interval.hi) else float("nan")
     B = coeff_B(inp.n, k, inp.delta, inp.H, inp.K_inf)
-    return _sectional_result(k, A, B, flags, problems)
+    return _sectional_result(k, A, B, problems)
 
 
 def _real_roots(qa: float, qb: float, qc: float) -> list[float]:
@@ -247,9 +245,10 @@ def radius_bound(inp: BoundInput) -> BoundResult:
     are exact rationals, rounded only as t, so 4 - m k = m t keeps its
     digits when the interval is narrower than the float spacing at 4/m.
     """
-    flags, interval, ends = _sectional_setup(inp)
-    if not flags["H_threshold"]:
-        raise HypothesisViolation(_H_problem(inp))
+    interval, ends = _sectional_setup(inp)
+    problems = _H_problems(inp)
+    if problems:
+        raise HypothesisViolation(problems[0])
     n, m, a1 = inp.n, inp.n - 1, 2 - inp.n
     p0 = 4 * a1 + m * m
     Km, H2 = min(0.0, inp.K_inf), inp.H * inp.H
@@ -265,7 +264,7 @@ def radius_bound(inp: BoundInput) -> BoundResult:
     _, t, k, A, B = min(candidates, key=lambda cand: cand[0])  # B <= 0 everywhere raises below
     if k is None:
         k = float(interval.hi - Fraction(t))
-    return _sectional_result(k, A, B, flags, [])
+    return _sectional_result(k, A, B, [])
 
 
 def radius_bound_scalar(delta: float, H: float, S_inf: float) -> BoundResult:
@@ -274,13 +273,12 @@ def radius_bound_scalar(delta: float, H: float, S_inf: float) -> BoundResult:
     c = 2*pi*sqrt((1-d) / ((3-4d)(3H^2+S))), the fixed-exponent choice
     k = 1/(1-d); requires delta < 3/4 and 3H^2 + S_inf > 0.
     """
-    flags = {"delta_threshold": delta < 0.75}
+    check_delta(delta)
     B = 3.0 * H * H + S_inf
-    flags["B_positive"] = B > 0.0
     problems = []
-    if not flags["delta_threshold"]:
+    if delta >= 0.75:
         problems.append(f"delta={delta} is not below 3/4")
-    if not flags["B_positive"]:
+    if not B > 0.0:
         problems.append(f"3H^2 + S = {B} is not positive")
     if problems:
         raise HypothesisViolation("; ".join(problems))
@@ -288,18 +286,19 @@ def radius_bound_scalar(delta: float, H: float, S_inf: float) -> BoundResult:
     c = 2.0 * math.pi * math.sqrt((1.0 - delta) / ((3.0 - 4.0 * delta) * B))
     if not 0.0 < c < math.inf:
         raise HypothesisViolation(f"c = {c} with 3H^2 + S = {B} is out of float range")
-    return BoundResult(
-        k_star=1.0 / (1.0 - delta), A=A, B=B, c=c, source="scalar", hypotheses_met=flags
-    )
+    return BoundResult(k_star=1.0 / (1.0 - delta), A=A, B=B, c=c, source="scalar")
 
 
 def best_bound(inp: BoundInput) -> BoundResult:
-    """Minimum c among all bounds whose hypotheses hold for this input."""
+    """Minimum c among all bounds whose hypotheses hold for this input.
+
+    Raises NoApplicableBound, with every route's reason, when none holds.
+    """
     candidates: list[BoundResult] = []
     reasons: list[str] = []
     try:
         candidates.append(radius_bound(inp))
-    except (HypothesisViolation, EmptyIntervalError) as exc:
+    except HypothesisViolation as exc:
         reasons.append(f"sectional: {exc}")
     if inp.n == 2 and inp.S_inf is not None:
         try:

@@ -16,12 +16,7 @@ from typing import TYPE_CHECKING
 # Only standard-library modules load here, so `bound` and `cap` start fast:
 # the numpy and scipy modules are imported where `mesh` and the algebra sweep run.
 from . import __version__, bounds, spaceforms
-from .errors import (
-    CmcRadiusError,
-    EmptyIntervalError,
-    HypothesisViolation,
-    NoApplicableBound,
-)
+from .errors import CmcRadiusError, NoApplicableBound
 from .report import FORMATS, SweepReport, emit_report
 
 if TYPE_CHECKING:
@@ -136,7 +131,7 @@ def _bound_row(n: int, delta: float, H: float, K: float, S: float | None) -> dic
     row = {"n": n, "delta": delta, "H": H, "K": K, "S": S}
     try:
         res = bounds.best_bound(bounds.BoundInput(n=n, delta=delta, H=H, K_inf=K, S_inf=S))
-    except (NoApplicableBound, HypothesisViolation, EmptyIntervalError) as exc:
+    except NoApplicableBound as exc:
         row.update(k_star=None, A=None, B=None, c=None, source=None,
                    status="not-applicable", reason=str(exc))
         return row

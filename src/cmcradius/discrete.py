@@ -20,16 +20,9 @@ import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
-from . import bounds
-from .errors import (
-    EmptyIntervalError,
-    HypothesisViolation,
-    MeshError,
-    NoApplicableBound,
-    NonConvergence,
-)
+from .errors import MeshError, NonConvergence
 from .mesh import TriMesh, build_cap_mesh, intrinsic_radius, pole_chart
-from .spaceforms import lambda1_ball, space_form_scalar_bound, sphere_from_H
+from .spaceforms import lambda1_ball, sphere_from_H, verify_cap_bound
 
 DEGENERATE_AREA_FRACTION = 1e-14
 
@@ -232,18 +225,10 @@ def mesh_verify(
     """Discrete stability verdicts and eigenvalue convergence against the closed-form oracle."""
     if not levels:
         raise MeshError("at least one refinement level is required")
-    geom = sphere_from_H(2, kappa, H)
-    S_inf = space_form_scalar_bound(kappa)
-    c = geom.c_int
+    c = sphere_from_H(kappa, H).c_int
     q = 2.0 * (1.0 - delta) * c
     oracle = lambda1_ball(2, c, rho) - q
-
-    c_best: float | None
-    try:
-        result = bounds.best_bound(bounds.BoundInput(n=2, delta=delta, H=H, K_inf=kappa, S_inf=S_inf))
-        c_best = result.c
-    except (NoApplicableBound, HypothesisViolation, EmptyIntervalError):
-        c_best = None
+    c_best = verify_cap_bound(2, kappa, H, delta).c_best
 
     report = ConvergenceReport(
         kappa=kappa, H=H, rho=rho, delta=delta, oracle_lambda1=oracle, c_best=c_best

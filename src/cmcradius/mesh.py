@@ -171,7 +171,7 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
     """
     if level < 0:
         raise MeshError(f"level must be nonnegative, got {level}")
-    geom = sphere_from_H(2, kappa, H)
+    geom = sphere_from_H(kappa, H)
     c = geom.c_int
     full = math.pi / math.sqrt(c)
     if not 0.0 < rho < full:
@@ -270,26 +270,18 @@ def triangle_areas(lengths: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(val, 0.0, None))
 
 
-def edge_graph(mesh: TriMesh) -> csr_matrix:
-    """Sparse symmetric graph of mesh edges weighted by geodesic length."""
-    topo = mesh.topology
-    edges, d = topo.edges, topo.edge_lengths
-    n = mesh.num_vertices
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    return csr_matrix((np.concatenate([d, d]), (rows, cols)), shape=(n, n))
-
-
 def intrinsic_radius(mesh: TriMesh) -> float:
     """Max over interior vertices of the edge-path distance to the boundary.
 
-    Dijkstra over geodesic edge lengths; overestimates the smooth
-    intrinsic radius by the mesh anisotropy factor.
+    Dijkstra over geodesic edge lengths, each edge stored once and
+    traversed both ways; overestimates the smooth intrinsic radius by the
+    mesh anisotropy factor.
     """
     sources = np.flatnonzero(mesh.boundary)
     if sources.size == 0:
         raise MeshError("mesh has no boundary")
-    g = edge_graph(mesh)
+    edges, n = mesh.topology.edges, mesh.num_vertices
+    g = csr_matrix((mesh.topology.edge_lengths, (edges[:, 0], edges[:, 1])), shape=(n, n))
     dist = dijkstra(g, directed=False, indices=sources, min_only=True)
     return float(dist[mesh.interior].max())
 

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bounds
-from .errors import (
-    HypothesisViolation,
-    EmptyIntervalError,
-    NoApplicableBound,
-    NonConvergence,
-    PreconditionViolation,
-    UnattainableCurvature,
-)
+from .errors import NoApplicableBound, NonConvergence, PreconditionViolation, UnattainableCurvature
 
 #: Relative slack allowed when comparing the oracle radius to a bound.
 PASS_SLACK = 1e-8
@@ -33,35 +26,34 @@ def cot_kappa(kappa: float, r: float) -> float:
     """Generalized cotangent: principal curvature of the geodesic r-sphere.
 
     sqrt(k) cot(sqrt(k) r) for k > 0, 1/r for k = 0,
-    sqrt(|k|) coth(sqrt(|k|) r) for k < 0.
+    sqrt(|k|) coth(sqrt(|k|) r) for k < 0.  A non-finite kappa gives a
+    non-finite value, and any such value raises PreconditionViolation.
     """
-    if r <= 0.0:
-        raise PreconditionViolation(f"radius must be positive, got {r}")
-    if kappa > 0.0:
-        sq = math.sqrt(kappa)
-        if r >= math.pi / sq:
-            raise PreconditionViolation(f"radius {r} exceeds the conjugate distance {math.pi / sq}")
-        return sq / math.tan(sq * r)
-    if kappa < 0.0:
-        sq = math.sqrt(-kappa)
-        return sq / math.tanh(sq * r)
-    return 1.0 / r
+    if not 0.0 < r < math.inf:
+        raise PreconditionViolation(f"radius must be positive and finite, got {r}")
+    sq = math.sqrt(abs(kappa))
+    if kappa > 0.0 and r >= math.pi / sq:
+        raise PreconditionViolation(f"radius {r} exceeds the conjugate distance {math.pi / sq}")
+    if sq * r == 0.0:  # kappa = 0, or kappa r^2 below the float range
+        cot = 1.0 / r
+    elif kappa > 0.0:
+        cot = sq / math.tan(sq * r)
+    else:
+        cot = sq / math.tanh(sq * r)
+    return bounds._finite("cot_kappa", cot)
 
 
 @dataclass(frozen=True)
 class SphereGeometry:
-    """Umbilic geodesic sphere of dimension n in the space form of curvature kappa."""
+    """Umbilic geodesic sphere in the space form of curvature kappa, in any dimension."""
 
-    n: int
     kappa: float
     H: float
     r_ambient: float
-    normA2: float  # |A|^2 = n H^2
-    ric_nu: float  # ambient Ricci in the normal direction = n kappa
     c_int: float  # intrinsic sectional curvature = kappa + H^2
 
 
-def sphere_from_H(n: int, kappa: float, H: float) -> SphereGeometry:
+def sphere_from_H(kappa: float, H: float) -> SphereGeometry:
     """Invert cot_kappa: the umbilic sphere with mean curvature H.
 
     For kappa < 0 only H > sqrt(|kappa|) is attainable (horospheres are
@@ -92,35 +84,7 @@ def sphere_from_H(n: int, kappa: float, H: float) -> SphereGeometry:
             f"intrinsic curvature kappa + H^2 = {c_int} is out of float range "
             f"(kappa={kappa}, H={H})"
         )
-    return SphereGeometry(
-        n=n,
-        kappa=kappa,
-        H=H,
-        r_ambient=r,
-        normA2=n * H * H,
-        ric_nu=n * kappa,
-        c_int=c_int,
-    )
-
-
-@dataclass(frozen=True)
-class CapCase:
-    """A geodesic cap on an umbilic sphere together with its stability potential."""
-
-    geometry: SphereGeometry
-    delta: float
-    rho: float
-    q: float  # (1-delta)(|A|^2 + Ric(nu)) = n(1-delta) c_int
-
-    @classmethod
-    def make(cls, geometry: SphereGeometry, delta: float, rho: float) -> "CapCase":
-        if not 0.0 <= delta < 1.0:
-            raise PreconditionViolation(f"delta must lie in [0, 1), got {delta}")
-        full = math.pi / math.sqrt(geometry.c_int)
-        if not 0.0 < rho < full:
-            raise PreconditionViolation(f"cap radius must lie in (0, {full}), got {rho}")
-        q = geometry.n * (1.0 - delta) * geometry.c_int
-        return cls(geometry=geometry, delta=delta, rho=rho, q=q)
+    return SphereGeometry(kappa=kappa, H=H, r_ambient=r, c_int=c_int)
 
 
 _EULER_GAMMA = 0.5772156649015329
@@ -132,10 +96,19 @@ S_MAX = math.pi * (1.0 - 1e-9)
 #: Scan points in s for the cap radius, which lies in [pi/2, pi): the
 #: distance to pi halves from one point to the next.
 _CAP_SCAN = tuple(math.pi * (1.0 - 2.0**-k) for k in range(1, 30)) + (S_MAX,)
-#: Growth factor of the bracket in nu.  For s <= pi/2 the second radial zero
-#: in nu lies at least 1.83 times above the first (the least ratio is at
-#: n = 4, s -> 0), so no cell of the bracket holds both.
-_NU_GROWTH = 1.5
+
+
+def _nu_scan():
+    """Scan points in nu, from 1 growing by a factor 1.5 up to 1e150.
+
+    For s <= pi/2 the second radial zero in nu lies at least 1.83 times
+    above the first (the least ratio is at n = 4, s -> 0), so no cell of
+    the scan holds both.
+    """
+    nu = 1.0
+    while nu <= 1e150:
+        yield nu
+        nu *= 1.5
 
 
 def _digamma(x: float) -> float:
@@ -263,6 +236,20 @@ def _brent(f, x_pre: float, x_cur: float, f_pre: float, f_cur: float) -> float:
     raise NonConvergence("root-finder did not converge")
 
 
+def _first_zero(f, points, failure: str) -> float:
+    """First zero of f, where f(0) = 1, at its first sign change along the increasing points.
+
+    Raises NonConvergence with the message `failure` when f stays positive.
+    """
+    lo, f_lo = 0.0, 1.0
+    for hi in points:
+        f_hi = f(hi)
+        if f_hi <= 0.0:
+            return _brent(f, lo, hi, f_lo, f_hi)
+        lo, f_lo = hi, f_hi
+    raise NonConvergence(failure)
+
+
 def lambda1_ball(n: int, c_int: float, rho: float) -> float:
     """First Dirichlet eigenvalue of the geodesic rho-ball in the round sphere.
 
@@ -270,7 +257,7 @@ def lambda1_ball(n: int, c_int: float, rho: float) -> float:
     c_int nu(nu+n-1) for the smallest nu at which the radial function
     vanishes at s = rho sqrt(c_int).  The radial function is 1 at nu = 0
     and cos s at nu = 1, so for s > pi/2 the root lies in (0, 1);
-    otherwise the bracket grows upward until the sign changes.
+    otherwise the scan grows upward until the sign changes.
     """
     bounds._check_dimension(n)
     if not (c_int > 0.0 and math.isfinite(c_int)):
@@ -279,20 +266,8 @@ def lambda1_ball(n: int, c_int: float, rho: float) -> float:
     if not 0.0 < rho < full:
         raise PreconditionViolation(f"rho must lie in (0, {full}), got {rho}")
     s = rho * math.sqrt(c_int)
-
-    def f(nu: float) -> float:
-        return _radial(n, nu, s)
-
-    lo, f_lo = 0.0, 1.0
-    hi = 1.0
-    f_hi = f(hi)
-    while f_hi > 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= _NU_GROWTH
-        if hi > 1e150:
-            raise NonConvergence(f"failed to bracket the first Dirichlet eigenvalue at s={s}")
-        f_hi = f(hi)
-    nu = _brent(f, lo, hi, f_lo, f_hi)
+    nu = _first_zero(lambda nu: _radial(n, nu, s), _nu_scan(),
+                     f"failed to bracket the first Dirichlet eigenvalue at s={s}")
     return c_int * nu * (nu + n - 1.0)
 
 
@@ -307,18 +282,9 @@ def _scaled_marginal_radius(n: int, delta: float) -> float:
     bounds._check_dimension(n)
     lam = n * (1.0 - delta)
     nu = 2.0 * lam / ((n - 1.0) + math.sqrt((n - 1.0) ** 2 + 4.0 * lam))
-
-    def f(s: float) -> float:
-        return _radial(n, nu, s)
-
-    lo, f_lo = 0.0, 1.0
-    for hi in _CAP_SCAN:
-        f_hi = f(hi)
-        if f_hi <= 0.0:
-            return _brent(f, lo, hi, f_lo, f_hi)
-        lo, f_lo = hi, f_hi
-    raise NonConvergence(
-        f"marginal radius not found below {S_MAX} for n={n}, delta={delta}; potential too weak"
+    return _first_zero(
+        lambda s: _radial(n, nu, s), _CAP_SCAN,
+        f"marginal radius not found below {S_MAX} for n={n}, delta={delta}; potential too weak",
     )
 
 
@@ -329,9 +295,8 @@ def max_stable_cap_radius(n: int, kappa: float, H: float, delta: float) -> float
     metric scaling identity rho* sqrt(c_int) depends on (n, delta) only,
     so the scaled radius is solved once and cached.
     """
-    if not 0.0 <= delta < 1.0:
-        raise PreconditionViolation(f"delta must lie in [0, 1), got {delta}")
-    geom = sphere_from_H(n, kappa, H)
+    bounds.check_delta(delta)
+    geom = sphere_from_H(kappa, H)
     return _scaled_marginal_radius(n, float(delta)) / math.sqrt(geom.c_int)
 
 
@@ -343,8 +308,9 @@ def closed_sphere_lowest_eigenvalue(n: int, kappa: float, H: float, delta: float
     potential: negative exactly when the potential is positive, which is
     the non-existence mechanism for closed examples.
     """
-    geom = sphere_from_H(n, kappa, H)
-    return -n * (1.0 - delta) * geom.c_int
+    bounds._check_dimension(n)
+    bounds.check_delta(delta)
+    return bounds._finite("eigenvalue", -n * (1.0 - delta) * sphere_from_H(kappa, H).c_int)
 
 
 @dataclass(frozen=True)
@@ -391,7 +357,7 @@ def verify_cap_bound(n: int, kappa: float, H: float, delta: float) -> Verificati
     inp = bounds.BoundInput(n=n, delta=delta, H=H, K_inf=kappa, S_inf=S_inf)
     try:
         result = bounds.best_bound(inp)
-    except (NoApplicableBound, HypothesisViolation, EmptyIntervalError) as exc:
+    except NoApplicableBound as exc:
         reason = str(exc) if no_radius is None else f"{exc}; {no_radius}"
         return VerificationRecord(
             n=n,

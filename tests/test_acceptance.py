@@ -115,7 +115,8 @@ def test_06_quotient_bound():
         thr = float(bounds.delta_threshold(n))
         for delta in np.linspace(0.0, 0.95 * thr, 10):
             iv = bounds.k_interval(n, float(delta))
-            lo, hi = iv.interior(1e-6)
+            pad = float(iv.width) * 1e-6
+            lo, hi = float(iv.lo) + pad, float(iv.hi) - pad
             for k in np.linspace(lo, hi, 34):
                 assert bounds.check_quotient_bound(n, float(k), float(delta)) < 4.0
                 checked += 1

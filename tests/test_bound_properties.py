@@ -4,11 +4,13 @@ import math
 import re
 from datetime import timedelta
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmcradius import bounds, spaceforms
-from cmcradius.errors import CmcRadiusError
+from cmcradius import algebra, bounds, spaceforms
+from cmcradius.errors import CmcRadiusError, NoApplicableBound
 
 
 def _edges(x: float) -> list[float]:
@@ -27,9 +29,10 @@ magnitudes = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.intege
 @settings(max_examples=500, deadline=timedelta(milliseconds=200), derandomize=True, database=None)
 @given(n=st.sampled_from((2, 3, 4)), delta=deltas, H=reals, K=reals, S=st.none() | reals)
 def test_best_bound_is_finite_or_raises(n, delta, H, K, S):
+    # Every input here is a valid BoundInput, so no bound applying is the only failure.
     try:
         res = bounds.best_bound(bounds.BoundInput(n, delta, H, K, S))
-    except CmcRadiusError:
+    except NoApplicableBound:
         return
     assert 0.0 < res.c < math.inf
     assert math.isfinite(res.A) and math.isfinite(res.B)
@@ -61,3 +64,67 @@ def test_verify_cap_bound_is_finite_or_raises(n, kappa, H, delta):
     assert not re.search(r"\bnan\b", rec.reason)
     if rec.applicable:
         assert rec.c_best > 0.0 and rec.rho_star is not None and rec.ratio is not None
+
+
+EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324,
+            1e154, -1e154, 1.7976931348623157e308, -1.7976931348623157e308]
+ANY_FLOAT = st.one_of(st.sampled_from(EXTREMES), st.floats(), magnitudes,
+                      st.builds(float.__neg__, magnitudes))
+
+
+def _around(domain):
+    """Half of the draws from domain, half from any float, extremes included."""
+    return st.booleans().flatmap(lambda inside: domain if inside else ANY_FLOAT)
+
+
+PHIS = [algebra.TracelessMatrix.random(n, np.random.default_rng(n)) for n in (2, 3, 4)]
+# The argument roles of the scalar entry points, each drawn in and out of its domain.
+ROLES = {
+    "n": st.sampled_from((1, 2, 3, 4, 5)),
+    "delta": _around(deltas),
+    "k": _around(st.floats(0.0, 4.0)),
+    "curvature": _around(reals),  # H, K, S or kappa
+    "length": _around(st.floats(0.0, 4.0)),
+    "phi": st.sampled_from(PHIS),
+}
+ENTRY_POINTS = {
+    "k_interval": (lambda n, d: bounds.k_interval(n, d).width, ("n", "delta")),
+    "coeff_A": (bounds.coeff_A, ("n", "k")),
+    "coeff_B": (bounds.coeff_B, ("n", "k", "delta", "curvature", "curvature")),
+    "check_quotient_bound": (bounds.check_quotient_bound, ("n", "k", "delta")),
+    "mean_curvature_threshold": (bounds.mean_curvature_threshold, ("curvature",)),
+    "radius_bound_fixed_k": (lambda n, d, H, K, k: bounds.radius_bound_fixed_k(
+        bounds.BoundInput(n, d, H, K), k).c, ("n", "delta", "curvature", "curvature", "k")),
+    "radius_bound_scalar": (lambda d, H, S: bounds.radius_bound_scalar(d, H, S).c,
+                            ("delta", "curvature", "curvature")),
+    "max_stable_cap_radius": (spaceforms.max_stable_cap_radius,
+                              ("n", "curvature", "curvature", "delta")),
+    "closed_sphere_lowest_eigenvalue": (spaceforms.closed_sphere_lowest_eigenvalue,
+                                        ("n", "curvature", "curvature", "delta")),
+    "cot_kappa": (spaceforms.cot_kappa, ("curvature", "length")),
+    "check_potential_remainder": (algebra.check_potential_remainder, ("phi", "k", "delta")),
+}
+
+
+def _out_of_domain(role: str, value) -> bool:
+    if role == "n":
+        return value not in bounds.SUPPORTED_DIMENSIONS
+    if role == "delta":
+        return not 0.0 <= value < 1.0
+    return role != "phi" and not math.isfinite(value)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@settings(max_examples=200, deadline=timedelta(milliseconds=200), derandomize=True, database=None)
+@given(data=st.data())
+def test_scalar_entry_point_is_finite_or_raises(entry, data):
+    """A finite value, or a package error; always the error for a delta outside
+    [0, 1), an unsupported dimension or a non-finite argument."""
+    fn, roles = ENTRY_POINTS[entry]
+    args = [data.draw(ROLES[role], label=role) for role in roles]
+    try:
+        value = fn(*args)
+    except CmcRadiusError:
+        return
+    assert not any(_out_of_domain(role, a) for role, a in zip(roles, args))
+    assert math.isfinite(value)

@@ -16,6 +16,12 @@ from cmcradius.errors import (
 )
 
 
+def _padded(iv: bounds.KInterval) -> tuple[float, float]:
+    """The k-interval in floats, padded 1e-6 of its width inside each end."""
+    pad = float(iv.width) * 1e-6
+    return float(iv.lo) + pad, float(iv.hi) - pad
+
+
 class TestDeltaThreshold:
     @pytest.mark.parametrize("n,expected", [
         (2, Fraction(27, 32)),
@@ -112,7 +118,7 @@ class TestQuotientBound:
             thr = float(bounds.delta_threshold(n))
             for delta in np.linspace(0.0, 0.95 * thr, 12):
                 iv = bounds.k_interval(n, float(delta))
-                lo, hi = iv.interior(1e-6)
+                lo, hi = _padded(iv)
                 for k in np.linspace(lo, hi, 25):
                     assert bounds.check_quotient_bound(n, float(k), float(delta)) < 4.0
 
@@ -128,7 +134,6 @@ class TestRadiusBoundFixedK:
         expected = (4 * math.sqrt(2) / 9) * math.pi / math.sqrt(5.25)
         assert res.c == pytest.approx(expected, rel=1e-12)
         assert res.c == pytest.approx(0.8618, abs=2e-4)
-        assert all(res.hypotheses_met.values())
 
     def test_flat_unit_case(self):
         res = bounds.radius_bound_fixed_k(bounds.BoundInput(2, 0.0, 1.0, 0.0), 1.0)
@@ -160,7 +165,7 @@ class TestRadiusBound:
         inp = bounds.BoundInput(2, 0.0, 2.5, -1.0)
         res = bounds.radius_bound(inp)
         iv = bounds.k_interval(2, 0.0)
-        lo, hi = iv.interior(1e-6)
+        lo, hi = _padded(iv)
         best_grid = min(
             bounds.radius_bound_fixed_k(inp, float(k)).c for k in np.arange(lo, hi, 1e-4)
         )
@@ -179,7 +184,7 @@ class TestRadiusBound:
         inp = bounds.BoundInput(3, 0.2, 3.0, -1.0)
         res = bounds.radius_bound(inp)
         iv = bounds.k_interval(3, 0.2)
-        lo, hi = iv.interior(1e-6)
+        lo, hi = _padded(iv)
         for k in np.linspace(lo, hi, 50):
             assert res.c <= bounds.radius_bound_fixed_k(inp, float(k)).c * (1 + 1e-9)
 
@@ -245,6 +250,11 @@ class TestNonFiniteInput:
         kwargs[field] = value
         with pytest.raises(PreconditionViolation, match=f"{field} must be finite"):
             bounds.BoundInput(**kwargs)
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+    def test_fixed_k_rejects_non_finite_k(self, k):
+        with pytest.raises(PreconditionViolation, match="k must be finite"):
+            bounds.radius_bound_fixed_k(bounds.BoundInput(2, 0.0, 2.5, -1.0), k)
 
     def test_infinite_H_is_not_a_zero_radius_pass(self):
         with pytest.raises(PreconditionViolation):

@@ -3,7 +3,6 @@
 import math
 from datetime import timedelta
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,11 +36,8 @@ def caps(draw):
     return kappa, H, rho
 
 
-# Runtime warnings are errors: an overflow or a poorly conditioned
-# convergence fit (numpy's RankWarning) is a fault, not a report.  Other
-# categories stay warnings, so that a failure is reported, not turned into a
-# pytest internal error by a deprecation warning inside the hypothesis plugin.
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# Runtime warnings are errors suite-wide (pyproject.toml): an overflow or a
+# poorly conditioned convergence fit (numpy's RankWarning) is a fault, not a report.
 @settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True, database=None)
 @given(cap=caps(), delta=st.one_of(st.floats(0.0, 1.0), numbers), levels=levels)
 def test_mesh_verify_reports_or_raises(cap, delta, levels):

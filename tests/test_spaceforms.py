@@ -60,7 +60,7 @@ class TestCotKappa:
 
 class TestSphereFromH:
     def test_hyperbolic_reference(self):
-        g = sf.sphere_from_H(2, -1.0, 2.5)
+        g = sf.sphere_from_H(-1.0, 2.5)
         assert g.r_ambient == pytest.approx(math.atanh(1 / 2.5), rel=1e-12)
         assert g.c_int == pytest.approx(5.25, rel=1e-15)
         # Round trip through the curvature of the geodesic sphere.
@@ -68,17 +68,15 @@ class TestSphereFromH:
 
     def test_horosphere_excluded(self):
         with pytest.raises(UnattainableCurvature):
-            sf.sphere_from_H(2, -1.0, 1.0)
+            sf.sphere_from_H(-1.0, 1.0)
 
     def test_flat_unit_sphere_n3(self):
-        g = sf.sphere_from_H(3, 0.0, 1.0)
+        g = sf.sphere_from_H(0.0, 1.0)
         assert g.r_ambient == 1.0
-        assert g.normA2 == 3.0
-        assert g.ric_nu == 0.0
         assert g.c_int == 1.0
 
     def test_positive_curvature_equator(self):
-        g = sf.sphere_from_H(2, 1.0, 0.0)
+        g = sf.sphere_from_H(1.0, 0.0)
         assert g.r_ambient == pytest.approx(math.pi / 2, rel=1e-12)
 
     def test_gauss_consistency(self):
@@ -87,7 +85,7 @@ class TestSphereFromH:
 
         for n in (2, 3, 4):
             for kappa, H in [(-1.0, 2.5), (0.0, 1.0), (1.0, 0.5)]:
-                g = sf.sphere_from_H(n, kappa, H)
+                g = sf.sphere_from_H(kappa, H)
                 phi = TracelessMatrix(n, np.zeros((n, n)))
                 r11 = gauss_ricci_contraction(phi, H, (n - 1) * kappa)
                 assert g.c_int == pytest.approx(r11 / (n - 1), rel=1e-12)
@@ -218,7 +216,7 @@ class TestMaxStableCapRadius:
 
     @pytest.mark.parametrize("n,kappa,H", [(2, 0.0, 1.0), (3, -1.0, 2.5), (4, 0.0, 0.7)])
     def test_scale_invariant_hemisphere_identity(self, n, kappa, H):
-        g = sf.sphere_from_H(n, kappa, H)
+        g = sf.sphere_from_H(kappa, H)
         rho = sf.max_stable_cap_radius(n, kappa, H, 0.0)
         assert rho * math.sqrt(g.c_int) == pytest.approx(math.pi / 2, rel=1e-9)
 
@@ -234,20 +232,6 @@ class TestMaxStableCapRadius:
         deltas = np.linspace(0.0, 0.8, 9)
         radii = [sf.max_stable_cap_radius(2, -1.0, 2.5, float(d)) for d in deltas]
         assert all(a < b for a, b in zip(radii, radii[1:]))
-
-
-class TestCapCase:
-    def test_potential_value(self):
-        g = sf.sphere_from_H(2, -1.0, 2.5)
-        cap = sf.CapCase.make(g, 0.5, 0.6)
-        assert cap.q == pytest.approx(2 * 0.5 * 5.25, rel=1e-15)
-
-    def test_rejects_improper_cap(self):
-        g = sf.sphere_from_H(2, 0.0, 1.0)
-        with pytest.raises(PreconditionViolation):
-            sf.CapCase.make(g, 0.0, math.pi + 0.1)
-        with pytest.raises(PreconditionViolation):
-            sf.CapCase.make(g, 1.0, 0.5)
 
 
 class TestClosedSphere:
@@ -266,13 +250,13 @@ class TestNonFiniteInput:
     ])
     def test_sphere_from_H_rejects(self, kappa, H):
         with pytest.raises(PreconditionViolation, match="finite"):
-            sf.sphere_from_H(2, kappa, H)
+            sf.sphere_from_H(kappa, H)
 
     @pytest.mark.parametrize("kappa, H", [(0.0, 1e-200), (0.0, 1e200), (1e308, 1e154)])
     def test_sphere_from_H_rejects_curvature_out_of_float_range(self, kappa, H):
         # kappa + H^2 underflows to 0 or overflows to inf.
         with pytest.raises(PreconditionViolation, match="float range"):
-            sf.sphere_from_H(2, kappa, H)
+            sf.sphere_from_H(kappa, H)
 
     def test_verify_cap_bound_rejects_nan_H(self):
         with pytest.raises(PreconditionViolation):
