@@ -16,6 +16,8 @@ from . import bounds
 from .errors import PreconditionViolation
 
 TRACE_TOL = 1e-12
+#: Entries at most this over n keep the sum of their n^2 squares finite.
+_SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,10 @@ class TracelessMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.shape != (self.n, self.n):
             raise PreconditionViolation(f"expected a {self.n}x{self.n} matrix, got {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
+        largest = float(np.abs(m).max())
+        if largest > _SQRT_FLOAT_MAX / self.n:
+            raise PreconditionViolation(f"entry {largest} is too large: |Phi|^2 would overflow")
+        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, largest)):
             raise PreconditionViolation("matrix is not symmetric")
         scale = max(1.0, float(np.linalg.norm(m)))
         if abs(float(np.trace(m))) > TRACE_TOL * scale:

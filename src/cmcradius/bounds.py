@@ -283,7 +283,8 @@ def radius_bound_scalar(delta: float, H: float, S_inf: float) -> BoundResult:
     if problems:
         raise HypothesisViolation("; ".join(problems))
     A = 4.0 * (1.0 - delta) / (3.0 - 4.0 * delta)
-    c = 2.0 * math.pi * math.sqrt((1.0 - delta) / ((3.0 - 4.0 * delta) * B))
+    denominator = (3.0 - 4.0 * delta) * B  # underflows to 0 for a subnormal B
+    c = 2.0 * math.pi * math.sqrt((1.0 - delta) / denominator) if denominator > 0.0 else math.inf
     if not 0.0 < c < math.inf:
         raise HypothesisViolation(f"c = {c} with 3H^2 + S = {B} is out of float range")
     return BoundResult(k_star=1.0 / (1.0 - delta), A=A, B=B, c=c, source="scalar")

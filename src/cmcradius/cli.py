@@ -69,10 +69,10 @@ def _dimension(text: str) -> int:
 
 
 def _levels(text: str) -> list[int]:
-    """Comma-separated refinement levels, each an integer >= 0."""
+    """Comma-separated distinct refinement levels, each an integer >= 0."""
     levels = [_integer(v) for v in text.split(",") if v.strip()]
-    if not levels:
-        raise argparse.ArgumentTypeError(f"expected at least one level, got {text!r}")
+    if not levels or len(set(levels)) < len(levels):
+        raise argparse.ArgumentTypeError(f"expected one or more distinct levels, got {text!r}")
     return levels
 
 

@@ -2,13 +2,16 @@
 
 Cotangent stiffness and lumped mass are built from geodesic edge lengths
 (the triangles are treated as intrinsic, via law of cosines and Heron's
-formula), read from the mesh's topology record.  The cap's stability
-potential is constant, so it only shifts the spectrum of (stiffness,
-mass).  The Dirichlet system is assembled in a geometric
-nested-dissection order of the cap's pole chart, which gives less fill
-than SuperLU's minimum-degree ordering of A + A^T.  Its first eigenvalue
-comes from inverse iteration on the Dirichlet stiffness, factored once
-by SuperLU in symmetric mode with diagonal pivots only.
+formula), read from the mesh's topology record.  Each undirected edge
+gets one weight (cot a + cot b) / 2 and a vertex's diagonal entry is the
+sum of its edge weights (Pinkall & Polthier, Experiment. Math. 2, 1993).
+The cap's stability potential is constant, so it only shifts the
+spectrum of (stiffness, mass).  Only the Dirichlet block is built, and
+directly in a geometric nested-dissection elimination order of the
+cap's pole chart, which gives less fill than SuperLU's minimum-degree
+ordering of A + A^T.  Its first eigenvalue comes from inverse iteration
+on the Dirichlet stiffness, factored once by SuperLU in symmetric mode
+with diagonal pivots only.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import MeshError, NonConvergence
@@ -33,39 +36,6 @@ MARGINAL_BAND = 0.02
 #: relative tolerance, and raises NonConvergence after MAX_INVERSE_STEPS.
 STOP_TOL = 1e-10
 MAX_INVERSE_STEPS = 500
-
-
-def cotangent_stiffness(mesh: TriMesh) -> csc_matrix:
-    """Piecewise-linear stiffness matrix with cotangent weights (full, unreduced)."""
-    lengths = mesh.topology.face_lengths
-    areas = mesh.topology.areas
-    mean_area = areas.mean()
-    if not (0.0 < mean_area < math.inf and np.all(areas >= DEGENERATE_AREA_FRACTION * mean_area)):
-        raise MeshError("degenerate triangle in mesh (area below 1e-14 of mean, or not finite)")
-    l2 = lengths**2
-    n = mesh.num_vertices
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        # Half-cotangent of the angle at corner i, weighting edge (j, k).
-        w = (l2[:, j] + l2[:, k] - l2[:, i]) / (8.0 * areas)
-        vj, vk = mesh.faces[:, j], mesh.faces[:, k]
-        rows.extend([vj, vk, vj, vk])
-        cols.extend([vk, vj, vj, vk])
-        vals.extend([-w, -w, w, w])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
-
-
-def lumped_mass(mesh: TriMesh) -> np.ndarray:
-    """Per-vertex lumped mass: one third of each incident triangle area."""
-    areas = mesh.topology.areas
-    m = np.zeros(mesh.num_vertices)
-    for i in range(3):
-        np.add.at(m, mesh.faces[:, i], areas / 3.0)
-    return m
 
 
 #: Vertices per leaf cell of the nested-dissection order, about.
@@ -133,24 +103,41 @@ class SpectralProblem:
 
 
 def assemble_stability(mesh: TriMesh) -> SpectralProblem:
-    """Assemble the Dirichlet stiffness and lumped mass of the cap, in elimination order."""
-    K = cotangent_stiffness(mesh)
-    m = lumped_mass(mesh)
-    asym = abs(K - K.T).max()
-    if asym > 1e-12 * max(1.0, abs(K).max()):
-        raise MeshError(f"stiffness not symmetric (deviation {asym})")
-    kernel_residual = np.abs(K @ np.ones(mesh.num_vertices)).max()
-    if kernel_residual > 1e-10 * max(1.0, abs(K).max()):
-        raise MeshError(f"stiffness does not annihilate constants (residual {kernel_residual})")
+    """Assemble the Dirichlet stiffness and lumped mass of the cap, in elimination order.
+
+    An edge's weight is the sum of the half-cotangents of the corners
+    opposite it, so the stiffness is symmetric and annihilates constants
+    by construction.
+    """
+    topo = mesh.topology
+    areas = topo.areas
+    mean_area = areas.mean()
+    if not (0.0 < mean_area < math.inf and np.all(areas >= DEGENERATE_AREA_FRACTION * mean_area)):
+        raise MeshError("degenerate triangle in mesh (area below 1e-14 of mean, or not finite)")
+    nv = mesh.num_vertices
+    l2 = topo.face_lengths.T**2  # one row per corner
+    i = np.arange(3)
+    j, k = (i + 1) % 3, (i + 2) % 3
+    # Half-cotangent of the angle at corner i, weighting the edge opposite it.
+    half_cot = (l2[j] + l2[k] - l2[i]) / (8.0 * areas)
+    weight = np.bincount(topo.face_edges.T.ravel(), half_cot.ravel(), minlength=len(topo.edges))
+    diagonal = np.bincount(topo.edges.ravel(), np.repeat(weight, 2), minlength=nv)
+    mass = np.bincount(mesh.faces.T.ravel(), np.tile(areas / 3.0, 3), minlength=nv)
+
     idx = mesh.interior
     if idx.size == 0:
         raise MeshError("no interior vertices")
-    position = np.full(mesh.num_vertices, -1)
+    inner = ~mesh.boundary[topo.edges].any(axis=1)
+    position = np.full(nv, -1)
     position[idx] = np.arange(idx.size)
-    edges = position[mesh.topology.edges]
-    edges = edges[(edges >= 0).all(axis=1)]
-    idx = idx[nested_dissection(pole_chart(mesh, idx), edges)]
-    return SpectralProblem(stiffness=K[np.ix_(idx, idx)].tocsc(), mass=m[idx], interior=idx)
+    idx = idx[nested_dissection(pole_chart(mesh, idx), position[topo.edges[inner]])]
+    position[idx] = np.arange(idx.size)
+    a, b = position[topo.edges[inner]].T
+    n = np.arange(idx.size)
+    rows, cols = np.concatenate([a, b, n]), np.concatenate([b, a, n])
+    entries = np.concatenate([-weight[inner], -weight[inner], diagonal[idx]])
+    stiffness = csc_matrix((entries, (rows, cols)), shape=(n.size, n.size))  # no duplicate entries
+    return SpectralProblem(stiffness=stiffness, mass=mass[idx], interior=idx)
 
 
 def lambda1_dirichlet(problem: SpectralProblem, shift: float) -> float:
@@ -211,28 +198,16 @@ class ConvergenceReport:
     finest_mesh: TriMesh | None = field(default=None, repr=False, compare=False)  # mesh of the last level
 
 
-def _max_edge(mesh: TriMesh) -> float:
-    return float(mesh.topology.face_lengths.max())
-
-
-def mesh_verify(
-    kappa: float,
-    H: float,
-    rho: float,
-    delta: float,
-    levels: list[int],
-) -> ConvergenceReport:
+def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[int]) -> ConvergenceReport:
     """Discrete stability verdicts and eigenvalue convergence against the closed-form oracle."""
-    if not levels:
-        raise MeshError("at least one refinement level is required")
+    if not levels or len(set(levels)) < len(levels):
+        raise MeshError(f"expected one or more distinct refinement levels, got {levels}")
     c = sphere_from_H(kappa, H).c_int
     q = 2.0 * (1.0 - delta) * c
-    oracle = lambda1_ball(2, c, rho) - q
     c_best = verify_cap_bound(2, kappa, H, delta).c_best
+    oracle = lambda1_ball(2, c, rho) - q
 
-    report = ConvergenceReport(
-        kappa=kappa, H=H, rho=rho, delta=delta, oracle_lambda1=oracle, c_best=c_best
-    )
+    report = ConvergenceReport(kappa=kappa, H=H, rho=rho, delta=delta, oracle_lambda1=oracle, c_best=c_best)
     for level in sorted(levels):
         m = build_cap_mesh(kappa, H, rho, level)
         lam = lambda1_dirichlet(assemble_stability(m), -q)
@@ -243,21 +218,11 @@ def mesh_verify(
             verdict = "stable"
         else:
             verdict = "unstable"
-        bound_ok = None
-        if verdict == "stable" and c_best is not None:
-            bound_ok = radius <= c_best * (1.0 + 1e-6)
-        report.levels.append(
-            LevelResult(
-                level=level,
-                num_vertices=m.num_vertices,
-                max_edge=_max_edge(m),
-                lambda1=lam,
-                radius=radius,
-                verdict=verdict,
-                oracle_error=abs(lam - oracle),
-                bound_ok=bound_ok,
-            )
-        )
+        bound_ok = radius <= c_best * (1.0 + 1e-6) if verdict == "stable" and c_best is not None else None
+        report.levels.append(LevelResult(
+            level=level, num_vertices=m.num_vertices, max_edge=float(m.topology.edge_lengths.max()),
+            lambda1=lam, radius=radius, verdict=verdict, oracle_error=abs(lam - oracle), bound_ok=bound_ok,
+        ))
     report.finest_mesh = m
 
     if len(report.levels) >= 2:
@@ -267,9 +232,8 @@ def mesh_verify(
         report.convergence_order = float(slope)
 
     finest = report.levels[-1]
-    oracle_stable = oracle >= 0.0
     if finest.verdict == "marginal":
         report.agrees_with_oracle = abs(oracle) <= 2.0 * MARGINAL_BAND * q
     else:
-        report.agrees_with_oracle = (finest.verdict == "stable") == oracle_stable
+        report.agrees_with_oracle = (finest.verdict == "stable") == (oracle >= 0.0)
     return report

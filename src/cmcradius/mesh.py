@@ -64,6 +64,7 @@ class MeshTopology:
     edge_faces: np.ndarray  # (ne,) number of faces containing each edge
     edge_lengths: np.ndarray  # (ne,) geodesic length of each edge
     oriented: bool  # no directed edge appears in two faces
+    face_edges: np.ndarray  # (nf, 3) edge index, entry i opposite corner i
     face_lengths: np.ndarray  # (nf, 3) geodesic lengths, entry i opposite corner i
     areas: np.ndarray  # (nf,) Heron areas of the intrinsic triangles
 
@@ -85,16 +86,18 @@ class MeshTopology:
         edges = np.stack([edge_keys // nv, edge_keys % nv], axis=1)
         v = mesh.vertices
         edge_lengths = ambient_distance(mesh.kappa, v[edges[:, 0]], v[edges[:, 1]])
-        # One distance per undirected edge, scattered back to its half-edges:
-        # ambient_distance is exactly symmetric in its two points.
         edge_of_half_edge = np.empty(key.size, dtype=np.int64)
         edge_of_half_edge[order] = np.cumsum(starts) - 1
-        face_lengths = edge_lengths[edge_of_half_edge].reshape(3, -1).T
+        face_edges = edge_of_half_edge.reshape(3, -1).T
+        # One distance per undirected edge, scattered back to the faces:
+        # ambient_distance is exactly symmetric in its two points.
+        face_lengths = edge_lengths[face_edges]
         return cls(
             edges=edges,
             edge_faces=np.diff(np.append(first, key.size)),
             edge_lengths=edge_lengths,
             oriented=not np.any(key[1:] == key[:-1]),
+            face_edges=face_edges,
             face_lengths=face_lengths,
             areas=triangle_areas(face_lengths),
         )
@@ -163,6 +166,11 @@ def _zip_rings(
     return np.where(step_a[:, None], np.stack([a1, a0, b0], axis=1), np.stack([b0, b1, a0], axis=1))
 
 
+#: Caps must be smaller, or their triangle areas overflow: no edge is longer
+#: than 2 rho, so Heron's product s(s-a)(s-b)(s-c) <= (3 rho)^4 stays finite.
+MAX_CAP_RADIUS = float(np.finfo(float).max) ** 0.25 / 4.0
+
+
 def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
     """Concentric-ring triangulation of the intrinsic geodesic cap of radius rho.
 
@@ -173,9 +181,9 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
         raise MeshError(f"level must be nonnegative, got {level}")
     geom = sphere_from_H(kappa, H)
     c = geom.c_int
-    full = math.pi / math.sqrt(c)
-    if not 0.0 < rho < full:
-        raise MeshError(f"cap radius must lie in (0, {full}), got {rho}")
+    limit = min(math.pi / math.sqrt(c), MAX_CAP_RADIUS)
+    if not 0.0 < rho < limit:
+        raise MeshError(f"cap radius must lie in (0, {limit}), got {rho}")
     r_int = 1.0 / math.sqrt(c)  # intrinsic sphere radius
     rings = 2**level
     h = rho / rings

@@ -266,9 +266,11 @@ def lambda1_ball(n: int, c_int: float, rho: float) -> float:
     if not 0.0 < rho < full:
         raise PreconditionViolation(f"rho must lie in (0, {full}), got {rho}")
     s = rho * math.sqrt(c_int)
+    if s == 0.0:
+        raise PreconditionViolation(f"rho * sqrt(c_int) underflows to 0, got rho={rho}, c_int={c_int}")
     nu = _first_zero(lambda nu: _radial(n, nu, s), _nu_scan(),
                      f"failed to bracket the first Dirichlet eigenvalue at s={s}")
-    return c_int * nu * (nu + n - 1.0)
+    return bounds._finite("lambda1", c_int * nu * (nu + n - 1.0))
 
 
 @lru_cache(maxsize=None)

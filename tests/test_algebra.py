@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,15 @@ class TestTracelessMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(PreconditionViolation):
             TracelessMatrix(2, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    def test_rejects_entries_whose_squares_overflow(self):
+        with pytest.raises(PreconditionViolation):
+            TracelessMatrix(2, np.array([[1e200, 0.0], [0.0, -1e200]]))
+        # Just inside the limit sqrt(float max) / n, |Phi|^2 and the checks stay finite.
+        big = 0.99 * math.sqrt(sys.float_info.max) / 3
+        phi = TracelessMatrix(3, np.diag([big, -big, 0.0]))
+        assert math.isfinite(phi.norm2)
+        assert math.isfinite(check_traceless_crude(phi))
 
     def test_random_is_valid(self):
         rng = np.random.default_rng(0)

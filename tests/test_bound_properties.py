@@ -102,6 +102,7 @@ ENTRY_POINTS = {
     "closed_sphere_lowest_eigenvalue": (spaceforms.closed_sphere_lowest_eigenvalue,
                                         ("n", "curvature", "curvature", "delta")),
     "cot_kappa": (spaceforms.cot_kappa, ("curvature", "length")),
+    "lambda1_ball": (spaceforms.lambda1_ball, ("n", "curvature", "length")),
     "check_potential_remainder": (algebra.check_potential_remainder, ("phi", "k", "delta")),
 }
 

@@ -382,3 +382,6 @@ class TestFloatRange:
     def test_scalar_route_out_of_range(self):
         with pytest.raises(HypothesisViolation, match="float range"):
             bounds.radius_bound_scalar(0.0, 1e200, 0.0)
+        # (3 - 4 delta) * B underflows to 0 for a subnormal B.
+        with pytest.raises(HypothesisViolation, match="float range"):
+            bounds.radius_bound_scalar(0.734375, 0.0, 3e-323)

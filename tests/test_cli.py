@@ -271,6 +271,7 @@ class TestMalformedIntegers:
         [*MESH, "--levels", "-1"],
         [*MESH, "--levels", "2.5"],
         [*MESH, "--levels", ","],
+        [*MESH, "--levels", "3,3"],
         ["cap", "--n", "5", "--kappa", "0", "--H", "1", "--delta", "0"],
         ["cap", "--n", "two", "--kappa", "0", "--H", "1", "--delta", "0"],
         ["bound", "--n", "1", "--delta", "0", "--H", "1"],

@@ -32,6 +32,44 @@ def _flat_grid_mesh(k):
     return _flat_triangle_mesh(points, faces, boundary)
 
 
+def _reference_system(m):
+    """Dense full cotangent stiffness and lumped mass, assembled one face at a time.
+
+    Lengths are model distances between each face's corners and areas come
+    from Heron's formula, in Python floats.  Corner i of every face is
+    visited before corner i + 1 of any, the order in which the package sums
+    a vertex's masses, so the masses agree exactly.
+    """
+    v, faces = m.vertices, m.faces.tolist()
+    squares, areas = [], []
+    for f in faces:
+        a, b, c = (float(mm.ambient_distance(m.kappa, v[f[q]], v[f[r]])[0])
+                   for q, r in ((1, 2), (2, 0), (0, 1)))
+        s = 0.5 * (a + b + c)
+        squares.append((a * a, b * b, c * c))
+        areas.append(math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0)))
+    K = np.zeros((m.num_vertices, m.num_vertices))
+    mass = np.zeros(m.num_vertices)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        for f, l2, area in zip(faces, squares, areas):
+            w = (l2[j] + l2[k] - l2[i]) / (8.0 * area)  # half-cotangent of the angle at corner i
+            K[f[j], f[k]] -= w
+            K[f[k], f[j]] -= w
+            K[f[j], f[j]] += w
+            K[f[k], f[k]] += w
+            mass[f[i]] += area / 3.0
+    return K, mass
+
+
+def _assert_matches_reference(m, problem):
+    K, mass = _reference_system(m)
+    idx = problem.interior
+    scale = np.abs(K).max()
+    assert np.abs(problem.stiffness.toarray() - K[np.ix_(idx, idx)]).max() <= 1e-13 * scale
+    assert np.array_equal(problem.mass, mass[idx])
+
+
 class TestStiffness:
     def test_equilateral_cotangent_weight(self):
         m = _flat_triangle_mesh(
@@ -39,22 +77,29 @@ class TestStiffness:
             [[0, 1, 2]],
             [True, True, False],
         )
-        K = dd.cotangent_stiffness(m).toarray()
+        K, _ = _reference_system(m)
         w = 1.0 / (2.0 * math.sqrt(3.0))
         off = np.array([[K[0, 1], K[0, 2], K[1, 2]]])
         assert np.allclose(off, -w, rtol=1e-12)
         assert np.allclose(K @ np.ones(3), 0.0, atol=1e-14)
+        # The one interior vertex has two edges of weight w.
+        stiffness = dd.assemble_stability(m).stiffness.toarray()
+        assert stiffness == pytest.approx(np.array([[2.0 * w]]), rel=1e-12)
 
     def test_kernel_and_symmetry_on_cap(self):
         m = mm.build_cap_mesh(-1.0, 2.5, 0.6, 4)
-        K = dd.cotangent_stiffness(m)
-        assert abs(K - K.T).max() < 1e-13
+        K, _ = _reference_system(m)
+        assert np.array_equal(K, K.T)
         assert np.abs(K @ np.ones(m.num_vertices)).max() < 1e-12
-        # PSD: Rayleigh quotient nonnegative on random vectors.
+        problem = dd.assemble_stability(m)
+        S = problem.stiffness
+        assert (S != S.T).nnz == 0
+        _assert_matches_reference(m, problem)
+        # Positive definite: Rayleigh quotient positive on random vectors.
         rng = np.random.default_rng(3)
         for _ in range(20):
-            x = rng.normal(size=m.num_vertices)
-            assert x @ (K @ x) >= -1e-10
+            x = rng.normal(size=S.shape[0])
+            assert x @ (S @ x) > 0.0
 
     def test_degenerate_triangle_rejected(self):
         m = _flat_triangle_mesh(
@@ -63,14 +108,16 @@ class TestStiffness:
             [True, False, True, True],
         )
         with pytest.raises(MeshError):
-            dd.cotangent_stiffness(m)
+            dd.assemble_stability(m)
 
     def test_mass_rowsums_are_vertex_areas(self):
         m = mm.build_cap_mesh(0.0, 1.0, 1.0, 3)
-        masses = dd.lumped_mass(m)
+        _, masses = _reference_system(m)
         total = mm.triangle_areas(m.topology.face_lengths).sum()
         assert masses.sum() == pytest.approx(total, rel=1e-12)
         assert (masses > 0).all()
+        problem = dd.assemble_stability(m)
+        assert np.array_equal(problem.mass, masses[problem.interior])
 
 
 class TestLambda1Dirichlet:
@@ -81,8 +128,7 @@ class TestLambda1Dirichlet:
         faces = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
         m = _flat_triangle_mesh(pts, faces, [True, True, True, True, False])
         problem = dd.assemble_stability(m)
-        K = dd.cotangent_stiffness(m).toarray()
-        mass = dd.lumped_mass(m)
+        K, mass = _reference_system(m)
         expected = K[4, 4] / mass[4]
         assert dd.lambda1_dirichlet(problem, 0.0) == pytest.approx(expected, rel=1e-10)
 
@@ -104,11 +150,7 @@ class TestLambda1Dirichlet:
 
     def test_stiffness_is_full_stiffness_on_the_interior(self):
         m = mm.build_cap_mesh(1.0, 1.0, 1.0, 4)
-        problem = dd.assemble_stability(m)
-        idx = problem.interior
-        full = dd.cotangent_stiffness(m)
-        assert (problem.stiffness != full[np.ix_(idx, idx)]).nnz == 0
-        assert np.array_equal(problem.mass, dd.lumped_mass(m)[idx])
+        _assert_matches_reference(m, dd.assemble_stability(m))
 
 
 class TestMeshVerify:
@@ -182,9 +224,9 @@ class TestDenseReference:
 
         m = mm.build_cap_mesh(kappa, H, rho, 3)
         problem = dd.assemble_stability(m)
+        K, mass = _reference_system(m)
         idx = m.interior
-        K_ii = dd.cotangent_stiffness(m).toarray()[np.ix_(idx, idx)]
-        mass = dd.lumped_mass(m)[idx]
+        K_ii, mass = K[np.ix_(idx, idx)], mass[idx]
         q = 2.0 * (1.0 - delta) * (kappa + H * H)
         dense = eigh(K_ii - q * np.diag(mass), np.diag(mass), eigvals_only=True)
         assert dd.lambda1_dirichlet(problem, -q) == pytest.approx(dense[0], rel=1e-10)
@@ -255,10 +297,10 @@ class TestNestedDissection:
     def test_level7_fill_at_most_minimum_degree(self, kappa, H, rho, delta):
         from scipy.sparse.linalg import splu
 
-        m = mm.build_cap_mesh(kappa, H, rho, 7)
-        idx = m.interior
-        K_ii = dd.cotangent_stiffness(m)[np.ix_(idx, idx)].tocsc()
+        problem = dd.assemble_stability(mm.build_cap_mesh(kappa, H, rho, 7))
+        vertex_order = np.argsort(problem.interior)
+        K_ii = problem.stiffness[vertex_order][:, vertex_order].tocsc()
         opts = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        nd = splu(dd.assemble_stability(m).stiffness, permc_spec="NATURAL", **opts)
+        nd = splu(problem.stiffness, permc_spec="NATURAL", **opts)
         mmd = splu(K_ii, permc_spec="MMD_AT_PLUS_A", **opts)
         assert nd.L.nnz + nd.U.nnz <= mmd.L.nnz + mmd.U.nnz

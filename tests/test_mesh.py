@@ -50,6 +50,13 @@ class TestBuildCapMesh:
         with pytest.raises(MeshError):
             mm.build_cap_mesh(0.0, 1.0, 1.0, -1)
 
+    def test_cap_whose_areas_overflow(self):
+        # Heron's product for edges of about 1e114 overflows.
+        with pytest.raises(MeshError):
+            mm.build_cap_mesh(1.057370767916776e-228, 0.0, 1.5275879615279113e114, 0)
+        m = mm.build_cap_mesh(1e-200, 0.0, 0.99 * mm.MAX_CAP_RADIUS, 0)
+        assert np.isfinite(m.topology.areas).all()
+
     def test_deterministic(self):
         a = mm.build_cap_mesh(-1.0, 2.5, 0.6, 3)
         b = mm.build_cap_mesh(-1.0, 2.5, 0.6, 3)

@@ -120,6 +120,13 @@ class TestLambda1Ball:
         with pytest.raises(PreconditionViolation):
             sf.lambda1_ball(2, 1.0, math.pi + 0.1)
 
+    def test_out_of_float_range(self):
+        # rho * sqrt(c_int) underflows to 0; c_int * nu(nu + 1) overflows.
+        with pytest.raises(PreconditionViolation):
+            sf.lambda1_ball(3, 5e-324, 5e-324)
+        with pytest.raises(PreconditionViolation):
+            sf.lambda1_ball(2, 1.7e308, 1e-154)
+
     def test_tolerance_below_float_spacing_terminates(self):
         # nu is about 24,048 here; the root-finder stops within a few ulp.
         rho = 1e-4
