@@ -1,9 +1,9 @@
 """Pointwise algebraic identities behind the radius estimate.
 
-These are the matrix inequalities and the Ricci contraction used when
-turning the stability inequality into a bound on B.  Each check returns
-the evaluated quantity (a slack or a curvature value) so test harnesses
-can assert sign and magnitude directly.
+These are the matrix inequalities used when turning the stability
+inequality into a bound on B: the crude trace-free estimate and the
+potential remainder.  Each check returns the evaluated slack, so the
+algebra sweep and the tests can assert its sign and magnitude directly.
 """
 
 from __future__ import annotations
@@ -84,21 +84,3 @@ def check_potential_remainder(phi: TracelessMatrix, k: float, delta: float) -> f
         raise PreconditionViolation(f"k={k} must exceed 5(n-1)/(4n(1-delta)) = {lo}")
     remainder = k * (1.0 - delta) * phi.norm2 - 1.25 * phi.first_diag**2 - phi.first_row_tail2
     return bounds._finite("remainder", remainder)
-
-
-def gauss_ricci_contraction(phi: TracelessMatrix, H: float, ambient_sectional_sum: float) -> float:
-    """Contracted Gauss equation for the Ricci curvature in the e_1 direction.
-
-    R_11 = sum_j Rbar_1j1j - Phi_11^2 + (n-2) Phi_11 H + (n-1) H^2
-           - sum_j Phi_1j^2,
-    with `ambient_sectional_sum` supplying sum_j Rbar_1j1j.
-    """
-    n = phi.n
-    p11 = phi.first_diag
-    return (
-        ambient_sectional_sum
-        - p11 * p11
-        + (n - 2) * p11 * H
-        + (n - 1) * H * H
-        - phi.first_row_tail2
-    )

@@ -1,9 +1,9 @@
 """Closed-form radius-bound constants for nearly stable CMC hypersurfaces.
 
 Everything here is scalar arithmetic: admissible ranges for the conformal
-exponent k, the coefficients A and B entering the distance bound
-c = pi * sqrt(A / B), and its closed-form minimisation over k (one
-quadratic in t = 4/(n-1) - k).  Interval endpoints and dimension
+exponent k, the distance bound c = pi * sqrt(A / B) minimised over k in
+closed form (one quadratic in t = 4/(n-1) - k), and the n = 2 bound from
+a scalar-curvature lower bound.  Interval endpoints and dimension
 thresholds are kept as exact rationals; the rest is floating point.
 A delta outside [0, 1) is a PreconditionViolation everywhere (check_delta),
 and no entry point returns a value that is not finite: a non-finite
@@ -88,15 +88,7 @@ def k_interval(n: int, delta) -> KInterval:
     return KInterval(lo, hi)
 
 
-def coeff_A(n: int, k: float) -> float:
-    """Gradient-side coefficient A(n, k) = 4(k(2-n) + (n-1)) / (4 - k(n-1))."""
-    _check_dimension(n)
-    denom = 4.0 - k * (n - 1)
-    if denom <= 0.0:
-        raise HypothesisViolation(f"k must satisfy k < 4/(n-1) = {4 / (n - 1)}, got k={k}")
-    return _finite("A", 4.0 * (k * (2 - n) + (n - 1)) / denom)
-
-
+# No command reads coeff_B; it stays here because bench/layertrace.py counts its calls.
 def coeff_B(n: int, k: float, delta: float, H: float, K_inf: float) -> float:
     """Potential-side coefficient B; may be nonpositive (callers gate on sign).
 
@@ -113,19 +105,6 @@ def coeff_B(n: int, k: float, delta: float, H: float, K_inf: float) -> float:
 def mean_curvature_threshold(K_inf: float) -> float:
     """Strict lower bound 2*sqrt(|min(0, K_inf)|) that |H| must exceed."""
     return 2.0 * math.sqrt(abs(min(0.0, _finite("K_inf", K_inf))))
-
-
-def check_quotient_bound(n: int, k: float, delta: float) -> float:
-    """Quotient (kn(1-d)+n-1) / (kn(1-d)-n^2+5n-5); stays below 4 inside the interval."""
-    _check_dimension(n)
-    check_delta(delta)
-    p = k * n * (1.0 - delta)
-    denom = p - n * n + 5 * n - 5
-    if denom <= 0.0:
-        raise PreconditionViolation(
-            f"quotient denominator nonpositive ({denom}); k below admissible range"
-        )
-    return _finite("quotient", (p + n - 1) / denom)
 
 
 @dataclass(frozen=True)
@@ -210,18 +189,6 @@ def _sectional_result(k: float, A: float, B: float, problems: list[str]) -> Boun
     if not 0.0 < c < math.inf:
         raise HypothesisViolation(f"c = pi*sqrt(A/B) = {c} with A={A}, B={B} is out of float range")
     return BoundResult(k_star=k, A=A, B=B, c=c, source="sectional")
-
-
-def radius_bound_fixed_k(inp: BoundInput, k: float) -> BoundResult:
-    """Distance bound at a caller-chosen admissible k (sectional-curvature route)."""
-    interval, _ = _sectional_setup(inp)
-    problems = []
-    if not interval.lo < _finite("k", k) < interval.hi:
-        problems.append(f"k={k} is not strictly inside ({interval.lo}, {interval.hi})")
-    problems += _H_problems(inp)
-    A = coeff_A(inp.n, k) if k < float(interval.hi) else float("nan")
-    B = coeff_B(inp.n, k, inp.delta, inp.H, inp.K_inf)
-    return _sectional_result(k, A, B, problems)
 
 
 def _real_roots(qa: float, qb: float, qc: float) -> list[float]:

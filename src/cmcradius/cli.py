@@ -69,10 +69,13 @@ def _dimension(text: str) -> int:
 
 
 def _levels(text: str) -> list[int]:
-    """Comma-separated distinct refinement levels, each an integer >= 0."""
+    """Comma-separated distinct refinement levels, each an integer in [0, mesh.MAX_LEVEL]."""
+    from .mesh import MAX_LEVEL
+
     levels = [_integer(v) for v in text.split(",") if v.strip()]
-    if not levels or len(set(levels)) < len(levels):
-        raise argparse.ArgumentTypeError(f"expected one or more distinct levels, got {text!r}")
+    if not levels or len(set(levels)) < len(levels) or max(levels) > MAX_LEVEL:
+        raise argparse.ArgumentTypeError(
+            f"expected one or more distinct levels, each at most {MAX_LEVEL}, got {text!r}")
     return levels
 
 
@@ -225,6 +228,9 @@ SWEEP_KEYS = {
 
 def _run_sweep(args) -> SweepReport:
     grids = parse_config(args.config)
+    for key in ("mode", "samples"):  # a setting, not a grid axis
+        if len(grids.get(key, ())) > 1:
+            raise UsageError(f"config key {key!r} takes one value, got {len(grids[key])}")
     mode = grids.get("mode", ["cap"])[0]
     metadata = {"tool": "cmcradius", "version": __version__, "mode": mode, "seed": args.seed}
     report = SweepReport(kind=f"sweep-{mode}", metadata=metadata)

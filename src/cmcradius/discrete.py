@@ -24,7 +24,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import MeshError, NonConvergence
-from .mesh import TriMesh, build_cap_mesh, intrinsic_radius, pole_chart
+from .mesh import MAX_LEVEL, TriMesh, build_cap_mesh, intrinsic_radius, pole_chart
 from .spaceforms import lambda1_ball, sphere_from_H, verify_cap_bound
 
 DEGENERATE_AREA_FRACTION = 1e-14
@@ -186,10 +186,6 @@ class LevelResult:
 class ConvergenceReport:
     """Mesh-vs-oracle comparison across refinement levels."""
 
-    kappa: float
-    H: float
-    rho: float
-    delta: float
     oracle_lambda1: float
     c_best: float | None
     levels: list[LevelResult] = field(default_factory=list)
@@ -200,14 +196,14 @@ class ConvergenceReport:
 
 def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[int]) -> ConvergenceReport:
     """Discrete stability verdicts and eigenvalue convergence against the closed-form oracle."""
-    if not levels or len(set(levels)) < len(levels):
-        raise MeshError(f"expected one or more distinct refinement levels, got {levels}")
+    if not levels or len(set(levels)) < len(levels) or min(levels) < 0 or max(levels) > MAX_LEVEL:
+        raise MeshError(f"expected one or more distinct refinement levels in [0, {MAX_LEVEL}], got {levels}")
     c = sphere_from_H(kappa, H).c_int
     q = 2.0 * (1.0 - delta) * c
     c_best = verify_cap_bound(2, kappa, H, delta).c_best
     oracle = lambda1_ball(2, c, rho) - q
 
-    report = ConvergenceReport(kappa=kappa, H=H, rho=rho, delta=delta, oracle_lambda1=oracle, c_best=c_best)
+    report = ConvergenceReport(oracle_lambda1=oracle, c_best=c_best)
     for level in sorted(levels):
         m = build_cap_mesh(kappa, H, rho, level)
         lam = lambda1_dirichlet(assemble_stability(m), -q)

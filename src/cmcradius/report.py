@@ -80,9 +80,3 @@ def emit_report(report: SweepReport, fmt: str = "table") -> str:
     lines.append("")
     lines.append(f"pass={s['pass']} fail={s['fail']} not-applicable={s['not_applicable']}")
     return "\n".join(lines) + "\n"
-
-
-def parse_report_json(text: str) -> SweepReport:
-    """Inverse of emit_report(fmt='json'), used by round-trip tests."""
-    doc = json.loads(text)
-    return SweepReport(kind=doc["kind"], rows=doc["rows"], metadata=doc["metadata"])

@@ -22,39 +22,19 @@ from .errors import NoApplicableBound, NonConvergence, PreconditionViolation, Un
 PASS_SLACK = 1e-8
 
 
-def cot_kappa(kappa: float, r: float) -> float:
-    """Generalized cotangent: principal curvature of the geodesic r-sphere.
-
-    sqrt(k) cot(sqrt(k) r) for k > 0, 1/r for k = 0,
-    sqrt(|k|) coth(sqrt(|k|) r) for k < 0.  A non-finite kappa gives a
-    non-finite value, and any such value raises PreconditionViolation.
-    """
-    if not 0.0 < r < math.inf:
-        raise PreconditionViolation(f"radius must be positive and finite, got {r}")
-    sq = math.sqrt(abs(kappa))
-    if kappa > 0.0 and r >= math.pi / sq:
-        raise PreconditionViolation(f"radius {r} exceeds the conjugate distance {math.pi / sq}")
-    if sq * r == 0.0:  # kappa = 0, or kappa r^2 below the float range
-        cot = 1.0 / r
-    elif kappa > 0.0:
-        cot = sq / math.tan(sq * r)
-    else:
-        cot = sq / math.tanh(sq * r)
-    return bounds._finite("cot_kappa", cot)
-
-
 @dataclass(frozen=True)
 class SphereGeometry:
     """Umbilic geodesic sphere in the space form of curvature kappa, in any dimension."""
 
-    kappa: float
-    H: float
     r_ambient: float
     c_int: float  # intrinsic sectional curvature = kappa + H^2
 
 
 def sphere_from_H(kappa: float, H: float) -> SphereGeometry:
-    """Invert cot_kappa: the umbilic sphere with mean curvature H.
+    """The umbilic geodesic sphere whose principal curvatures all equal H.
+
+    Its ambient radius r solves H = sqrt(kappa) cot(sqrt(kappa) r), the
+    generalised cotangent (1/r for kappa = 0, coth for kappa < 0).
 
     For kappa < 0 only H > sqrt(|kappa|) is attainable (horospheres are
     the limit), for kappa = 0 any H > 0, for kappa > 0 any H >= 0.  The
@@ -84,7 +64,7 @@ def sphere_from_H(kappa: float, H: float) -> SphereGeometry:
             f"intrinsic curvature kappa + H^2 = {c_int} is out of float range "
             f"(kappa={kappa}, H={H})"
         )
-    return SphereGeometry(kappa=kappa, H=H, r_ambient=r, c_int=c_int)
+    return SphereGeometry(r_ambient=r, c_int=c_int)
 
 
 _EULER_GAMMA = 0.5772156649015329
@@ -302,19 +282,6 @@ def max_stable_cap_radius(n: int, kappa: float, H: float, delta: float) -> float
     return _scaled_marginal_radius(n, float(delta)) / math.sqrt(geom.c_int)
 
 
-def closed_sphere_lowest_eigenvalue(n: int, kappa: float, H: float, delta: float) -> float:
-    """Lowest eigenvalue of the stability operator on the closed umbilic sphere.
-
-    The potential is the constant n(1-delta)(H^2 + kappa), so the constant
-    function is the ground state and the eigenvalue is minus the
-    potential: negative exactly when the potential is positive, which is
-    the non-existence mechanism for closed examples.
-    """
-    bounds._check_dimension(n)
-    bounds.check_delta(delta)
-    return bounds._finite("eigenvalue", -n * (1.0 - delta) * sphere_from_H(kappa, H).c_int)
-
-
 @dataclass(frozen=True)
 class VerificationRecord:
     """Per-case outcome of checking rho* against the best applicable bound."""
@@ -351,41 +318,29 @@ def verify_cap_bound(n: int, kappa: float, H: float, delta: float) -> Verificati
     record is not applicable with rho_star None.
     """
     S_inf = space_form_scalar_bound(kappa) if n == 2 else None
+    rho_star = no_radius = result = None
     try:
         rho_star = max_stable_cap_radius(n, kappa, H, delta)
-        no_radius = None
     except NonConvergence as exc:
-        rho_star, no_radius = None, exc
-    inp = bounds.BoundInput(n=n, delta=delta, H=H, K_inf=kappa, S_inf=S_inf)
+        no_radius = exc
+    reason = ""
     try:
-        result = bounds.best_bound(inp)
+        result = bounds.best_bound(bounds.BoundInput(n=n, delta=delta, H=H, K_inf=kappa, S_inf=S_inf))
     except NoApplicableBound as exc:
         reason = str(exc) if no_radius is None else f"{exc}; {no_radius}"
-        return VerificationRecord(
-            n=n,
-            kappa=kappa,
-            H=H,
-            delta=delta,
-            rho_star=rho_star,
-            c_best=None,
-            source=None,
-            ratio=None,
-            applicable=False,
-            passed=False,
-            reason=reason,
-        )
-    if no_radius is not None:
+    applicable = result is not None
+    if applicable and no_radius is not None:
         raise no_radius
-    passed = rho_star <= result.c * (1.0 + PASS_SLACK)
     return VerificationRecord(
         n=n,
         kappa=kappa,
         H=H,
         delta=delta,
         rho_star=rho_star,
-        c_best=result.c,
-        source=result.source,
-        ratio=rho_star / result.c,
-        applicable=True,
-        passed=passed,
+        c_best=result.c if applicable else None,
+        source=result.source if applicable else None,
+        ratio=rho_star / result.c if applicable else None,
+        applicable=applicable,
+        passed=applicable and rho_star <= result.c * (1.0 + PASS_SLACK),
+        reason=reason,
     )

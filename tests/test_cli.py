@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from cmcradius import cli
-from cmcradius.report import SweepReport, emit_report, parse_report_json
+from cmcradius.report import SweepReport, emit_report
+from reference import parse_report_json
 
 
 class TestEmitReport:
@@ -272,6 +273,8 @@ class TestMalformedIntegers:
         [*MESH, "--levels", "2.5"],
         [*MESH, "--levels", ","],
         [*MESH, "--levels", "3,3"],
+        [*MESH, "--levels", "40"],
+        [*MESH, "--levels", "3,40"],
         ["cap", "--n", "5", "--kappa", "0", "--H", "1", "--delta", "0"],
         ["cap", "--n", "two", "--kappa", "0", "--H", "1", "--delta", "0"],
         ["bound", "--n", "1", "--delta", "0", "--H", "1"],
@@ -349,6 +352,17 @@ class TestSweepCommand:
         assert cli.run(["sweep", "--config", str(cfg)]) == 64
         key = line.split(" = ")[0]
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ("mode = bound\nH = 2.5\nmode = cap\n", "mode"),
+        ("mode = algebra\nsamples = 5\nsamples = 100000\n", "samples"),
+    ], ids=["mode", "samples"])
+    def test_repeated_single_valued_key(self, text, key, capsys, tmp_path):
+        # One value is read, so a second one would be ignored without a word.
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        assert cli.run(["sweep", "--config", str(cfg)]) == 64
+        assert f"usage error: config key {key!r} takes one value" in capsys.readouterr().err
 
     def test_cap_tol_flag_removed(self, capsys):
         argv = ["cap", "--n", "2", "--kappa", "0", "--H", "1", "--delta", "0", "--tol", "1e-6"]

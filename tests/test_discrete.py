@@ -174,6 +174,12 @@ class TestMeshVerify:
         assert rep.levels[-1].verdict == "marginal"
         assert rep.agrees_with_oracle
 
+    def test_levels_out_of_range_are_rejected_before_any_mesh(self, monkeypatch):
+        monkeypatch.setattr(dd, "build_cap_mesh", lambda *args: pytest.fail("a mesh was built"))
+        for levels in ([3, 40], [-1, 3]):
+            with pytest.raises(MeshError, match="levels"):
+                dd.mesh_verify(-1.0, 2.5, 0.55, 0.0, levels)
+
     def test_convergence_order(self):
         rep = dd.mesh_verify(0.0, 1.0, math.pi / 3, 0.0, [3, 4, 5, 6])
         assert rep.convergence_order is not None

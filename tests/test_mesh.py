@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from cmcradius import mesh as mm
 from cmcradius.errors import MeshError
+from cmcradius.spaceforms import sphere_from_H
 
 
 def _per_corner_lengths(m):
@@ -32,11 +34,11 @@ class TestBuildCapMesh:
     def test_hyperboloid_constraint(self):
         m = mm.build_cap_mesh(-1.0, 2.5, 0.6856, 5)
         assert m.vertices.shape[1] == 4
-        assert mm.model_constraint_residual(m) <= 1e-10
+        assert reference.model_constraint_residual(m, sphere_from_H(-1.0, 2.5).r_ambient) <= 1e-10
 
     def test_spherical_model_constraint(self):
         m = mm.build_cap_mesh(1.0, 1.0, 0.4, 3)
-        assert mm.model_constraint_residual(m) <= 1e-10
+        assert reference.model_constraint_residual(m, sphere_from_H(1.0, 1.0).r_ambient) <= 1e-10
 
     def test_boundary_is_last_ring(self):
         m = mm.build_cap_mesh(0.0, 1.0, 1.0, 3)
@@ -49,6 +51,12 @@ class TestBuildCapMesh:
             mm.build_cap_mesh(0.0, 1.0, math.pi + 0.2, 3)
         with pytest.raises(MeshError):
             mm.build_cap_mesh(0.0, 1.0, 1.0, -1)
+
+    def test_level_above_max_is_rejected(self):
+        # Checked before any ring is placed, so this returns at once.
+        assert mm.MAX_LEVEL < 40
+        with pytest.raises(MeshError, match="level"):
+            mm.build_cap_mesh(0.0, 1.0, 1.0, 40)
 
     def test_cap_whose_areas_overflow(self):
         # Heron's product for edges of about 1e114 overflows.
