@@ -188,13 +188,9 @@ def _algebra_rows(ns: list[int], samples: int, seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     rows = []
     for n in ns:
-        interval = bounds.k_interval(n, 0.0)
-        min_crude = min_rem = float("inf")
-        for _ in range(samples):
-            phi = algebra.TracelessMatrix.random(n, rng)
-            k = float(interval.lo) + rng.random() * float(interval.width)
-            min_crude = min(min_crude, algebra.check_traceless_crude(phi))
-            min_rem = min(min_rem, algebra.check_potential_remainder(phi, k, 0.0))
+        phi, k = algebra.sweep_sample(n, samples, bounds.k_interval(n, 0.0), rng)
+        min_crude = float(algebra.check_traceless_crude(phi).min())
+        min_rem = float(algebra.check_potential_remainder(phi, k, 0.0).min())
         ok = min_crude >= -1e-12 and min_rem >= -1e-12
         rows.append({
             "n": n, "samples": samples, "min_crude_slack": min_crude,
@@ -258,6 +254,10 @@ def _run_sweep(args) -> SweepReport:
     else:
         ns = _values(grids, "n", _dimension, [2, 3, 4])
         samples = _values(grids, "samples", lambda v: _integer(v, 1), [1000])[0]
+        from .algebra import MAX_SAMPLES
+
+        if samples > MAX_SAMPLES:
+            raise UsageError(f"config key 'samples': expected at most {MAX_SAMPLES}, got {samples}")
         report.rows = _algebra_rows(sorted(ns), samples, args.seed)
     return report
 

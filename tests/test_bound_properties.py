@@ -130,3 +130,22 @@ def test_scalar_entry_point_is_finite_or_raises(entry, data):
         return
     assert not any(_out_of_domain(role, a) for role, a in zip(roles, args))
     assert math.isfinite(value)
+
+
+# Three members from 1e-150 to 1e150 in size, so |Phi|^2 under- and overflows in the products.
+STACK = algebra.TracelessMatrix(3, algebra.traceless_part(
+    np.random.default_rng(3).normal(size=(3, 3, 3)) * np.array([1e-150, 1.0, 1e150])[:, None, None]))
+
+
+@settings(max_examples=300, deadline=timedelta(milliseconds=200), derandomize=True, database=None)
+@given(k=ANY_FLOAT, delta=ANY_FLOAT)
+def test_stacked_remainder_is_finite_or_raises(k, delta):
+    """The stacked entry point of ENTRY_POINTS' check_potential_remainder: one
+    finite value per member, or a package error (runtime warnings fail, see
+    the suite's filterwarnings)."""
+    try:
+        value = algebra.check_potential_remainder(STACK, k, delta)
+    except CmcRadiusError:
+        return
+    assert 0.0 <= delta < 1.0 and math.isfinite(k)
+    assert value.shape == (3,) and np.all(np.isfinite(value))

@@ -289,6 +289,7 @@ class TestMalformedIntegers:
         ("bound", "n = 1"),
         ("algebra", "samples = x"),
         ("algebra", "samples = 0"),
+        ("algebra", "samples = 1000000000"),  # over algebra.MAX_SAMPLES
         ("algebra", "n = 3.0"),
     ], ids=lambda v: v)
     def test_sweep_config(self, mode, line, capsys, tmp_path):
