@@ -65,11 +65,6 @@ class TracelessMatrix:
                 f"trace {trace[off_trace][0]} is not zero to within {TRACE_TOL} relative")
         object.__setattr__(self, "entries", m)
 
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator, scale: float = 1.0) -> "TracelessMatrix":
-        """Random symmetric matrix with the trace projected out."""
-        return cls(n, traceless_part(rng.normal(0.0, scale, size=(n, n))))
-
     @property
     def norm2(self) -> float | np.ndarray:
         """Squared Frobenius norm |Phi|^2."""
@@ -90,8 +85,8 @@ def sweep_sample(n: int, samples: int, interval: bounds.KInterval,
     """`samples` random traceless matrices as one stack, each with an exponent k
     drawn uniformly from `interval`.
 
-    Each sample draws its matrix and then its k, so the stream is the one a
-    loop of `TracelessMatrix.random(n, rng)` and `rng.random()` reads.
+    Each sample draws its matrix, `rng.normal(0, 1, (n, n))`, and then its k,
+    `rng.random()`; `traceless_part` then projects each matrix.
     """
     raw = np.empty((samples, n, n))
     u = np.empty(samples)

@@ -88,20 +88,6 @@ def k_interval(n: int, delta) -> KInterval:
     return KInterval(lo, hi)
 
 
-# No command reads coeff_B; it stays here because bench/layertrace.py counts its calls.
-def coeff_B(n: int, k: float, delta: float, H: float, K_inf: float) -> float:
-    """Potential-side coefficient B; may be nonpositive (callers gate on sign).
-
-    B = (kn(1-d) - n^2 + 5n - 5) H^2 + (kn(1-d) + n - 1) min(0, K_inf);
-    the curvature term drops out automatically when K_inf >= 0.
-    """
-    _check_dimension(n)
-    check_delta(delta)
-    p = k * n * (1.0 - delta)
-    curvature = min(0.0, _finite("K_inf", K_inf))
-    return _finite("B", (p - n * n + 5 * n - 5) * H * H + (p + n - 1) * curvature)
-
-
 def mean_curvature_threshold(K_inf: float) -> float:
     """Strict lower bound 2*sqrt(|min(0, K_inf)|) that |H| must exceed."""
     return 2.0 * math.sqrt(abs(min(0.0, _finite("K_inf", K_inf))))
@@ -145,9 +131,11 @@ class BoundResult:
 def _exact_setup(n: int, delta: float) -> tuple[KInterval, tuple[tuple[float, float], ...]] | None:
     """The exact k-interval of (n, delta) and (t, k) at its padded ends, rounded to floats.
 
-    None when delta is at or above delta_threshold(n).  The rational
-    arithmetic depends on (n, delta) only, and a sweep repeats each pair
-    for many (H, K), so it is done once per pair.
+    The rational arithmetic depends on (n, delta) only, and a sweep
+    repeats each pair for many (H, K), so it is done once per pair.  When
+    delta is at or above delta_threshold(n) this returns None rather than
+    raising, because lru_cache does not cache exceptions and about a third
+    of a bound sweep's rows lie there.
     """
     d = Fraction(delta)
     if d >= delta_threshold(n):
@@ -157,38 +145,6 @@ def _exact_setup(n: int, delta: float) -> tuple[KInterval, tuple[tuple[float, fl
     lower = (float(interval.width - pad), float(interval.lo + pad))
     upper = (float(pad), float(interval.hi - pad))
     return interval, (lower, upper)
-
-
-def _sectional_setup(inp: BoundInput) -> tuple[KInterval, tuple]:
-    """The exact k-interval and its padded ends (t, k), lowest k first."""
-    setup = _exact_setup(inp.n, inp.delta)
-    if setup is None:
-        raise HypothesisViolation(
-            f"delta={inp.delta} is not below the n={inp.n} threshold {delta_threshold(inp.n)}"
-        )
-    return setup
-
-
-def _H_problems(inp: BoundInput) -> list[str]:
-    """Why |H| does not exceed the sectional route's threshold, if it does not."""
-    threshold = mean_curvature_threshold(inp.K_inf)
-    if abs(inp.H) > threshold:
-        return []
-    return [f"|H|={abs(inp.H)} does not exceed the threshold {threshold}"]
-
-
-def _sectional_result(k: float, A: float, B: float, problems: list[str]) -> BoundResult:
-    """Gate on B > 0 and a representable c, then package the bound at k."""
-    if not math.isfinite(B):
-        problems.append(f"B={B} is out of float range: H^2 or K overflows")
-    elif not B > 0.0:
-        problems.append(f"B={B} is not positive")
-    if problems:
-        raise HypothesisViolation("; ".join(problems))
-    c = math.pi * math.sqrt(A / B)
-    if not 0.0 < c < math.inf:
-        raise HypothesisViolation(f"c = pi*sqrt(A/B) = {c} with A={A}, B={B} is out of float range")
-    return BoundResult(k_star=k, A=A, B=B, c=c, source="sectional")
 
 
 def _real_roots(qa: float, qb: float, qc: float) -> list[float]:
@@ -212,10 +168,14 @@ def radius_bound(inp: BoundInput) -> BoundResult:
     are exact rationals, rounded only as t, so 4 - m k = m t keeps its
     digits when the interval is narrower than the float spacing at 4/m.
     """
-    interval, ends = _sectional_setup(inp)
-    problems = _H_problems(inp)
-    if problems:
-        raise HypothesisViolation(problems[0])
+    setup = _exact_setup(inp.n, inp.delta)
+    if setup is None:
+        raise HypothesisViolation(
+            f"delta={inp.delta} is not below the n={inp.n} threshold {delta_threshold(inp.n)}")
+    threshold = mean_curvature_threshold(inp.K_inf)
+    if not abs(inp.H) > threshold:
+        raise HypothesisViolation(f"|H|={abs(inp.H)} does not exceed the threshold {threshold}")
+    interval, ends = setup
     n, m, a1 = inp.n, inp.n - 1, 2 - inp.n
     p0 = 4 * a1 + m * m
     Km, H2 = min(0.0, inp.K_inf), inp.H * inp.H
@@ -228,10 +188,17 @@ def radius_bound(inp: BoundInput) -> BoundResult:
     for t, k in (*ends, *((r, None) for r in roots if t_hi < r < t_lo)):
         A, B = 4.0 * (p0 - m * a1 * t) / (m * m * t), beta - b1 * t
         candidates.append((A / B if B > 0.0 else math.inf, t, k, A, B))
-    _, t, k, A, B = min(candidates, key=lambda cand: cand[0])  # B <= 0 everywhere raises below
+    _, t, k, A, B = min(candidates, key=lambda cand: cand[0])
+    if not math.isfinite(B):
+        raise HypothesisViolation(f"B={B} is out of float range: H^2 or K overflows")
+    if not B > 0.0:  # B <= 0 at every candidate
+        raise HypothesisViolation(f"B={B} is not positive")
+    c = math.pi * math.sqrt(A / B)
+    if not 0.0 < c < math.inf:
+        raise HypothesisViolation(f"c = pi*sqrt(A/B) = {c} with A={A}, B={B} is out of float range")
     if k is None:
         k = float(interval.hi - Fraction(t))
-    return _sectional_result(k, A, B, [])
+    return BoundResult(k_star=k, A=A, B=B, c=c, source="sectional")
 
 
 def radius_bound_scalar(delta: float, H: float, S_inf: float) -> BoundResult:

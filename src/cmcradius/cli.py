@@ -199,32 +199,47 @@ def _algebra_rows(ns: list[int], samples: int, seed: int) -> list[dict]:
     return rows
 
 
-def _values(grids: dict, key: str, parse, default=None) -> list:
+def _samples(text: str) -> int:
+    """An algebra sweep's sample count, an integer in [1, algebra.MAX_SAMPLES]."""
+    from .algebra import MAX_SAMPLES
+
+    value = _integer(text, 1)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES}, got {value}")
+    return value
+
+
+#: The config keys each sweep mode reads, in read order, as key -> (parser,
+#: default).  The default is a grid (a list), None if the key is required, or
+#: one value for a setting, which takes one value.  Every mode reads "mode";
+#: any other key is a usage error.
+SWEEP_KEYS = {
+    "cap": {"n": (_dimension, [2]), "kappa": (_finite, [0.0]), "delta": (_finite, [0.0]),
+            "H": (_finite, None)},
+    "bound": {"n": (_dimension, [2]), "delta": (_finite, [0.0]), "H": (_finite, None),
+              "K": (_finite, [0.0]), "S": (_finite, [None])},
+    "algebra": {"n": (_dimension, [2, 3, 4]), "samples": (_samples, 1000)},
+}
+_SETTINGS = ("mode", *(key for keys in SWEEP_KEYS.values() for key, (_, default) in keys.items()
+                       if default is not None and not isinstance(default, list)))
+
+
+def _values(grids: dict, key: str, parse, default):
+    """The parsed grid of `key`, or the one value of a setting."""
     if key not in grids:
         if default is None:
             raise UsageError(f"config is missing required key {key!r}")
         return default
     try:
-        return [parse(v) for v in grids[key]]
+        values = [parse(v) for v in grids[key]]
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"config key {key!r}: {exc}") from None
-
-
-def _floats(grids: dict, key: str, default=None) -> list[float]:
-    return _values(grids, key, _finite, default)
-
-
-#: The config keys each sweep mode reads; any other key is a usage error.
-SWEEP_KEYS = {
-    "cap": ("mode", "n", "kappa", "delta", "H"),
-    "bound": ("mode", "n", "delta", "H", "K", "S"),
-    "algebra": ("mode", "n", "samples"),
-}
+    return values[0] if key in _SETTINGS else values
 
 
 def _run_sweep(args) -> SweepReport:
     grids = parse_config(args.config)
-    for key in ("mode", "samples"):  # a setting, not a grid axis
+    for key in _SETTINGS:
         if len(grids.get(key, ())) > 1:
             raise UsageError(f"config key {key!r} takes one value, got {len(grids[key])}")
     mode = grids.get("mode", ["cap"])[0]
@@ -232,32 +247,19 @@ def _run_sweep(args) -> SweepReport:
     report = SweepReport(kind=f"sweep-{mode}", metadata=metadata)
     if mode not in SWEEP_KEYS:
         raise UsageError(f"unknown sweep mode {mode!r} (expected cap, bound or algebra)")
-    unread = sorted(set(grids) - set(SWEEP_KEYS[mode]))
+    unread = sorted(set(grids) - {"mode", *SWEEP_KEYS[mode]})
     if unread:
         raise UsageError(f"config key {unread[0]!r} is not read in {mode} mode")
+    values = [_values(grids, key, *spec) for key, spec in SWEEP_KEYS[mode].items()]
     if mode == "cap":
-        ns = _values(grids, "n", _dimension, [2])
-        kappas = _floats(grids, "kappa", [0.0])
-        deltas = _floats(grids, "delta", [0.0])
-        hs = _floats(grids, "H")
-        cases = sorted(itertools.product(ns, kappas, deltas, hs))
+        cases = sorted(itertools.product(*values))
         report.rows = [_cap_row(n, kappa, H, delta) for n, kappa, delta, H in cases]
     elif mode == "bound":
-        ns = _values(grids, "n", _dimension, [2])
-        deltas = _floats(grids, "delta", [0.0])
-        hs = _floats(grids, "H")
-        ks = _floats(grids, "K", [0.0])
-        ss = _floats(grids, "S") if "S" in grids else [None]
-        cases = sorted(itertools.product(ns, deltas, hs, ks, ss), key=lambda t: tuple(
+        cases = sorted(itertools.product(*values), key=lambda t: tuple(
             -1.0 if x is None else float(x) for x in t))
-        report.rows = [_bound_row(n, d, H, K, S) for n, d, H, K, S in cases]
+        report.rows = [_bound_row(*case) for case in cases]
     else:
-        ns = _values(grids, "n", _dimension, [2, 3, 4])
-        samples = _values(grids, "samples", lambda v: _integer(v, 1), [1000])[0]
-        from .algebra import MAX_SAMPLES
-
-        if samples > MAX_SAMPLES:
-            raise UsageError(f"config key 'samples': expected at most {MAX_SAMPLES}, got {samples}")
+        ns, samples = values
         report.rows = _algebra_rows(sorted(ns), samples, args.seed)
     return report
 

@@ -127,9 +127,9 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
     idx = mesh.interior
     if idx.size == 0:
         raise MeshError("no interior vertices")
-    inner = ~mesh.boundary[topo.edges].any(axis=1)
     position = np.full(nv, -1)
     position[idx] = np.arange(idx.size)
+    inner = (position[topo.edges] >= 0).all(axis=1)
     idx = idx[nested_dissection(pole_chart(mesh, idx), position[topo.edges[inner]])]
     position[idx] = np.arange(idx.size)
     a, b = position[topo.edges[inner]].T

@@ -26,11 +26,10 @@ from .spaceforms import sphere_from_H
 
 @dataclass
 class TriMesh:
-    """Triangulated disk with per-vertex boundary flags."""
+    """Triangulated disk; its boundary is read off the faces (`topology.boundary`)."""
 
     vertices: np.ndarray  # (nv, 3) for kappa = 0, (nv, 4) otherwise
     faces: np.ndarray  # (nf, 3) int
-    boundary: np.ndarray  # (nv,) bool
     kappa: float
 
     @property
@@ -43,14 +42,14 @@ class TriMesh:
 
     @property
     def interior(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary)
+        boundary = self.topology.boundary
+        return np.setdiff1d(np.arange(self.num_vertices), boundary, assume_unique=True)
 
     @cached_property
     def topology(self) -> MeshTopology:
-        """Edges, orientation, lengths and areas, derived once from faces and vertices.
+        """Edges, boundary, orientation, lengths and areas, derived once from faces and vertices.
 
-        Computed on first use, so faces and vertices must not change after
-        it.  Boundary flags are not part of it: they are read live.
+        Computed on first use, so faces and vertices must not change after it.
         """
         return MeshTopology.of(self)
 
@@ -61,6 +60,7 @@ class MeshTopology:
 
     edges: np.ndarray  # (ne, 2) undirected edges i < j, in lexicographic order
     edge_faces: np.ndarray  # (ne,) number of faces containing each edge
+    boundary: np.ndarray  # sorted vertices of the edges that lie in one face
     edge_lengths: np.ndarray  # (ne,) geodesic length of each edge
     oriented: bool  # no directed edge appears in two faces
     face_edges: np.ndarray  # (nf, 3) edge index, entry i opposite corner i
@@ -91,9 +91,11 @@ class MeshTopology:
         # One distance per undirected edge, scattered back to the faces:
         # ambient_distance is exactly symmetric in its two points.
         face_lengths = edge_lengths[face_edges]
+        edge_faces = np.diff(np.append(first, key.size))
         return cls(
             edges=edges,
-            edge_faces=np.diff(np.append(first, key.size)),
+            edge_faces=edge_faces,
+            boundary=np.unique(edges[edge_faces == 1]),
             edge_lengths=edge_lengths,
             oriented=not np.any(key[1:] == key[:-1]),
             face_edges=face_edges,
@@ -220,9 +222,7 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
         for i in range(1, rings)
     ]
     faces_arr = np.concatenate([fan, *strips]).astype(np.int64, copy=False)
-    boundary = np.zeros(next_index, dtype=bool)
-    boundary[ring_indices[-1]] = True
-    mesh = TriMesh(vertices=vertices, faces=faces_arr, boundary=boundary, kappa=kappa)
+    mesh = TriMesh(vertices=vertices, faces=faces_arr, kappa=kappa)
     _check_topology(mesh)
     return mesh
 
@@ -236,10 +236,6 @@ def _check_topology(mesh: TriMesh) -> None:
     f = mesh.num_faces
     if v - len(edges) + f != 1:
         raise MeshError(f"not a disk: Euler characteristic {v - len(edges) + f}")
-    boundary_verts = np.unique(edges[counts == 1])
-    flagged = np.flatnonzero(mesh.boundary)
-    if not np.array_equal(boundary_verts, flagged):
-        raise MeshError("boundary flags do not match the topological boundary")
     # Orientation consistency: every interior edge appears once per direction.
     if not topo.oriented:
         raise MeshError("inconsistent face orientation")
@@ -275,7 +271,7 @@ def intrinsic_radius(mesh: TriMesh) -> float:
     traversed both ways; overestimates the smooth intrinsic radius by the
     mesh anisotropy factor.
     """
-    sources = np.flatnonzero(mesh.boundary)
+    sources = mesh.topology.boundary
     if sources.size == 0:
         raise MeshError("mesh has no boundary")
     edges, n = mesh.topology.edges, mesh.num_vertices

@@ -35,24 +35,16 @@ class SweepReport:
         return {"pass": passed, "fail": failed, "not_applicable": na}
 
     def columns(self) -> list[str]:
-        cols: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        return cols
-
-
-def _normalized_rows(report: SweepReport) -> list[dict]:
-    cols = report.columns()
-    return [{k: format_number(r.get(k)) for k in cols} for r in report.rows]
+        """Every key of every row, in order of first appearance."""
+        return list(dict.fromkeys(k for row in self.rows for k in row))
 
 
 def emit_report(report: SweepReport, fmt: str = "table") -> str:
     """Serialize deterministically; identical inputs give identical bytes."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    rows = _normalized_rows(report)
+    cols = report.columns()
+    rows = [{k: format_number(r.get(k)) for k in cols} for r in report.rows]
     if fmt == "json":
         doc = {
             "kind": report.kind,
@@ -63,14 +55,12 @@ def emit_report(report: SweepReport, fmt: str = "table") -> str:
         return json.dumps(doc, indent=2, sort_keys=False) + "\n"
     if fmt == "csv":
         out = io.StringIO()
-        cols = report.columns()
         writer = csv.DictWriter(out, fieldnames=cols, lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in cols})
         return out.getvalue()
     # table
-    cols = report.columns()
     cells = [[("" if r.get(c) is None else str(r.get(c))) for c in cols] for r in rows]
     widths = [max([len(c)] + [len(row[i]) for row in cells]) for i, c in enumerate(cols)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(cols, widths)).rstrip()]

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from cmcradius import bounds
-from cmcradius.algebra import TracelessMatrix
+from cmcradius.algebra import TracelessMatrix, traceless_part
 from cmcradius.errors import HypothesisViolation, PreconditionViolation
 from cmcradius.mesh import TriMesh
 from cmcradius.report import SweepReport
@@ -42,16 +43,50 @@ def check_quotient_bound(n: int, k: float, delta: float) -> float:
     return bounds._finite("quotient", (p + n - 1) / denom)
 
 
+def coeff_B(n: int, k: float, delta: float, H: float, K_inf: float) -> float:
+    """Potential-side coefficient B; may be nonpositive (callers gate on sign).
+
+    B = (kn(1-d) - n^2 + 5n - 5) H^2 + (kn(1-d) + n - 1) min(0, K_inf);
+    the curvature term drops out automatically when K_inf >= 0.
+    """
+    bounds._check_dimension(n)
+    bounds.check_delta(delta)
+    p = k * n * (1.0 - delta)
+    curvature = min(0.0, bounds._finite("K_inf", K_inf))
+    return bounds._finite("B", (p - n * n + 5 * n - 5) * H * H + (p + n - 1) * curvature)
+
+
 def radius_bound_fixed_k(inp: bounds.BoundInput, k: float) -> bounds.BoundResult:
-    """Distance bound at a caller-chosen admissible k (sectional-curvature route)."""
-    interval, _ = bounds._sectional_setup(inp)
+    """Distance bound at a caller-chosen admissible k (sectional-curvature route).
+
+    Its hypotheses are checked here, apart from `bounds.radius_bound`: k
+    strictly inside 5(n-1)/(4n(1-delta)) < k < 4/(n-1), |H| above
+    2 sqrt(|min(0, K)|), B > 0 and a representable c.  The message names
+    every hypothesis that fails.
+    """
+    n = inp.n
+    lo, hi = Fraction(5 * (n - 1), 4 * n) / (1 - Fraction(inp.delta)), Fraction(4, n - 1)
     problems = []
-    if not interval.lo < bounds._finite("k", k) < interval.hi:
-        problems.append(f"k={k} is not strictly inside ({interval.lo}, {interval.hi})")
-    problems += bounds._H_problems(inp)
-    A = coeff_A(inp.n, k) if k < float(interval.hi) else float("nan")
-    B = bounds.coeff_B(inp.n, k, inp.delta, inp.H, inp.K_inf)
-    return bounds._sectional_result(k, A, B, problems)
+    if not lo < bounds._finite("k", k) < hi:
+        problems.append(f"k={k} is not strictly inside ({lo}, {hi})")
+    threshold = 2.0 * math.sqrt(abs(min(0.0, inp.K_inf)))
+    if not abs(inp.H) > threshold:
+        problems.append(f"|H|={abs(inp.H)} does not exceed the threshold {threshold}")
+    A = coeff_A(n, k) if k < float(hi) else math.nan
+    B = coeff_B(n, k, inp.delta, inp.H, inp.K_inf)
+    if not B > 0.0:
+        problems.append(f"B={B} is not positive")
+    if problems:
+        raise HypothesisViolation("; ".join(problems))
+    c = math.pi * math.sqrt(A / B)
+    if not 0.0 < c < math.inf:
+        raise HypothesisViolation(f"c = pi*sqrt(A/B) = {c} with A={A}, B={B} is out of float range")
+    return bounds.BoundResult(k_star=k, A=A, B=B, c=c, source="sectional")
+
+
+def random_traceless(n: int, rng: np.random.Generator, scale: float = 1.0) -> TracelessMatrix:
+    """Random symmetric n x n matrix with the trace projected out."""
+    return TracelessMatrix(n, traceless_part(rng.normal(0.0, scale, size=(n, n))))
 
 
 def cot_kappa(kappa: float, r: float) -> float:

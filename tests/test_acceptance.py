@@ -97,7 +97,7 @@ def test_05_algebraic_inequality_suite():
         assert algebra.check_potential_remainder(phi, k, 0.0).min() >= -1e-12
         # Gauss contraction vs the unsimplified equation.
         for _ in range(1_000):
-            phi = algebra.TracelessMatrix.random(n, rng)
+            phi = reference.random_traceless(n, rng)
             H = rng.uniform(-3.0, 3.0)
             kappa = rng.uniform(-2.0, 2.0)
             h = H * np.eye(n) + phi.entries

@@ -78,7 +78,7 @@ def _around(domain):
     return st.booleans().flatmap(lambda inside: domain if inside else ANY_FLOAT)
 
 
-PHIS = [algebra.TracelessMatrix.random(n, np.random.default_rng(n)) for n in (2, 3, 4)]
+PHIS = [reference.random_traceless(n, np.random.default_rng(n)) for n in (2, 3, 4)]
 # The argument roles of the scalar entry points, each drawn in and out of its domain.
 ROLES = {
     "n": st.sampled_from((1, 2, 3, 4, 5)),
@@ -91,7 +91,7 @@ ROLES = {
 ENTRY_POINTS = {
     "k_interval": (lambda n, d: bounds.k_interval(n, d).width, ("n", "delta")),
     "coeff_A": (reference.coeff_A, ("n", "k")),
-    "coeff_B": (bounds.coeff_B, ("n", "k", "delta", "curvature", "curvature")),
+    "coeff_B": (reference.coeff_B, ("n", "k", "delta", "curvature", "curvature")),
     "check_quotient_bound": (reference.check_quotient_bound, ("n", "k", "delta")),
     "mean_curvature_threshold": (bounds.mean_curvature_threshold, ("curvature",)),
     "radius_bound_fixed_k": (lambda n, d, H, K, k: reference.radius_bound_fixed_k(

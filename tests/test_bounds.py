@@ -81,22 +81,22 @@ class TestCoefficients:
         # B = (2k+1)(H^2 - 1) for n=2, delta=0, K=-1.
         for k, H in [(1.0, 2.0), (1.5, 3.0), (0.7, 2.5)]:
             expected = (2 * k + 1) * (H * H - 1.0)
-            assert bounds.coeff_B(2, k, 0.0, H, -1.0) == pytest.approx(expected, rel=1e-14)
-        assert bounds.coeff_B(2, 1.0, 0.0, 2.0, -1.0) == pytest.approx(9.0, rel=1e-14)
+            assert reference.coeff_B(2, k, 0.0, H, -1.0) == pytest.approx(expected, rel=1e-14)
+        assert reference.coeff_B(2, 1.0, 0.0, 2.0, -1.0) == pytest.approx(9.0, rel=1e-14)
 
     def test_B_scalar_pipeline_coefficient(self):
         # n=2, k=1/(1-delta), K=0: coefficient 2k(1-delta)+1 = 3.
         for delta in (0.0, 0.3, 0.6):
             k = 1.0 / (1.0 - delta)
             for H in (0.5, 1.0, 2.0):
-                assert bounds.coeff_B(2, k, delta, H, 0.0) == pytest.approx(3 * H * H, rel=1e-14)
+                assert reference.coeff_B(2, k, delta, H, 0.0) == pytest.approx(3 * H * H, rel=1e-14)
 
     def test_B_positive_curvature_term_dropped(self):
-        assert bounds.coeff_B(3, 1.0, 0.0, 1.0, 5.0) == bounds.coeff_B(3, 1.0, 0.0, 1.0, 0.0)
+        assert reference.coeff_B(3, 1.0, 0.0, 1.0, 5.0) == reference.coeff_B(3, 1.0, 0.0, 1.0, 0.0)
 
     def test_B_lower_endpoint_n4(self):
         k = 15 / 16
-        assert bounds.coeff_B(4, k, 0.0, 1.0, 0.0) == pytest.approx(4 * k - 1, rel=1e-12)
+        assert reference.coeff_B(4, k, 0.0, 1.0, 0.0) == pytest.approx(4 * k - 1, rel=1e-12)
 
 
 class TestMeanCurvatureThreshold:

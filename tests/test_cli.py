@@ -4,9 +4,12 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmcradius import cli
 from cmcradius.report import SweepReport, emit_report
@@ -373,6 +376,55 @@ class TestSweepCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mode cap\n")
         assert cli.run(["sweep", "--config", str(cfg)]) == 64
+
+
+# The grid keys each mode reads, and values that parse; the faults below break one or the other.
+FUZZ_READ = {"cap": ("n", "kappa", "delta", "H"), "bound": ("n", "delta", "H", "K", "S"), "algebra": ("n",)}
+FUZZ_GOOD = {"n": ("2", "3", "4"), "other": ("-1", "0", "0.3", "0.9", "2.5")}
+FUZZ_BAD = ("nan", "inf", "1e400", "x", "", "5")
+FUZZ_FAULTS = ("bad value", "unread key", "repeated mode", "bad mode", "repeated samples", "bad samples")
+
+
+@st.composite
+def sweep_configs(draw) -> str:
+    """Config text of one mode with up to three faults injected; each grid
+    has at most two values, so every sweep runs in milliseconds."""
+    mode = draw(st.sampled_from(tuple(FUZZ_READ)))
+    read = FUZZ_READ[mode]
+    grid = {key: draw(st.lists(st.sampled_from(FUZZ_GOOD.get(key, FUZZ_GOOD["other"])), min_size=1, max_size=2))
+            for key in draw(st.lists(st.sampled_from(read), unique=True))}
+    lines = [f"mode = {mode}"]
+    if mode == "algebra":
+        lines.append(f"samples = {draw(st.integers(1, 50))}")
+    for fault in draw(st.lists(st.sampled_from(FUZZ_FAULTS), max_size=3)):
+        if fault == "bad value":
+            key = draw(st.sampled_from(read))
+            grid[key] = [*grid.get(key, [])[:1], draw(st.sampled_from(FUZZ_BAD))]
+        elif fault == "unread key":
+            unread = sorted({"n", "kappa", "delta", "H", "K", "S", "tol"} - set(read))
+            lines.append(f"{draw(st.sampled_from(unread))} = 2")
+        elif fault == "repeated mode":
+            lines.append(f"mode = {draw(st.sampled_from(tuple(FUZZ_READ)))}")
+        elif fault == "bad mode":
+            lines[0] = f"mode = {draw(st.sampled_from(('x', '', 'Cap')))}"
+        else:
+            samples = f"samples = {draw(st.sampled_from(('0', '-3', 'x', '', 'nan', '1e400', '100001', '7')))}"
+            if fault == "bad samples" and mode == "algebra":
+                lines[1] = samples
+            else:
+                lines.append(samples)
+    lines += [f"{key} = {v}" for key, values in grid.items() for v in values]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=sweep_configs())
+def test_malformed_sweep_config_exits_with_a_code(text):
+    # Any config gives a report or a usage error, never an exception.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "out"
+        cfg.write_text(text)
+        assert cli.run(["sweep", "--config", str(cfg), "--out", str(out)]) in {0, 1, 2, 64}
 
 
 def _readme_cli_section() -> tuple[list[list[str]], str]:

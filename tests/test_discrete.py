@@ -10,13 +10,8 @@ from cmcradius.errors import MeshError
 from cmcradius.mesh import TriMesh
 
 
-def _flat_triangle_mesh(points, faces, boundary):
-    return TriMesh(
-        vertices=np.asarray(points, dtype=float),
-        faces=np.asarray(faces, dtype=np.int64),
-        boundary=np.asarray(boundary, dtype=bool),
-        kappa=0.0,
-    )
+def _flat_triangle_mesh(points, faces):
+    return TriMesh(vertices=np.asarray(points, dtype=float), faces=np.asarray(faces, dtype=np.int64), kappa=0.0)
 
 
 def _flat_grid_mesh(k):
@@ -27,9 +22,7 @@ def _flat_grid_mesh(k):
     a = (np.arange(k)[:, None] * (k + 1) + np.arange(k)[None, :]).ravel()
     b, c, d = a + k + 1, a + k + 2, a + 1
     faces = np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)])
-    i, j = np.divmod(np.arange(gx.size), k + 1)
-    boundary = (i == 0) | (i == k) | (j == 0) | (j == k)
-    return _flat_triangle_mesh(points, faces, boundary)
+    return _flat_triangle_mesh(points, faces)
 
 
 def _reference_system(m):
@@ -72,19 +65,19 @@ def _assert_matches_reference(m, problem):
 
 class TestStiffness:
     def test_equilateral_cotangent_weight(self):
-        m = _flat_triangle_mesh(
-            [[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0]],
-            [[0, 1, 2]],
-            [True, True, False],
-        )
+        m = _flat_triangle_mesh([[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0]], [[0, 1, 2]])
         K, _ = _reference_system(m)
         w = 1.0 / (2.0 * math.sqrt(3.0))
         off = np.array([[K[0, 1], K[0, 2], K[1, 2]]])
         assert np.allclose(off, -w, rtol=1e-12)
         assert np.allclose(K @ np.ones(3), 0.0, atol=1e-14)
-        # The one interior vertex has two edges of weight w.
-        stiffness = dd.assemble_stability(m).stiffness.toarray()
-        assert stiffness == pytest.approx(np.array([[2.0 * w]]), rel=1e-12)
+        # A hexagon fan of unit equilateral triangles: the centre, its one
+        # interior vertex, has six edges in two faces each, of weight 2w.
+        ang = np.arange(6) * math.pi / 3.0
+        pts = np.vstack([np.zeros(3), np.stack([np.cos(ang), np.sin(ang), np.zeros(6)], axis=1)])
+        fan = _flat_triangle_mesh(pts, [[0, 1 + i, 1 + (i + 1) % 6] for i in range(6)])
+        stiffness = dd.assemble_stability(fan).stiffness.toarray()
+        assert stiffness == pytest.approx(np.array([[12.0 * w]]), rel=1e-12)
 
     def test_kernel_and_symmetry_on_cap(self):
         m = mm.build_cap_mesh(-1.0, 2.5, 0.6, 4)
@@ -105,7 +98,6 @@ class TestStiffness:
         m = _flat_triangle_mesh(
             [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0.5, 1.0, 0]],
             [[0, 1, 3], [1, 2, 3], [0, 2, 1]],
-            [True, False, True, True],
         )
         with pytest.raises(MeshError):
             dd.assemble_stability(m)
@@ -126,7 +118,7 @@ class TestLambda1Dirichlet:
         # problem is 1x1 and solvable by hand.
         pts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.5, 0.5, 0]]
         faces = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
-        m = _flat_triangle_mesh(pts, faces, [True, True, True, True, False])
+        m = _flat_triangle_mesh(pts, faces)
         problem = dd.assemble_stability(m)
         K, mass = _reference_system(m)
         expected = K[4, 4] / mass[4]
@@ -271,12 +263,8 @@ class TestNestedDissection:
         square = _flat_triangle_mesh(
             [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.5, 0.5, 0]],
             [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
-            [True, True, True, True, False],
         )
-        triangle = _flat_triangle_mesh(
-            [[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0]], [[0, 1, 2]], [True, True, False]
-        )
-        for m in (square, triangle, _flat_grid_mesh(9), _flat_grid_mesh(20)):
+        for m in (square, _flat_grid_mesh(9), _flat_grid_mesh(20)):
             interior = dd.assemble_stability(m).interior
             assert np.array_equal(np.sort(interior), m.interior)
 

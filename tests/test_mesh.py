@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -41,10 +42,15 @@ class TestBuildCapMesh:
         assert reference.model_constraint_residual(m, sphere_from_H(1.0, 1.0).r_ambient) <= 1e-10
 
     def test_boundary_is_last_ring(self):
-        m = mm.build_cap_mesh(0.0, 1.0, 1.0, 3)
-        edges, counts = m.topology.edges, m.topology.edge_faces
-        boundary_verts = np.unique(edges[counts == 1])
-        assert np.array_equal(boundary_verts, np.flatnonzero(m.boundary))
+        for (kappa, H), level in itertools.product([(-1.0, 2.5), (0.0, 1.0), (1.0, 1.0)], range(5)):
+            m = mm.build_cap_mesh(kappa, H, 1.0 / math.sqrt(kappa + H * H), level)
+            # build_cap_mesh places the rings outward, so the last ring is the
+            # trailing block of vertices at the largest polar angle.
+            phi = np.hypot(*mm.pole_chart(m, np.arange(m.num_vertices)).T)
+            last_ring = np.flatnonzero(np.isclose(phi, phi.max(), rtol=1e-9, atol=0.0))
+            assert 0 < last_ring[0]
+            assert np.array_equal(last_ring, np.arange(last_ring[0], m.num_vertices)), (kappa, level)
+            assert np.array_equal(m.topology.boundary, last_ring), (kappa, level)
 
     def test_invalid_cap(self):
         with pytest.raises(MeshError):
@@ -179,9 +185,14 @@ class TestIntrinsicRadius:
         assert mm.intrinsic_radius(m) == pytest.approx(math.pi / 2, rel=0.03)
 
     def test_no_boundary_error(self):
-        m = mm.build_cap_mesh(0.0, 1.0, 1.0, 2)
-        m.boundary[:] = False
-        with pytest.raises(MeshError):
+        # A closed tetrahedron: every edge lies in two faces.
+        m = mm.TriMesh(
+            vertices=np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]),
+            faces=np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]]),
+            kappa=0.0,
+        )
+        assert m.topology.boundary.size == 0
+        with pytest.raises(MeshError, match="no boundary"):
             mm.intrinsic_radius(m)
 
 
@@ -246,12 +257,11 @@ class TestRingStrips:
             assert np.array_equal(got, _legacy_zip_rings(inner, ang_a, outer, ang_b))
 
 
-def _with_extra(m, vertices, faces, boundary):
+def _with_extra(m, vertices, faces):
     """Copy of m with vertices and faces appended (new faces index the new vertices too)."""
     return mm.TriMesh(
         vertices=np.vstack([m.vertices, vertices]),
         faces=np.vstack([m.faces, np.asarray(faces, dtype=np.int64).reshape(-1, 3)]),
-        boundary=np.concatenate([m.boundary, boundary]),
         kappa=m.kappa,
     )
 
@@ -266,7 +276,7 @@ class TestCheckTopology:
     def test_edge_in_three_faces(self):
         m = self._cap()
         a, b, _ = m.faces[0]  # a-b is shared by the centre fan and the first strip
-        bad = _with_extra(m, [[5.0, 5.0, 5.0]], [[a, b, m.num_vertices]], [True])
+        bad = _with_extra(m, [[5.0, 5.0, 5.0]], [[a, b, m.num_vertices]])
         with pytest.raises(MeshError, match="more than two faces"):
             mm._check_topology(bad)
 
@@ -277,16 +287,10 @@ class TestCheckTopology:
         with pytest.raises(MeshError, match="orientation"):
             mm._check_topology(dataclasses.replace(m, faces=faces))
 
-    def test_wrong_boundary_flag(self):
-        m = self._cap()
-        m.boundary[0] = True
-        with pytest.raises(MeshError, match="boundary flags"):
-            mm._check_topology(m)
-
     def test_extra_disjoint_triangle_is_not_a_disk(self):
         m = self._cap()
         nv = m.num_vertices
         tri = [[5.0, 0.0, 0.0], [6.0, 0.0, 0.0], [5.0, 1.0, 0.0]]
-        bad = _with_extra(m, tri, [[nv, nv + 1, nv + 2]], [True, True, True])
+        bad = _with_extra(m, tri, [[nv, nv + 1, nv + 2]])
         with pytest.raises(MeshError, match="not a disk"):
             mm._check_topology(bad)

@@ -13,9 +13,7 @@ import cmcradius
 
 PACKAGE = Path(cmcradius.__file__).resolve().parent
 
-# No command reads coeff_B, but bench/layertrace.py counts its calls
-# (`COUNT_TARGETS`), so it stays until that counter is dropped.
-UNREFERENCED_ALLOWED = {"bounds.coeff_B"}
+UNREFERENCED_ALLOWED: set[str] = set()
 
 
 def _surface() -> tuple[dict[str, str], dict[tuple[str, str], set[str]]]:
