@@ -144,39 +144,16 @@ def _bound_row(n: int, delta: float, H: float, K: float, S: float | None) -> dic
 
 
 def _cap_row(n: int, kappa: float, H: float, delta: float) -> dict:
-    rec = spaceforms.verify_cap_bound(n, kappa, H, delta)
-    if not rec.applicable:
-        status = "not-applicable"
-    else:
-        status = "pass" if rec.passed else "fail"
-    return {
-        "n": rec.n, "kappa": rec.kappa, "H": rec.H, "delta": rec.delta,
-        "rho_star": rec.rho_star, "c_best": rec.c_best, "ratio": rec.ratio,
-        "source": rec.source, "status": status, "reason": rec.reason,
-    }
+    return vars(spaceforms.verify_cap_bound(n, kappa, H, delta))
 
 
 def _mesh_rows(kappa, H, rho, delta, levels) -> tuple[list[dict], dict, TriMesh]:
     from . import discrete
 
     rep = discrete.mesh_verify(kappa, H, rho, delta, levels)
-    rows = []
-    for lv in rep.levels:
-        status = "pass"
-        if lv.bound_ok is False:
-            status = "fail"
-        rows.append({
-            "kappa": kappa, "H": H, "rho": rho, "delta": delta, "level": lv.level,
-            "vertices": lv.num_vertices, "max_edge": lv.max_edge, "lambda1": lv.lambda1,
-            "radius": lv.radius, "verdict": lv.verdict, "oracle_error": lv.oracle_error,
-            "status": status,
-        })
-    meta = {
-        "oracle_lambda1": rep.oracle_lambda1,
-        "c_best": rep.c_best,
-        "convergence_order": rep.convergence_order,
-        "agrees_with_oracle": rep.agrees_with_oracle,
-    }
+    rows = [{"kappa": kappa, "H": H, "rho": rho, "delta": delta, **vars(level)} for level in rep.levels]
+    meta = {key: getattr(rep, key) for key in ("oracle_lambda1", "c_best", "convergence_order",
+                                                "agrees_with_oracle")}
     return rows, meta, rep.finest_mesh
 
 

@@ -2,7 +2,7 @@
 
 Cotangent stiffness and lumped mass are built from geodesic edge lengths
 (the triangles are treated as intrinsic, via law of cosines and Heron's
-formula), read from the mesh's topology record.  Each undirected edge
+formula), as the mesh derives them.  Each undirected edge
 gets one weight (cot a + cot b) / 2 and a vertex's diagonal entry is the
 sum of its edge weights (Pinkall & Polthier, Experiment. Math. 2, 1993).
 The cap's stability potential is constant, so it only shifts the
@@ -109,19 +109,18 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
     opposite it, so the stiffness is symmetric and annihilates constants
     by construction.
     """
-    topo = mesh.topology
-    areas = topo.areas
+    areas = mesh.areas
     mean_area = areas.mean()
     if not (0.0 < mean_area < math.inf and np.all(areas >= DEGENERATE_AREA_FRACTION * mean_area)):
         raise MeshError("degenerate triangle in mesh (area below 1e-14 of mean, or not finite)")
     nv = mesh.num_vertices
-    l2 = topo.face_lengths.T**2  # one row per corner
+    l2 = mesh.face_lengths.T**2  # one row per corner
     i = np.arange(3)
     j, k = (i + 1) % 3, (i + 2) % 3
     # Half-cotangent of the angle at corner i, weighting the edge opposite it.
     half_cot = (l2[j] + l2[k] - l2[i]) / (8.0 * areas)
-    weight = np.bincount(topo.face_edges.T.ravel(), half_cot.ravel(), minlength=len(topo.edges))
-    diagonal = np.bincount(topo.edges.ravel(), np.repeat(weight, 2), minlength=nv)
+    weight = np.bincount(mesh.face_edges.T.ravel(), half_cot.ravel(), minlength=len(mesh.edges))
+    diagonal = np.bincount(mesh.edges.ravel(), np.repeat(weight, 2), minlength=nv)
     mass = np.bincount(mesh.faces.T.ravel(), np.tile(areas / 3.0, 3), minlength=nv)
 
     idx = mesh.interior
@@ -129,10 +128,10 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
         raise MeshError("no interior vertices")
     position = np.full(nv, -1)
     position[idx] = np.arange(idx.size)
-    inner = (position[topo.edges] >= 0).all(axis=1)
-    idx = idx[nested_dissection(pole_chart(mesh, idx), position[topo.edges[inner]])]
+    inner = (position[mesh.edges] >= 0).all(axis=1)
+    idx = idx[nested_dissection(pole_chart(mesh, idx), position[mesh.edges[inner]])]
     position[idx] = np.arange(idx.size)
-    a, b = position[topo.edges[inner]].T
+    a, b = position[mesh.edges[inner]].T
     n = np.arange(idx.size)
     rows, cols = np.concatenate([a, b, n]), np.concatenate([b, a, n])
     entries = np.concatenate([-weight[inner], -weight[inner], diagonal[idx]])
@@ -170,16 +169,16 @@ def lambda1_dirichlet(problem: SpectralProblem, shift: float) -> float:
 
 @dataclass(frozen=True)
 class LevelResult:
-    """One refinement level of a mesh verification run."""
+    """One refinement level of a mesh verification run; its fields are the level columns."""
 
     level: int
-    num_vertices: int
+    vertices: int
     max_edge: float
     lambda1: float
     radius: float
     verdict: str  # "stable", "unstable" or "marginal"
     oracle_error: float
-    bound_ok: bool | None  # radius <= c_best when stable and a bound applies
+    status: str  # "fail" when stable, a bound applies and the radius exceeds it; else "pass"
 
 
 @dataclass
@@ -214,10 +213,11 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
             verdict = "stable"
         else:
             verdict = "unstable"
-        bound_ok = radius <= c_best * (1.0 + 1e-6) if verdict == "stable" and c_best is not None else None
+        fails = verdict == "stable" and c_best is not None and not radius <= c_best * (1.0 + 1e-6)
         report.levels.append(LevelResult(
-            level=level, num_vertices=m.num_vertices, max_edge=float(m.topology.edge_lengths.max()),
-            lambda1=lam, radius=radius, verdict=verdict, oracle_error=abs(lam - oracle), bound_ok=bound_ok,
+            level=level, vertices=m.num_vertices, max_edge=float(m.edge_lengths.max()), lambda1=lam,
+            radius=radius, verdict=verdict, oracle_error=abs(lam - oracle),
+            status="fail" if fails else "pass",
         ))
     report.finest_mesh = m
 

@@ -13,8 +13,6 @@ applies it as a spectral shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,53 +22,31 @@ from .errors import MeshError
 from .spaceforms import sphere_from_H
 
 
-@dataclass
 class TriMesh:
-    """Triangulated disk; its boundary is read off the faces (`topology.boundary`)."""
+    """Triangulated disk, checked and measured once, when it is made.
 
-    vertices: np.ndarray  # (nv, 3) for kappa = 0, (nv, 4) otherwise
-    faces: np.ndarray  # (nf, 3) int
-    kappa: float
+    vertices are (nv, 3) for kappa = 0 and (nv, 4) otherwise, faces (nf, 3)
+    vertex indices.  Raises MeshError unless every face has three distinct
+    vertices in range, no edge lies in more than two faces, the Euler
+    characteristic is 1 and the faces are consistently oriented.
+    """
 
-    @property
-    def num_vertices(self) -> int:
-        return self.vertices.shape[0]
+    def __init__(self, vertices: np.ndarray, faces: np.ndarray, kappa: float):
+        v = np.asarray(vertices, dtype=float)
+        f = np.asarray(faces)
+        if f.ndim != 2 or f.shape[0] == 0 or f.shape[1] != 3 or f.dtype.kind not in "iu":
+            raise MeshError(f"faces must be a non-empty (nf, 3) integer array, got {f.dtype} {f.shape}")
+        columns = 3 if kappa == 0.0 else 4
+        if v.ndim != 2 or v.shape[1] != columns or not np.isfinite(v).all():
+            raise MeshError(f"vertices must be finite, {columns} per row for kappa = {kappa}, got {v.shape}")
+        nv = v.shape[0]
+        if f.min() < 0 or f.max() >= nv:
+            raise MeshError(f"face indices must lie in [0, {nv})")
+        f = f.astype(np.int64, copy=False)
+        if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])):
+            raise MeshError("a face repeats a vertex")
+        self.vertices, self.faces, self.kappa = v, f, kappa
 
-    @property
-    def num_faces(self) -> int:
-        return self.faces.shape[0]
-
-    @property
-    def interior(self) -> np.ndarray:
-        boundary = self.topology.boundary
-        return np.setdiff1d(np.arange(self.num_vertices), boundary, assume_unique=True)
-
-    @cached_property
-    def topology(self) -> MeshTopology:
-        """Edges, boundary, orientation, lengths and areas, derived once from faces and vertices.
-
-        Computed on first use, so faces and vertices must not change after it.
-        """
-        return MeshTopology.of(self)
-
-
-@dataclass(frozen=True)
-class MeshTopology:
-    """Per-mesh quantities that the topology check, assembly and Dijkstra share."""
-
-    edges: np.ndarray  # (ne, 2) undirected edges i < j, in lexicographic order
-    edge_faces: np.ndarray  # (ne,) number of faces containing each edge
-    boundary: np.ndarray  # sorted vertices of the edges that lie in one face
-    edge_lengths: np.ndarray  # (ne,) geodesic length of each edge
-    oriented: bool  # no directed edge appears in two faces
-    face_edges: np.ndarray  # (nf, 3) edge index, entry i opposite corner i
-    face_lengths: np.ndarray  # (nf, 3) geodesic lengths, entry i opposite corner i
-    areas: np.ndarray  # (nf,) Heron areas of the intrinsic triangles
-
-    @classmethod
-    def of(cls, mesh: TriMesh) -> MeshTopology:
-        f = mesh.faces
-        nv = mesh.num_vertices
         # Half-edge i of a face runs from corner i+1 to corner i+2, opposite corner i.
         tails = f[:, [1, 2, 0]].T.ravel()
         heads = f[:, [2, 0, 1]].T.ravel()
@@ -81,27 +57,33 @@ class MeshTopology:
         undirected = key >> 1
         starts = np.concatenate([[True], undirected[1:] != undirected[:-1]])
         first = np.flatnonzero(starts)
-        edge_keys = undirected[first]
-        edges = np.stack([edge_keys // nv, edge_keys % nv], axis=1)
-        v = mesh.vertices
-        edge_lengths = ambient_distance(mesh.kappa, v[edges[:, 0]], v[edges[:, 1]])
+        edge_faces = np.diff(np.append(first, key.size))
+        if edge_faces.max() > 2:
+            raise MeshError("a mesh edge belongs to more than two faces")
+        if nv - first.size + f.shape[0] != 1:
+            raise MeshError(f"not a disk: Euler characteristic {nv - first.size + f.shape[0]}")
+        if np.any(key[1:] == key[:-1]):  # a directed edge in two faces
+            raise MeshError("inconsistent face orientation")
+
+        self.edges = np.stack([undirected[first] // nv, undirected[first] % nv], axis=1)  # i < j, sorted
+        self.boundary = np.unique(self.edges[edge_faces == 1])  # vertices of the edges in one face
+        self.interior = np.setdiff1d(np.arange(nv), self.boundary, assume_unique=True)
+        self.edge_lengths = ambient_distance(kappa, v[self.edges[:, 0]], v[self.edges[:, 1]])  # geodesic
         edge_of_half_edge = np.empty(key.size, dtype=np.int64)
         edge_of_half_edge[order] = np.cumsum(starts) - 1
-        face_edges = edge_of_half_edge.reshape(3, -1).T
+        self.face_edges = edge_of_half_edge.reshape(3, -1).T  # entry i opposite corner i
         # One distance per undirected edge, scattered back to the faces:
         # ambient_distance is exactly symmetric in its two points.
-        face_lengths = edge_lengths[face_edges]
-        edge_faces = np.diff(np.append(first, key.size))
-        return cls(
-            edges=edges,
-            edge_faces=edge_faces,
-            boundary=np.unique(edges[edge_faces == 1]),
-            edge_lengths=edge_lengths,
-            oriented=not np.any(key[1:] == key[:-1]),
-            face_edges=face_edges,
-            face_lengths=face_lengths,
-            areas=triangle_areas(face_lengths),
-        )
+        self.face_lengths = self.edge_lengths[self.face_edges]
+        self.areas = triangle_areas(self.face_lengths)  # Heron areas of the intrinsic triangles
+
+    @property
+    def num_vertices(self) -> int:
+        return self.vertices.shape[0]
+
+    @property
+    def num_faces(self) -> int:
+        return self.faces.shape[0]
 
 
 def ambient_distance(kappa: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -221,24 +203,7 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
         _zip_rings(ring_indices[i - 1], ring_angles[i - 1], ring_indices[i], ring_angles[i])
         for i in range(1, rings)
     ]
-    faces_arr = np.concatenate([fan, *strips]).astype(np.int64, copy=False)
-    mesh = TriMesh(vertices=vertices, faces=faces_arr, kappa=kappa)
-    _check_topology(mesh)
-    return mesh
-
-
-def _check_topology(mesh: TriMesh) -> None:
-    topo = mesh.topology
-    edges, counts = topo.edges, topo.edge_faces
-    if counts.max(initial=0) > 2:
-        raise MeshError("a mesh edge belongs to more than two faces")
-    v = mesh.num_vertices
-    f = mesh.num_faces
-    if v - len(edges) + f != 1:
-        raise MeshError(f"not a disk: Euler characteristic {v - len(edges) + f}")
-    # Orientation consistency: every interior edge appears once per direction.
-    if not topo.oriented:
-        raise MeshError("inconsistent face orientation")
+    return TriMesh(vertices=vertices, faces=np.concatenate([fan, *strips]), kappa=kappa)
 
 
 def pole_chart(mesh: TriMesh, idx: np.ndarray) -> np.ndarray:
@@ -271,12 +236,13 @@ def intrinsic_radius(mesh: TriMesh) -> float:
     traversed both ways; overestimates the smooth intrinsic radius by the
     mesh anisotropy factor.
     """
-    sources = mesh.topology.boundary
-    if sources.size == 0:
+    if mesh.boundary.size == 0:
         raise MeshError("mesh has no boundary")
-    edges, n = mesh.topology.edges, mesh.num_vertices
-    g = csr_matrix((mesh.topology.edge_lengths, (edges[:, 0], edges[:, 1])), shape=(n, n))
-    dist = dijkstra(g, directed=False, indices=sources, min_only=True)
+    if mesh.interior.size == 0:
+        raise MeshError("mesh has no interior vertices")
+    edges, n = mesh.edges, mesh.num_vertices
+    g = csr_matrix((mesh.edge_lengths, (edges[:, 0], edges[:, 1])), shape=(n, n))
+    dist = dijkstra(g, directed=False, indices=mesh.boundary, min_only=True)
     return float(dist[mesh.interior].max())
 
 

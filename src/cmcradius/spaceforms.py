@@ -284,7 +284,7 @@ def max_stable_cap_radius(n: int, kappa: float, H: float, delta: float) -> float
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Per-case outcome of checking rho* against the best applicable bound."""
+    """Per-case outcome of checking rho* against the best applicable bound; its fields are the cap row."""
 
     n: int
     kappa: float
@@ -292,11 +292,10 @@ class VerificationRecord:
     delta: float
     rho_star: float | None
     c_best: float | None
-    source: str | None
     ratio: float | None
-    applicable: bool
-    passed: bool
-    reason: str = ""
+    source: str | None
+    status: str  # "pass", "fail" or "not-applicable"
+    reason: str
 
 
 def space_form_scalar_bound(kappa: float) -> float:
@@ -313,34 +312,27 @@ def verify_cap_bound(n: int, kappa: float, H: float, delta: float) -> Verificati
     """Empirical theorem instance: the maximal stable cap radius obeys the bound.
 
     For n = 2 the scalar-curvature route is fed S = 6*kappa, the exact
-    ambient scalar curvature of the space form.  Where the bound does not
-    apply and no stable-cap radius exists (the zero lies past S_MAX), the
-    record is not applicable with rho_star None.
+    ambient scalar curvature of the space form.  The record is not
+    applicable where no bound applies or no sphere has mean curvature H,
+    with rho_star None in the second case and where no stable-cap radius
+    exists either (the zero lies past S_MAX).
     """
     S_inf = space_form_scalar_bound(kappa) if n == 2 else None
-    rho_star = no_radius = result = None
+    try:
+        bound = bounds.best_bound(bounds.BoundInput(n=n, delta=delta, H=H, K_inf=kappa, S_inf=S_inf))
+        reason = ""
+    except NoApplicableBound as exc:
+        bound, reason = None, str(exc)
     try:
         rho_star = max_stable_cap_radius(n, kappa, H, delta)
+    except UnattainableCurvature as exc:
+        return VerificationRecord(n, kappa, H, delta, None, None, None, None, "not-applicable", str(exc))
     except NonConvergence as exc:
-        no_radius = exc
-    reason = ""
-    try:
-        result = bounds.best_bound(bounds.BoundInput(n=n, delta=delta, H=H, K_inf=kappa, S_inf=S_inf))
-    except NoApplicableBound as exc:
-        reason = str(exc) if no_radius is None else f"{exc}; {no_radius}"
-    applicable = result is not None
-    if applicable and no_radius is not None:
-        raise no_radius
-    return VerificationRecord(
-        n=n,
-        kappa=kappa,
-        H=H,
-        delta=delta,
-        rho_star=rho_star,
-        c_best=result.c if applicable else None,
-        source=result.source if applicable else None,
-        ratio=rho_star / result.c if applicable else None,
-        applicable=applicable,
-        passed=applicable and rho_star <= result.c * (1.0 + PASS_SLACK),
-        reason=reason,
-    )
+        if bound is not None:
+            raise
+        rho_star, reason = None, f"{reason}; {exc}"
+    if bound is None:
+        return VerificationRecord(n, kappa, H, delta, rho_star, None, None, None, "not-applicable", reason)
+    status = "pass" if rho_star <= bound.c * (1.0 + PASS_SLACK) else "fail"
+    return VerificationRecord(n, kappa, H, delta, rho_star, bound.c, rho_star / bound.c, bound.source,
+                              status, "")

@@ -59,9 +59,9 @@ def test_03_cap_vs_bound_sweep():
             for delta in deltas:
                 for H in hs:
                     rec = sf.verify_cap_bound(n, kappa, H, float(delta))
-                    if rec.applicable:
+                    if rec.status != "not-applicable":
                         checked += 1
-                        assert rec.passed, (
+                        assert rec.status == "pass", (
                             f"theorem instance failed: n={n} kappa={kappa} H={H} "
                             f"delta={delta}: rho*={rec.rho_star} > c={rec.c_best}"
                         )

@@ -119,6 +119,16 @@ class TestCapCommand:
         assert row["rho_star"] is None
         assert row["status"] == "not-applicable"
 
+    def test_unattainable_curvature_exit_2(self, capsys):
+        # No sphere in hyperbolic space has H = 0.3 < 1: not applicable, not an error.
+        code = cli.run(["cap", "--n", "2", "--kappa", "-1", "--H", "0.3", "--delta", "0", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        row = doc["rows"][0]
+        assert [row[key] for key in ("rho_star", "c_best", "ratio", "source")] == [None] * 4
+        assert row["status"] == "not-applicable"
+        assert row["reason"] == "geodesic spheres in curvature -1.0 have H > 1.0, got 0.3"
+
     def test_overflowing_H_is_an_error(self, capsys):
         # H^2 overflows: kappa + H^2 is not a curvature the oracle can use.
         code = cli.run(["cap", "--n", "4", "--kappa", "0", "--H", "1e200", "--delta", "0"])
@@ -336,6 +346,15 @@ class TestSweepCommand:
         assert code == 0
         assert [r["n"] for r in doc["rows"]] == [2, 3, 4]
         assert all(r["status"] == "pass" for r in doc["rows"])
+
+    def test_unattainable_cell_keeps_the_sweep(self, capsys, tmp_path):
+        # The kappa = -1 cell has no sphere of H = 0.3; the kappa = 0 cell still reports.
+        cfg = tmp_path / "mixed.cfg"
+        cfg.write_text("mode = cap\nkappa = -1\nkappa = 0\nH = 0.3\n")
+        code = cli.run(["sweep", "--config", str(cfg), "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [(r["kappa"], r["status"]) for r in doc["rows"]] == [(-1.0, "not-applicable"), (0.0, "pass")]
 
     def test_not_applicable_only_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "na.cfg"

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -28,9 +27,9 @@ class TestBuildCapMesh:
 
     def test_level_zero_is_a_disk(self):
         m = mm.build_cap_mesh(0.0, 1.0, math.pi / 2, 0)
-        edges, counts = m.topology.edges, m.topology.edge_faces
-        assert m.num_vertices - len(edges) + m.num_faces == 1
-        assert counts.max() <= 2
+        assert m.num_vertices - len(m.edges) + m.num_faces == 1
+        assert np.array_equal(m.boundary, np.arange(1, m.num_vertices))
+        assert np.array_equal(m.interior, [0])
 
     def test_hyperboloid_constraint(self):
         m = mm.build_cap_mesh(-1.0, 2.5, 0.6856, 5)
@@ -50,7 +49,8 @@ class TestBuildCapMesh:
             last_ring = np.flatnonzero(np.isclose(phi, phi.max(), rtol=1e-9, atol=0.0))
             assert 0 < last_ring[0]
             assert np.array_equal(last_ring, np.arange(last_ring[0], m.num_vertices)), (kappa, level)
-            assert np.array_equal(m.topology.boundary, last_ring), (kappa, level)
+            assert np.array_equal(m.boundary, last_ring), (kappa, level)
+            assert np.array_equal(m.interior, np.arange(last_ring[0])), (kappa, level)
 
     def test_invalid_cap(self):
         with pytest.raises(MeshError):
@@ -69,7 +69,7 @@ class TestBuildCapMesh:
         with pytest.raises(MeshError):
             mm.build_cap_mesh(1.057370767916776e-228, 0.0, 1.5275879615279113e114, 0)
         m = mm.build_cap_mesh(1e-200, 0.0, 0.99 * mm.MAX_CAP_RADIUS, 0)
-        assert np.isfinite(m.topology.areas).all()
+        assert np.isfinite(m.areas).all()
 
     def test_deterministic(self):
         a = mm.build_cap_mesh(-1.0, 2.5, 0.6, 3)
@@ -85,14 +85,14 @@ class TestTopologyRecord:
         f = m.faces
         half = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
         edges, counts = np.unique(half, axis=0, return_counts=True)
-        topo = m.topology
-        assert np.array_equal(topo.edges, edges)
-        assert np.array_equal(topo.edge_faces, counts)
+        assert np.array_equal(m.edges, edges)
+        assert counts.max() == 2
+        assert np.array_equal(m.boundary, np.unique(edges[counts == 1]))
         lengths = mm.ambient_distance(kappa, m.vertices[edges[:, 0]], m.vertices[edges[:, 1]])
-        assert np.array_equal(topo.edge_lengths, lengths)
-        assert np.array_equal(topo.face_lengths, _per_corner_lengths(m))
-        assert np.array_equal(topo.areas, mm.triangle_areas(_per_corner_lengths(m)))
-        assert topo.oriented
+        assert np.array_equal(m.edge_lengths, lengths)
+        assert np.array_equal(m.edges[m.face_edges], np.sort(m.faces[:, [[1, 2], [2, 0], [0, 1]]], axis=2))
+        assert np.array_equal(m.face_lengths, _per_corner_lengths(m))
+        assert np.array_equal(m.areas, mm.triangle_areas(_per_corner_lengths(m)))
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
     def test_edge_lengths_scatter_to_faces_exactly(self, kappa):
@@ -100,11 +100,7 @@ class TestTopologyRecord:
         H = 2.5 if kappa < 0 else 1.0
         for level in range(8):
             m = mm.build_cap_mesh(kappa, H, 1.4 / math.sqrt(kappa + H * H), level)
-            assert np.array_equal(m.topology.face_lengths, _per_corner_lengths(m)), f"level {level}"
-
-    def test_computed_once(self):
-        m = mm.build_cap_mesh(0.0, 1.0, 1.0, 2)
-        assert m.topology is m.topology
+            assert np.array_equal(m.face_lengths, _per_corner_lengths(m)), f"level {level}"
 
 
 class TestAmbientDistance:
@@ -157,13 +153,11 @@ class TestEdgeLengthPrecision:
     ])
     def test_edge_lengths_match_mpmath(self, kappa, H, rho, level):
         m = mm.build_cap_mesh(kappa, H, rho, level)
-        topo = m.topology
-        sample = np.random.default_rng(0).choice(len(topo.edges), size=min(200, len(topo.edges)),
-                                                 replace=False)
+        sample = np.random.default_rng(0).choice(len(m.edges), size=min(200, len(m.edges)), replace=False)
         for e in sample:
-            i, j = topo.edges[e]
+            i, j = m.edges[e]
             exact = _mpmath_distance(kappa, m.vertices[i], m.vertices[j])
-            assert abs(topo.edge_lengths[e] - exact) <= 2 * np.finfo(float).eps * exact
+            assert abs(m.edge_lengths[e] - exact) <= 2 * np.finfo(float).eps * exact
 
 
 class TestIntrinsicRadius:
@@ -185,13 +179,13 @@ class TestIntrinsicRadius:
         assert mm.intrinsic_radius(m) == pytest.approx(math.pi / 2, rel=0.03)
 
     def test_no_boundary_error(self):
-        # A closed tetrahedron: every edge lies in two faces.
-        m = mm.TriMesh(
-            vertices=np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]),
-            faces=np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]]),
-            kappa=0.0,
-        )
-        assert m.topology.boundary.size == 0
+        # An icosahedron with two antipodal vertices identified: every edge
+        # lies in two faces, the orientation is consistent and V - E + F =
+        # 11 - 30 + 20 = 1, so it passes as a disk with no boundary.
+        vertices, faces = _icosahedron()
+        faces = np.where(faces == 11, 0, faces)  # vertex 11 is antipodal to vertex 0
+        m = mm.TriMesh(vertices=vertices[:11], faces=faces, kappa=0.0)
+        assert m.boundary.size == 0
         with pytest.raises(MeshError, match="no boundary"):
             mm.intrinsic_radius(m)
 
@@ -266,31 +260,94 @@ def _with_extra(m, vertices, faces):
     )
 
 
+def _icosahedron():
+    """Unit icosahedron with outward faces: vertex 0 at the north pole, 11 at the south pole."""
+    ring = 2.0 * math.pi * np.arange(5) / 5
+    z, r = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
+    upper = np.stack([r * np.cos(ring), r * np.sin(ring), np.full(5, z)], axis=1)
+    lower = np.stack([r * np.cos(ring + math.pi / 5), r * np.sin(ring + math.pi / 5), np.full(5, -z)], axis=1)
+    vertices = np.vstack([[0.0, 0.0, 1.0], upper, lower, [0.0, 0.0, -1.0]])
+    faces = []
+    for i in range(5):
+        a, b, c, d = 1 + i, 1 + (i + 1) % 5, 6 + i, 6 + (i + 1) % 5
+        faces += [[0, a, b], [a, c, b], [b, c, d], [11, d, c]]
+    faces = np.array(faces)
+    p = vertices[faces]
+    outward = np.einsum("ij,ij->i", np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), p.sum(axis=1)) > 0
+    return vertices, np.where(outward[:, None], faces, faces[:, ::-1])
+
+
 class TestCheckTopology:
+    """The checks that the TriMesh constructor runs on every mesh."""
+
     def _cap(self):
         return mm.build_cap_mesh(0.0, 1.0, 1.0, 2)
 
     def test_valid_cap_passes(self):
-        mm._check_topology(self._cap())
+        m = self._cap()
+        rebuilt = mm.TriMesh(vertices=m.vertices, faces=m.faces, kappa=m.kappa)
+        assert np.array_equal(rebuilt.edges, m.edges)
+        assert np.array_equal(rebuilt.areas, m.areas)
 
     def test_edge_in_three_faces(self):
         m = self._cap()
         a, b, _ = m.faces[0]  # a-b is shared by the centre fan and the first strip
-        bad = _with_extra(m, [[5.0, 5.0, 5.0]], [[a, b, m.num_vertices]])
         with pytest.raises(MeshError, match="more than two faces"):
-            mm._check_topology(bad)
+            _with_extra(m, [[5.0, 5.0, 5.0]], [[a, b, m.num_vertices]])
 
     def test_one_flipped_face(self):
         m = self._cap()
         faces = m.faces.copy()
         faces[0] = faces[0, ::-1]
         with pytest.raises(MeshError, match="orientation"):
-            mm._check_topology(dataclasses.replace(m, faces=faces))
+            mm.TriMesh(vertices=m.vertices, faces=faces, kappa=m.kappa)
 
     def test_extra_disjoint_triangle_is_not_a_disk(self):
         m = self._cap()
         nv = m.num_vertices
         tri = [[5.0, 0.0, 0.0], [6.0, 0.0, 0.0], [5.0, 1.0, 0.0]]
-        bad = _with_extra(m, tri, [[nv, nv + 1, nv + 2]])
         with pytest.raises(MeshError, match="not a disk"):
-            mm._check_topology(bad)
+            _with_extra(m, tri, [[nv, nv + 1, nv + 2]])
+
+    def test_closed_surface_is_not_a_disk(self):
+        vertices, faces = _icosahedron()
+        with pytest.raises(MeshError, match="Euler characteristic 2"):
+            mm.TriMesh(vertices=vertices, faces=faces, kappa=0.0)
+
+
+_TRIANGLE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+class TestTriMeshInput:
+    def test_single_triangle(self):
+        m = mm.TriMesh(vertices=_TRIANGLE, faces=np.array([[0, 1, 2]]), kappa=0.0)
+        assert np.array_equal(m.edges, [[0, 1], [0, 2], [1, 2]])
+        assert np.array_equal(m.boundary, [0, 1, 2])
+        assert m.interior.size == 0
+        assert m.areas[0] == pytest.approx(0.5, rel=1e-15)
+        with pytest.raises(MeshError, match="no interior vertices"):
+            mm.intrinsic_radius(m)
+
+    @pytest.mark.parametrize("faces, match", [
+        ([[0, 1, 5]], r"\[0, 3\)"),  # the edge key would alias (1, 5) to (2, 2)
+        ([[0, 1, -1]], r"\[0, 3\)"),
+        ([[0, 1, 1]], "repeats"),
+        (np.zeros((0, 3), dtype=np.int64), "non-empty"),
+        ([0, 1, 2], r"\(nf, 3\)"),
+        ([[0, 1, 2, 0]], r"\(nf, 3\)"),
+        ([[0.0, 1.0, 2.0]], "integer"),
+    ])
+    def test_bad_faces(self, faces, match):
+        with pytest.raises(MeshError, match=match):
+            mm.TriMesh(vertices=_TRIANGLE, faces=np.asarray(faces), kappa=0.0)
+
+    @pytest.mark.parametrize("vertices, kappa", [
+        (_TRIANGLE, -1.0),  # the hyperboloid model has 4 columns
+        (np.hstack([_TRIANGLE, np.ones((3, 1))]), 0.0),
+        (np.where(np.eye(3, dtype=bool), np.nan, _TRIANGLE), 0.0),
+        (np.where(np.eye(3, dtype=bool), np.inf, _TRIANGLE), 0.0),
+        (_TRIANGLE.ravel(), 0.0),
+    ])
+    def test_bad_vertices(self, vertices, kappa):
+        with pytest.raises(MeshError, match="vertices"):
+            mm.TriMesh(vertices=vertices, faces=np.array([[0, 1, 2]]), kappa=kappa)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -275,20 +276,20 @@ class TestNonFiniteInput:
 class TestVerifyCapBound:
     def test_no_radius_is_not_applicable(self):
         rec = sf.verify_cap_bound(2, 0.0, 1.0, 0.999)
-        assert not rec.applicable and not rec.passed
+        assert rec.status == "not-applicable"
         assert rec.rho_star is None
         assert "not found" in rec.reason
 
     def test_reference_hyperbolic_case(self):
         rec = sf.verify_cap_bound(2, -1.0, 2.5, 0.0)
-        assert rec.applicable and rec.passed
+        assert rec.status == "pass"
         assert rec.rho_star == pytest.approx(0.6856, abs=2e-4)
         assert rec.c_best == pytest.approx(0.8618, abs=2e-4)
         assert rec.ratio == pytest.approx(9 / (8 * math.sqrt(2)), rel=1e-8)
 
     def test_flat_case(self):
         rec = sf.verify_cap_bound(2, 0.0, 1.0, 0.0)
-        assert rec.passed
+        assert rec.status == "pass"
         assert rec.rho_star == pytest.approx(math.pi / 2, rel=1e-9)
         # Optimal k is the vertex 7/4 of (4-k)(2k+1): c = pi*sqrt((16/9)/4.5),
         # strictly below the k=1 value 2*pi/3.
@@ -298,19 +299,33 @@ class TestVerifyCapBound:
 
     def test_not_applicable_case(self):
         rec = sf.verify_cap_bound(3, -1.0, 1.5, 0.0)
-        assert not rec.applicable
+        assert rec.status == "not-applicable"
         assert rec.c_best is None
         assert rec.rho_star > 0.0
         assert rec.reason
+
+    @pytest.mark.parametrize("n, kappa, H", [(2, -1.0, 0.3), (3, -1.0, 1.0), (4, 0.0, 0.0), (2, 1.0, -0.5)])
+    def test_unattainable_curvature_is_not_applicable(self, n, kappa, H):
+        rec = sf.verify_cap_bound(n, kappa, H, 0.0)
+        assert rec.status == "not-applicable"
+        assert (rec.rho_star, rec.c_best, rec.ratio, rec.source) == (None, None, None, None)
+        with pytest.raises(UnattainableCurvature) as exc:
+            sf.sphere_from_H(kappa, H)
+        assert rec.reason == str(exc.value)
+
+    def test_fields_are_the_cap_row(self):
+        fields = [f.name for f in dataclasses.fields(sf.VerificationRecord)]
+        assert fields == ["n", "kappa", "H", "delta", "rho_star", "c_best", "ratio", "source", "status", "reason"]
 
     # The n = 2 scalar route is fed S = 6*kappa, and on the unit S^3 that
     # gives c below the radius of the marginally stable hemisphere, so the
     # theorem reads as failing on a classical example.  Once the
     # normalisation of S is settled these pass, and the marker must go.
-    @pytest.mark.xfail(strict=True, reason="S = 6*kappa on the n = 2 scalar route gives c < rho*")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="S = 6*kappa on the n = 2 scalar route gives c < rho*")
     @pytest.mark.parametrize("H", [
         0.0,  # the hemisphere: rho* = pi/2 = 1.5708, c = 2*pi/sqrt(18) = 1.4810
         0.53,  # rho* = 1.38791 > c = 1.38677
     ])
     def test_small_H_on_the_unit_sphere(self, H):
-        assert sf.verify_cap_bound(2, 1.0, H, 0.0).passed
+        assert sf.verify_cap_bound(2, 1.0, H, 0.0).status == "pass"
