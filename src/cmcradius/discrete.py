@@ -23,9 +23,9 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .errors import MeshError, NonConvergence
+from .errors import MeshError, NoApplicableBound, NonConvergence
 from .mesh import MAX_LEVEL, TriMesh, build_cap_mesh, intrinsic_radius, pole_chart
-from .spaceforms import lambda1_ball, sphere_from_H, verify_cap_bound
+from .spaceforms import cap_bound, intrinsic_curvature, lambda1_ball
 
 DEGENERATE_AREA_FRACTION = 1e-14
 
@@ -197,9 +197,12 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
     """Discrete stability verdicts and eigenvalue convergence against the closed-form oracle."""
     if not levels or len(set(levels)) < len(levels) or min(levels) < 0 or max(levels) > MAX_LEVEL:
         raise MeshError(f"expected one or more distinct refinement levels in [0, {MAX_LEVEL}], got {levels}")
-    c = sphere_from_H(kappa, H).c_int
+    c = intrinsic_curvature(kappa, H)
     q = 2.0 * (1.0 - delta) * c
-    c_best = verify_cap_bound(2, kappa, H, delta).c_best
+    try:
+        c_best = cap_bound(2, kappa, H, delta).c
+    except NoApplicableBound:
+        c_best = None
     oracle = lambda1_ball(2, c, rho) - q
 
     report = ConvergenceReport(oracle_lambda1=oracle, c_best=c_best)

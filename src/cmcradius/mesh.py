@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import MeshError
-from .spaceforms import sphere_from_H
+from .spaceforms import intrinsic_curvature
 
 
 class TriMesh:
@@ -28,7 +28,8 @@ class TriMesh:
     vertices are (nv, 3) for kappa = 0 and (nv, 4) otherwise, faces (nf, 3)
     vertex indices.  Raises MeshError unless every face has three distinct
     vertices in range, no edge lies in more than two faces, the Euler
-    characteristic is 1 and the faces are consistently oriented.
+    characteristic is 1, the faces are consistently oriented and the edges
+    connect every vertex.
     """
 
     def __init__(self, vertices: np.ndarray, faces: np.ndarray, kappa: float):
@@ -66,6 +67,11 @@ class TriMesh:
             raise MeshError("inconsistent face orientation")
 
         self.edges = np.stack([undirected[first] // nv, undirected[first] % nv], axis=1)  # i < j, sorted
+        # The edge graph is a temporary: bound to a name, it would raise the constructor's peak memory.
+        components = connected_components(csr_matrix((np.ones(first.size), self.edges.T), shape=(nv, nv)),
+                                          directed=False, return_labels=False)
+        if components != 1:  # chi adds over components: a disk plus a torus has chi = 1
+            raise MeshError(f"not a disk: {components} connected components")
         self.boundary = np.unique(self.edges[edge_faces == 1])  # vertices of the edges in one face
         self.interior = np.setdiff1d(np.arange(nv), self.boundary, assume_unique=True)
         self.edge_lengths = ambient_distance(kappa, v[self.edges[:, 0]], v[self.edges[:, 1]])  # geodesic
@@ -105,26 +111,24 @@ def ambient_distance(kappa: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 2.0 * np.arcsin(np.clip(half, None, 1.0)) / sq
 
 
-def _model_points(kappa: float, r_ambient: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Points of the geodesic r-sphere at polar angle phi, azimuth theta."""
+def _model_points(kappa: float, H: float, c: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Points at polar angle phi, azimuth theta of the geodesic sphere of mean curvature H.
+
+    With c = kappa + H^2, the sphere's ambient radius r has sin_k(r) = 1/sqrt(c)
+    and cos_k(r) = H/sqrt(c), where sin_k(r) = sin(sqrt(kappa) r)/sqrt(kappa)
+    (sinh for kappa < 0).  So a point is u/sqrt(c) for its unit direction u,
+    and for kappa != 0 it also has the constant coordinate
+    cos_k(r)/sqrt|kappa|, first on the hyperboloid and last on the sphere.
+    Each root divides on its own, so that a tiny kappa * c cannot underflow.
+    """
+    root_c = math.sqrt(c)
     u = np.stack(
         [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)], axis=-1
-    )
+    ) / root_c
     if kappa == 0.0:
-        return r_ambient * u
-    if kappa < 0.0:
-        sq = math.sqrt(-kappa)
-        a = sq * r_ambient
-        out = np.empty((u.shape[0], 4))
-        out[:, 0] = math.cosh(a) / sq
-        out[:, 1:] = math.sinh(a) / sq * u
-        return out
-    sq = math.sqrt(kappa)
-    a = sq * r_ambient
-    out = np.empty((u.shape[0], 4))
-    out[:, :3] = math.sin(a) / sq * u
-    out[:, 3] = math.cos(a) / sq
-    return out
+        return u
+    height = np.full((u.shape[0], 1), H / math.sqrt(abs(kappa)) / root_c)
+    return np.hstack([height, u] if kappa < 0.0 else [u, height])
 
 
 def _zip_rings(
@@ -167,8 +171,7 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
     """
     if not 0 <= level <= MAX_LEVEL:
         raise MeshError(f"level must lie in [0, {MAX_LEVEL}], got {level}")
-    geom = sphere_from_H(kappa, H)
-    c = geom.c_int
+    c = intrinsic_curvature(kappa, H)
     limit = min(math.pi / math.sqrt(c), MAX_CAP_RADIUS)
     if not 0.0 < rho < limit:
         raise MeshError(f"cap radius must lie in (0, {limit}), got {rho}")
@@ -193,9 +196,7 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
         ring_angles.append(ang)
         next_index += count
 
-    vertices = _model_points(
-        kappa, geom.r_ambient, np.asarray(phis), np.asarray(thetas)
-    )
+    vertices = _model_points(kappa, H, c, np.asarray(phis), np.asarray(thetas))
 
     first = ring_indices[0]
     fan = np.stack([first, np.roll(first, -1), np.zeros_like(first)], axis=1)

@@ -22,23 +22,12 @@ from .errors import NoApplicableBound, NonConvergence, PreconditionViolation, Un
 PASS_SLACK = 1e-8
 
 
-@dataclass(frozen=True)
-class SphereGeometry:
-    """Umbilic geodesic sphere in the space form of curvature kappa, in any dimension."""
-
-    r_ambient: float
-    c_int: float  # intrinsic sectional curvature = kappa + H^2
-
-
-def sphere_from_H(kappa: float, H: float) -> SphereGeometry:
-    """The umbilic geodesic sphere whose principal curvatures all equal H.
-
-    Its ambient radius r solves H = sqrt(kappa) cot(sqrt(kappa) r), the
-    generalised cotangent (1/r for kappa = 0, coth for kappa < 0).
+def intrinsic_curvature(kappa: float, H: float) -> float:
+    """Intrinsic curvature kappa + H^2 of the geodesic sphere whose principal curvatures all equal H.
 
     For kappa < 0 only H > sqrt(|kappa|) is attainable (horospheres are
     the limit), for kappa = 0 any H > 0, for kappa > 0 any H >= 0.  The
-    intrinsic curvature kappa + H^2 must also be a positive finite float.
+    intrinsic curvature must also be a positive finite float.
     """
     if not (math.isfinite(kappa) and math.isfinite(H)):
         raise PreconditionViolation(f"kappa and H must be finite, got kappa={kappa}, H={H}")
@@ -48,23 +37,18 @@ def sphere_from_H(kappa: float, H: float) -> SphereGeometry:
             raise UnattainableCurvature(
                 f"geodesic spheres in curvature {kappa} have H > {sq}, got {H}"
             )
-        r = math.atanh(sq / H) / sq
     elif kappa == 0.0:
         if H <= 0.0:
             raise UnattainableCurvature(f"Euclidean spheres need H > 0, got {H}")
-        r = 1.0 / H
-    else:
-        if H < 0.0:
-            raise UnattainableCurvature(f"expected H >= 0 for kappa > 0, got {H}")
-        sq = math.sqrt(kappa)
-        r = math.atan2(sq, H) / sq
+    elif H < 0.0:
+        raise UnattainableCurvature(f"expected H >= 0 for kappa > 0, got {H}")
     c_int = kappa + H * H
     if not 0.0 < c_int < math.inf:
         raise PreconditionViolation(
             f"intrinsic curvature kappa + H^2 = {c_int} is out of float range "
             f"(kappa={kappa}, H={H})"
         )
-    return SphereGeometry(r_ambient=r, c_int=c_int)
+    return c_int
 
 
 _EULER_GAMMA = 0.5772156649015329
@@ -179,40 +163,25 @@ def _radial(n: int, nu: float, s: float) -> float:
     return _log_series(n, nu, math.cos(0.5 * s) ** 2)
 
 
-def _brent(f, x_pre: float, x_cur: float, f_pre: float, f_cur: float) -> float:
-    """Root of f between x_pre and x_cur, where f changes sign (Brent's method).
+def _false_position(f, a: float, b: float, f_a: float, f_b: float) -> float:
+    """Root of f between a and b, where f changes sign (Anderson-Bjorck false position).
 
-    Inverse quadratic or secant steps where they stay inside the bracket,
-    bisection otherwise; stops when the bracket is narrower than 4 eps |root|.
+    Each step moves one end to the secant point.  When the same end stays
+    twice, its value is scaled by 1 - f_new/f_old (1/2 where that is not
+    positive), so that it moves next (Anderson & Bjorck, BIT 13, 1973).
+    Stops when the bracket is narrower than 4 eps |root|.
     """
-    x_blk = f_blk = s_pre = s_cur = 0.0
     for _ in range(200):
-        if (f_pre < 0.0) != (f_cur < 0.0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        tol = 2.0 * _EPS * abs(x_cur)
-        s_bis = 0.5 * (x_blk - x_cur)
-        if f_cur == 0.0 or abs(s_bis) < tol:
-            return x_cur
-        if abs(s_pre) > tol and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
-            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - tol):
-                s_pre, s_cur = s_cur, s_try
-            else:
-                s_pre = s_cur = s_bis
+        if f_b == 0.0 or abs(b - a) < 4.0 * _EPS * abs(b):
+            return b
+        c = b - f_b * (b - a) / (f_b - f_a)
+        f_c = f(c)
+        if (f_c < 0.0) == (f_b < 0.0):
+            scale = 1.0 - f_c / f_b
+            f_a *= scale if scale > 0.0 else 0.5
         else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > tol else math.copysign(tol, s_bis)
-        f_cur = f(x_cur)
+            a, f_a = b, f_b
+        b, f_b = c, f_c
     raise NonConvergence("root-finder did not converge")
 
 
@@ -225,7 +194,7 @@ def _first_zero(f, points, failure: str) -> float:
     for hi in points:
         f_hi = f(hi)
         if f_hi <= 0.0:
-            return _brent(f, lo, hi, f_lo, f_hi)
+            return _false_position(f, lo, hi, f_lo, f_hi)
         lo, f_lo = hi, f_hi
     raise NonConvergence(failure)
 
@@ -278,8 +247,7 @@ def max_stable_cap_radius(n: int, kappa: float, H: float, delta: float) -> float
     so the scaled radius is solved once and cached.
     """
     bounds.check_delta(delta)
-    geom = sphere_from_H(kappa, H)
-    return _scaled_marginal_radius(n, float(delta)) / math.sqrt(geom.c_int)
+    return _scaled_marginal_radius(n, float(delta)) / math.sqrt(intrinsic_curvature(kappa, H))
 
 
 @dataclass(frozen=True)
@@ -298,28 +266,33 @@ class VerificationRecord:
     reason: str
 
 
-def space_form_scalar_bound(kappa: float) -> float:
-    """Ambient scalar curvature 6*kappa of the 3-dimensional space form (exact)."""
-    S = 6.0 * kappa
-    if not math.isfinite(S):
-        raise PreconditionViolation(
-            f"ambient scalar curvature 6*kappa = {S} is out of float range (kappa={kappa})"
-        )
-    return S
+def cap_bound(n: int, kappa: float, H: float, delta: float) -> bounds.BoundResult:
+    """Best bound for a cap on the umbilic (n, kappa, H) sphere; NoApplicableBound where none holds.
+
+    The space form has sectional curvature kappa, and for n = 2 the
+    scalar-curvature route is fed S = 6*kappa, its exact ambient scalar
+    curvature.
+    """
+    S_inf = None
+    if n == 2:
+        S_inf = 6.0 * kappa
+        if not math.isfinite(S_inf):
+            raise PreconditionViolation(
+                f"ambient scalar curvature 6*kappa = {S_inf} is out of float range (kappa={kappa})"
+            )
+    return bounds.best_bound(bounds.BoundInput(n=n, delta=delta, H=H, K_inf=kappa, S_inf=S_inf))
 
 
 def verify_cap_bound(n: int, kappa: float, H: float, delta: float) -> VerificationRecord:
     """Empirical theorem instance: the maximal stable cap radius obeys the bound.
 
-    For n = 2 the scalar-curvature route is fed S = 6*kappa, the exact
-    ambient scalar curvature of the space form.  The record is not
-    applicable where no bound applies or no sphere has mean curvature H,
+    The bound comes from cap_bound, before the oracle runs.  The record is
+    not applicable where no bound applies or no sphere has mean curvature H,
     with rho_star None in the second case and where no stable-cap radius
     exists either (the zero lies past S_MAX).
     """
-    S_inf = space_form_scalar_bound(kappa) if n == 2 else None
     try:
-        bound = bounds.best_bound(bounds.BoundInput(n=n, delta=delta, H=H, K_inf=kappa, S_inf=S_inf))
+        bound = cap_bound(n, kappa, H, delta)
         reason = ""
     except NoApplicableBound as exc:
         bound, reason = None, str(exc)

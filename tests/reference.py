@@ -18,7 +18,7 @@ from cmcradius.algebra import TracelessMatrix, traceless_part
 from cmcradius.errors import HypothesisViolation, PreconditionViolation
 from cmcradius.mesh import TriMesh
 from cmcradius.report import SweepReport
-from cmcradius.spaceforms import sphere_from_H
+from cmcradius.spaceforms import intrinsic_curvature
 
 
 def coeff_A(n: int, k: float) -> float:
@@ -120,7 +120,7 @@ def closed_sphere_lowest_eigenvalue(n: int, kappa: float, H: float, delta: float
     """
     bounds._check_dimension(n)
     bounds.check_delta(delta)
-    return bounds._finite("eigenvalue", -n * (1.0 - delta) * sphere_from_H(kappa, H).c_int)
+    return bounds._finite("eigenvalue", -n * (1.0 - delta) * intrinsic_curvature(kappa, H))
 
 
 def gauss_ricci_contraction(phi: TracelessMatrix, H: float, ambient_sectional_sum: float) -> float:
@@ -141,15 +141,10 @@ def gauss_ricci_contraction(phi: TracelessMatrix, H: float, ambient_sectional_su
     )
 
 
-def model_constraint_residual(mesh: TriMesh, r_ambient: float) -> float:
-    """Max deviation of vertices from the ambient model constraint.
-
-    For kappa = 0 the model is the Euclidean sphere of radius r_ambient;
-    otherwise it is the quadric <v, v> = 1/kappa of the space form.
-    """
+def model_constraint_residual(mesh: TriMesh) -> float:
+    """Max deviation of the vertices of a mesh with kappa != 0 from the
+    quadric <v, v> = 1/kappa of the space form's model."""
     v = mesh.vertices
-    if mesh.kappa == 0.0:
-        return float(np.abs(np.linalg.norm(v, axis=1) - r_ambient).max())
     if mesh.kappa < 0.0:
         norm = -v[:, 0] ** 2 + np.sum(v[:, 1:] ** 2, axis=1)
         return float(np.abs(norm - 1.0 / mesh.kappa).max())

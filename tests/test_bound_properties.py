@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference
 from cmcradius import algebra, bounds, spaceforms
-from cmcradius.errors import CmcRadiusError, NoApplicableBound
+from cmcradius.errors import CmcRadiusError, NoApplicableBound, PreconditionViolation
 
 
 def _edges(x: float) -> list[float]:
@@ -74,6 +74,23 @@ ANY_FLOAT = st.one_of(st.sampled_from(EXTREMES), st.floats(), magnitudes,
                       st.builds(float.__neg__, magnitudes))
 
 
+@settings(max_examples=300, deadline=timedelta(milliseconds=200), derandomize=True, database=None)
+@given(n=st.sampled_from((2, 3, 4)), kappa=st.one_of(st.sampled_from((-1.0, 0.0, 1.0)), ANY_FLOAT),
+       H=ANY_FLOAT, delta=deltas)
+def test_cap_bound_is_finite_or_raises(n, kappa, H, delta):
+    """With a valid n and delta: a finite c > 0, no bound applying, or a
+    non-finite input (S = 6*kappa included, for n = 2)."""
+    try:
+        res = spaceforms.cap_bound(n, kappa, H, delta)
+    except NoApplicableBound:
+        return
+    except PreconditionViolation:
+        assert not (math.isfinite(kappa) and math.isfinite(H)) or (n == 2 and not math.isfinite(6.0 * kappa))
+        return
+    assert 0.0 < res.c < math.inf
+    assert math.isfinite(res.A) and math.isfinite(res.B)
+
+
 def _around(domain):
     """Half of the draws from domain, half from any float, extremes included."""
     return st.booleans().flatmap(lambda inside: domain if inside else ANY_FLOAT)
@@ -99,6 +116,9 @@ ENTRY_POINTS = {
         bounds.BoundInput(n, d, H, K), k).c, ("n", "delta", "curvature", "curvature", "k")),
     "radius_bound_scalar": (lambda d, H, S: bounds.radius_bound_scalar(d, H, S).c,
                             ("delta", "curvature", "curvature")),
+    "intrinsic_curvature": (spaceforms.intrinsic_curvature, ("curvature", "curvature")),
+    "cap_bound": (lambda n, kappa, H, d: spaceforms.cap_bound(n, kappa, H, d).c,
+                  ("n", "curvature", "curvature", "delta")),
     "max_stable_cap_radius": (spaceforms.max_stable_cap_radius,
                               ("n", "curvature", "curvature", "delta")),
     "closed_sphere_lowest_eigenvalue": (reference.closed_sphere_lowest_eigenvalue,

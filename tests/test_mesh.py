@@ -7,7 +7,6 @@ import pytest
 import reference
 from cmcradius import mesh as mm
 from cmcradius.errors import MeshError
-from cmcradius.spaceforms import sphere_from_H
 
 
 def _per_corner_lengths(m):
@@ -34,11 +33,22 @@ class TestBuildCapMesh:
     def test_hyperboloid_constraint(self):
         m = mm.build_cap_mesh(-1.0, 2.5, 0.6856, 5)
         assert m.vertices.shape[1] == 4
-        assert reference.model_constraint_residual(m, sphere_from_H(-1.0, 2.5).r_ambient) <= 1e-10
+        assert reference.model_constraint_residual(m) <= 1e-10
 
     def test_spherical_model_constraint(self):
         m = mm.build_cap_mesh(1.0, 1.0, 0.4, 3)
-        assert reference.model_constraint_residual(m, sphere_from_H(1.0, 1.0).r_ambient) <= 1e-10
+        assert reference.model_constraint_residual(m) <= 1e-10
+
+    @pytest.mark.parametrize("kappa, H", [(-1.0, 2.5), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (-4.0, 2.1)])
+    def test_vertices_lie_on_the_sphere_of_mean_curvature_H(self, kappa, H):
+        # Every vertex lies at one ambient distance r from the model's centre,
+        # and the geodesic r-sphere has principal curvatures cot_kappa(r) = H.
+        m = mm.build_cap_mesh(kappa, H, 1.0 / math.sqrt(kappa + H * H), 3)
+        centre = np.zeros(m.vertices.shape[1])
+        if kappa:
+            centre[0 if kappa < 0.0 else -1] = 1.0 / math.sqrt(abs(kappa))
+        for r in mm.ambient_distance(kappa, m.vertices, centre):
+            assert reference.cot_kappa(kappa, float(r)) == pytest.approx(H, rel=1e-12, abs=1e-15)
 
     def test_boundary_is_last_ring(self):
         for (kappa, H), level in itertools.product([(-1.0, 2.5), (0.0, 1.0), (1.0, 1.0)], range(5)):
@@ -308,6 +318,22 @@ class TestCheckTopology:
         tri = [[5.0, 0.0, 0.0], [6.0, 0.0, 0.0], [5.0, 1.0, 0.0]]
         with pytest.raises(MeshError, match="not a disk"):
             _with_extra(m, tri, [[nv, nv + 1, nv + 2]])
+
+    def test_disk_plus_a_torus_is_not_a_disk(self):
+        # A level-1 cap and a disjoint 4 x 4 grid torus: Euler characteristic
+        # 1 + 0, every edge in at most two faces, consistently oriented.
+        m = mm.build_cap_mesh(0.0, 1.0, 1.0, 1)
+        i, j = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+        a, b = 2.0 * math.pi * i.ravel() / 4, 2.0 * math.pi * j.ravel() / 4
+        torus = np.stack([(3 + np.cos(b)) * np.cos(a), (3 + np.cos(b)) * np.sin(a), np.sin(b)], axis=1)
+
+        def vertex(di, dj):
+            return m.num_vertices + ((i + di) % 4 * 4 + (j + dj) % 4).ravel()
+
+        p, q, r, s = vertex(0, 0), vertex(1, 0), vertex(1, 1), vertex(0, 1)
+        faces = np.concatenate([np.stack([p, q, r], axis=1), np.stack([p, r, s], axis=1)])
+        with pytest.raises(MeshError, match="2 connected components"):
+            _with_extra(m, torus + 10.0, faces)
 
     def test_closed_surface_is_not_a_disk(self):
         vertices, faces = _icosahedron()

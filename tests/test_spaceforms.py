@@ -61,25 +61,21 @@ class TestCotKappa:
 
 
 class TestSphereFromH:
+    """The intrinsic curvature of the geodesic sphere with mean curvature H."""
+
     def test_hyperbolic_reference(self):
-        g = sf.sphere_from_H(-1.0, 2.5)
-        assert g.r_ambient == pytest.approx(math.atanh(1 / 2.5), rel=1e-12)
-        assert g.c_int == pytest.approx(5.25, rel=1e-15)
-        # Round trip through the curvature of the geodesic sphere.
-        assert reference.cot_kappa(-1.0, g.r_ambient) == pytest.approx(2.5, rel=1e-12)
+        assert sf.intrinsic_curvature(-1.0, 2.5) == pytest.approx(5.25, rel=1e-15)
 
     def test_horosphere_excluded(self):
         with pytest.raises(UnattainableCurvature):
-            sf.sphere_from_H(-1.0, 1.0)
+            sf.intrinsic_curvature(-1.0, 1.0)
 
     def test_flat_unit_sphere_n3(self):
-        g = sf.sphere_from_H(0.0, 1.0)
-        assert g.r_ambient == 1.0
-        assert g.c_int == 1.0
+        assert sf.intrinsic_curvature(0.0, 1.0) == 1.0
 
     def test_positive_curvature_equator(self):
-        g = sf.sphere_from_H(1.0, 0.0)
-        assert g.r_ambient == pytest.approx(math.pi / 2, rel=1e-12)
+        # The totally geodesic equator is the unit sphere itself.
+        assert sf.intrinsic_curvature(1.0, 0.0) == 1.0
 
     def test_gauss_consistency(self):
         # c_int equals the umbilic Ricci prediction R_11 / (n-1) = kappa + H^2.
@@ -88,10 +84,10 @@ class TestSphereFromH:
 
         for n in (2, 3, 4):
             for kappa, H in [(-1.0, 2.5), (0.0, 1.0), (1.0, 0.5)]:
-                g = sf.sphere_from_H(kappa, H)
+                c = sf.intrinsic_curvature(kappa, H)
                 phi = TracelessMatrix(n, np.zeros((n, n)))
                 r11 = gauss_ricci_contraction(phi, H, (n - 1) * kappa)
-                assert g.c_int == pytest.approx(r11 / (n - 1), rel=1e-12)
+                assert c == pytest.approx(r11 / (n - 1), rel=1e-12)
 
 
 class TestLambda1Ball:
@@ -219,6 +215,50 @@ class TestClosedFormOracle:
         assert sf.lambda1_ball(2, 1.0, 1e-4) == pytest.approx(578318595.96134506332, rel=1e-13)
 
 
+class TestRootFinder:
+    """The bracketed root-finder of the oracle, and the oracle's effort."""
+
+    def test_steep_bracket_next_to_the_pole(self):
+        # n = 4 past the equator: the radial function falls to about -2.7e14
+        # at S_MAX, next to its 1/w pole, while its root lies near 3.09.
+        lam = 4 * (1 - 0.999)
+        nu = 2 * lam / (3 + math.sqrt(9 + 4 * lam))
+
+        def f(s):
+            return sf._radial(4, nu, s)
+
+        root = sf._false_position(f, math.pi / 2, sf.S_MAX, f(math.pi / 2), f(sf.S_MAX))
+        eps = 2.0**-52
+        # The zero of 2F1 at this nu, by mpmath at 40 digits.
+        assert abs(root - 3.089774498682117142320481734825858354275) <= 4 * eps * root
+        assert f(root * (1 - 4 * eps)) > 0.0 > f(root * (1 + 4 * eps))
+
+    def test_nan_does_not_pass_for_a_root(self):
+        with pytest.raises(NonConvergence):
+            sf._false_position(lambda x: math.nan, 0.0, 1.0, 1.0, -1.0)
+
+    def test_radial_evaluations_per_cap_sweep(self, monkeypatch):
+        # The cap-sweep's 36 (n, delta) cells, at their grid centres: each
+        # solved cold costs a scan and a root search.  The ceiling is the
+        # count measured when the solver was put in.
+        calls = []
+        radial = sf._radial
+
+        def counting(*args):
+            calls.append(args)
+            return radial(*args)
+
+        monkeypatch.setattr(sf, "_radial", counting)
+        sf._scaled_marginal_radius.cache_clear()
+        try:
+            for n in (2, 3, 4):
+                for delta in (0.0, 0.05, 0.12, 0.2, 0.27, 0.33, 0.42, 0.5, 0.56, 0.65, 0.72, 0.85):
+                    sf.max_stable_cap_radius(n, 0.0, 1.0, delta)
+        finally:
+            sf._scaled_marginal_radius.cache_clear()
+        assert len(calls) <= 340
+
+
 class TestMaxStableCapRadius:
     def test_hemisphere_at_delta_zero(self):
         rho = sf.max_stable_cap_radius(2, -1.0, 2.5, 0.0)
@@ -226,9 +266,9 @@ class TestMaxStableCapRadius:
 
     @pytest.mark.parametrize("n,kappa,H", [(2, 0.0, 1.0), (3, -1.0, 2.5), (4, 0.0, 0.7)])
     def test_scale_invariant_hemisphere_identity(self, n, kappa, H):
-        g = sf.sphere_from_H(kappa, H)
+        c = sf.intrinsic_curvature(kappa, H)
         rho = sf.max_stable_cap_radius(n, kappa, H, 0.0)
-        assert rho * math.sqrt(g.c_int) == pytest.approx(math.pi / 2, rel=1e-9)
+        assert rho * math.sqrt(c) == pytest.approx(math.pi / 2, rel=1e-9)
 
     def test_delta_half_consistency(self):
         # rho* must satisfy lambda1(rho*) = q, checked via the independent
@@ -260,13 +300,13 @@ class TestNonFiniteInput:
     ])
     def test_sphere_from_H_rejects(self, kappa, H):
         with pytest.raises(PreconditionViolation, match="finite"):
-            sf.sphere_from_H(kappa, H)
+            sf.intrinsic_curvature(kappa, H)
 
     @pytest.mark.parametrize("kappa, H", [(0.0, 1e-200), (0.0, 1e200), (1e308, 1e154)])
     def test_sphere_from_H_rejects_curvature_out_of_float_range(self, kappa, H):
         # kappa + H^2 underflows to 0 or overflows to inf.
         with pytest.raises(PreconditionViolation, match="float range"):
-            sf.sphere_from_H(kappa, H)
+            sf.intrinsic_curvature(kappa, H)
 
     def test_verify_cap_bound_rejects_nan_H(self):
         with pytest.raises(PreconditionViolation):
@@ -310,7 +350,7 @@ class TestVerifyCapBound:
         assert rec.status == "not-applicable"
         assert (rec.rho_star, rec.c_best, rec.ratio, rec.source) == (None, None, None, None)
         with pytest.raises(UnattainableCurvature) as exc:
-            sf.sphere_from_H(kappa, H)
+            sf.intrinsic_curvature(kappa, H)
         assert rec.reason == str(exc.value)
 
     def test_fields_are_the_cap_row(self):
