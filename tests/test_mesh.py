@@ -1,8 +1,13 @@
+import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 import reference
 from cmcradius import mesh as mm
@@ -18,7 +23,33 @@ def _per_corner_lengths(m):
     )
 
 
+PINNED_MESHES = Path(__file__).resolve().parent / "pinned" / "cap_meshes.json"
+PINNED_CAPS = {-1.0: (2.5, 0.55), 0.0: (1.0, 1.9), 1.0: (0.5, 1.25)}
+
+
+def _ring_counts(m):
+    """Vertices per ring, the pole first: a vertex's ring is its edge-hop distance from the pole."""
+    n = m.num_vertices
+    graph = csr_matrix((np.ones(len(m.edges)), m.edges.T), shape=(n, n))
+    hops = shortest_path(graph, directed=False, unweighted=True, indices=0)
+    return np.bincount(hops.astype(int)).tolist()
+
+
+def _faces_digest(m):
+    return hashlib.sha256(m.faces.astype("<i8").tobytes()).hexdigest()
+
+
 class TestBuildCapMesh:
+    @pytest.mark.parametrize("kappa", sorted(PINNED_CAPS))
+    @pytest.mark.parametrize("level", range(6))
+    def test_rings_and_faces_are_pinned(self, kappa, level):
+        # Integers only, so the pin does not depend on the platform's float rounding.
+        pinned = json.loads(PINNED_MESHES.read_text())[repr(kappa)][level]
+        m = mm.build_cap_mesh(kappa, *PINNED_CAPS[kappa], level)
+        assert _ring_counts(m) == pinned["ring_counts"]
+        assert m.faces.shape == (pinned["faces"], 3)
+        assert _faces_digest(m) == pinned["faces_sha256"]
+
     def test_hemisphere_area(self):
         m = mm.build_cap_mesh(0.0, 1.0, math.pi / 2, 4)
         area = mm.triangle_areas(_per_corner_lengths(m)).sum()

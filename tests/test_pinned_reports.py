@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from cmcradius import cli
-from cmcradius.report import FORMATS
+from cmcradius.report import FORMATS, SweepReport, emit_report
 
 PINNED = Path(__file__).resolve().parent / "pinned"
 
@@ -23,12 +23,13 @@ COMMANDS = {
     "bound": (["bound", "--n", "2", "--delta", "0.1", "--H", "1.5", "--K", "-0.3", "--S", "2"], 0),
     "cap": (["cap", "--n", "3", "--kappa", "-1", "--H", "2.5", "--delta", "0.2"], 0),
     "cap_not_applicable": (["cap", "--n", "4", "--kappa", "0", "--H", "1", "--delta", "0.5"], 2),
+    # Its reason holds commas, so its CSV field is quoted.
+    "cap_quoted_reason": (["cap", "--n", "2", "--kappa", "0", "--H", "1", "--delta", "0.999"], 2),
     "cap_sweep": (["sweep"], 0),
     "bound_sweep": (["sweep"], 0),
     "algebra_sweep": (["sweep", "--seed", "1"], 0),
 }
-CASES = [(name, fmt) for name in COMMANDS
-         for fmt in (FORMATS if COMMANDS[name][0][0] != "sweep" else ("json",))]
+CASES = [(name, fmt) for name in COMMANDS for fmt in FORMATS]
 
 
 def argv_of(name: str) -> list[str]:
@@ -43,6 +44,12 @@ def test_report_is_unchanged(name, fmt, tmp_path):
     out = tmp_path / "report"
     assert cli.run([*argv_of(name), "--format", fmt, "--out", str(out)]) == COMMANDS[name][1]
     assert out.read_text() == (PINNED / f"{name}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_empty_report_is_unchanged(fmt):
+    report = SweepReport(kind="bound", metadata={"tool": "cmcradius"})
+    assert emit_report(report, fmt) == (PINNED / f"empty.{fmt}").read_text()
 
 
 MESH_ARGV = ["mesh", "--kappa", "-1", "--H", "2.5", "--rho", "0.55", "--delta", "0", "--levels", "1,2,3"]
