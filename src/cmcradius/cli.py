@@ -8,9 +8,11 @@ internal errors, 2 hypothesis violations only, 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import sys
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 # Only standard-library modules load here, so `bound` and `cap` start fast:
@@ -30,6 +32,15 @@ EXIT_USAGE = 64
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _path_errors(path: str):
+    """A file that cannot be opened, read, decoded or written is a usage error naming it."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,7 +129,7 @@ def _build_parser() -> _Parser:
 def parse_config(path: str) -> dict[str, list[str]]:
     """Flat key-value config; repeated keys accumulate into grids."""
     grids: dict[str, list[str]] = {}
-    with open(path) as fh:
+    with _path_errors(path), open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -131,16 +142,14 @@ def parse_config(path: str) -> dict[str, list[str]]:
 
 
 def _bound_row(n: int, delta: float, H: float, K: float, S: float | None) -> dict:
-    row = {"n": n, "delta": delta, "H": H, "K": K, "S": S}
+    """The inputs, then the BoundResult's fields (None where no bound applies), then status and reason."""
+    inputs = {"n": n, "delta": delta, "H": H, "K": K, "S": S}
     try:
         res = bounds.best_bound(bounds.BoundInput(n=n, delta=delta, H=H, K_inf=K, S_inf=S))
     except NoApplicableBound as exc:
-        row.update(k_star=None, A=None, B=None, c=None, source=None,
-                   status="not-applicable", reason=str(exc))
-        return row
-    row.update(k_star=res.k_star, A=res.A, B=res.B, c=res.c, source=res.source,
-               status="pass", reason="")
-    return row
+        none = dict.fromkeys(f.name for f in fields(bounds.BoundResult))
+        return {**inputs, **none, "status": "not-applicable", "reason": str(exc)}
+    return {**inputs, **vars(res), "status": "pass", "reason": ""}
 
 
 def _cap_row(n: int, kappa: float, H: float, delta: float) -> dict:
@@ -187,31 +196,29 @@ def _samples(text: str) -> int:
 
 
 #: The config keys each sweep mode reads, in read order, as key -> (parser,
-#: default).  The default is a grid (a list), None if the key is required, or
-#: one value for a setting, which takes one value.  Every mode reads "mode";
+#: default grid, or None if the key is required).  Every mode reads "mode";
 #: any other key is a usage error.
 SWEEP_KEYS = {
     "cap": {"n": (_dimension, [2]), "kappa": (_finite, [0.0]), "delta": (_finite, [0.0]),
             "H": (_finite, None)},
     "bound": {"n": (_dimension, [2]), "delta": (_finite, [0.0]), "H": (_finite, None),
               "K": (_finite, [0.0]), "S": (_finite, [None])},
-    "algebra": {"n": (_dimension, [2, 3, 4]), "samples": (_samples, 1000)},
+    "algebra": {"n": (_dimension, [2, 3, 4]), "samples": (_samples, [1000])},
 }
-_SETTINGS = ("mode", *(key for keys in SWEEP_KEYS.values() for key, (_, default) in keys.items()
-                       if default is not None and not isinstance(default, list)))
+#: Keys that take one value, not a grid.
+_SETTINGS = ("mode", "samples")
 
 
-def _values(grids: dict, key: str, parse, default):
-    """The parsed grid of `key`, or the one value of a setting."""
+def _values(grids: dict, key: str, parse, default) -> list:
+    """The parsed grid of `key`."""
     if key not in grids:
         if default is None:
             raise UsageError(f"config is missing required key {key!r}")
         return default
     try:
-        values = [parse(v) for v in grids[key]]
+        return [parse(v) for v in grids[key]]
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"config key {key!r}: {exc}") from None
-    return values[0] if key in _SETTINGS else values
 
 
 def _run_sweep(args) -> SweepReport:
@@ -236,7 +243,7 @@ def _run_sweep(args) -> SweepReport:
             -1.0 if x is None else float(x) for x in t))
         report.rows = [_bound_row(*case) for case in cases]
     else:
-        ns, samples = values
+        ns, (samples,) = values
         report.rows = _algebra_rows(sorted(ns), samples, args.seed)
     return report
 
@@ -273,22 +280,22 @@ def run(argv: list[str] | None = None) -> int:
             metadata = dict(metadata, **meta)
             report = SweepReport(kind="mesh", metadata=metadata, rows=rows)
             if args.mesh_out:
-                mesh.save_mesh(finest, args.mesh_out)
+                with _path_errors(args.mesh_out):
+                    mesh.save_mesh(finest, args.mesh_out)
         else:
             report = _run_sweep(args)
+        text = emit_report(report, args.format)
+        if args.out:
+            with _path_errors(args.out), open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)  # a broken pipe here is not a usage error
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CmcRadiusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-
-    text = emit_report(report, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return _exit_code(report)
 
 

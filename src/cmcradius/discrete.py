@@ -181,16 +181,16 @@ class LevelResult:
     status: str  # "fail" when stable, a bound applies and the radius exceeds it; else "pass"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvergenceReport:
     """Mesh-vs-oracle comparison across refinement levels."""
 
     oracle_lambda1: float
     c_best: float | None
-    levels: list[LevelResult] = field(default_factory=list)
-    convergence_order: float | None = None
-    agrees_with_oracle: bool = False
-    finest_mesh: TriMesh | None = field(default=None, repr=False, compare=False)  # mesh of the last level
+    levels: list[LevelResult]
+    convergence_order: float | None  # None with a single level
+    agrees_with_oracle: bool
+    finest_mesh: TriMesh = field(repr=False, compare=False)  # mesh of the last level
 
 
 def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[int]) -> ConvergenceReport:
@@ -205,7 +205,7 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
         c_best = None
     oracle = lambda1_ball(2, c, rho) - q
 
-    report = ConvergenceReport(oracle_lambda1=oracle, c_best=c_best)
+    results = []
     for level in sorted(levels):
         m = build_cap_mesh(kappa, H, rho, level)
         lam = lambda1_dirichlet(assemble_stability(m), -q)
@@ -217,22 +217,23 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
         else:
             verdict = "unstable"
         fails = verdict == "stable" and c_best is not None and not radius <= c_best * (1.0 + 1e-6)
-        report.levels.append(LevelResult(
+        results.append(LevelResult(
             level=level, vertices=m.num_vertices, max_edge=float(m.edge_lengths.max()), lambda1=lam,
             radius=radius, verdict=verdict, oracle_error=abs(lam - oracle),
             status="fail" if fails else "pass",
         ))
-    report.finest_mesh = m
 
-    if len(report.levels) >= 2:
-        hs = np.array([row.max_edge for row in report.levels])
-        errs = np.array([max(row.oracle_error, 1e-300) for row in report.levels])
+    order = None
+    if len(results) >= 2:
+        hs = np.array([row.max_edge for row in results])
+        errs = np.array([max(row.oracle_error, 1e-300) for row in results])
         slope, _ = np.polyfit(np.log(hs), np.log(errs), 1)
-        report.convergence_order = float(slope)
+        order = float(slope)
 
-    finest = report.levels[-1]
+    finest = results[-1]
     if finest.verdict == "marginal":
-        report.agrees_with_oracle = abs(oracle) <= 2.0 * MARGINAL_BAND * q
+        agrees = abs(oracle) <= 2.0 * MARGINAL_BAND * q
     else:
-        report.agrees_with_oracle = (finest.verdict == "stable") == (oracle >= 0.0)
-    return report
+        agrees = (finest.verdict == "stable") == (oracle >= 0.0)
+    return ConvergenceReport(oracle_lambda1=oracle, c_best=c_best, levels=results, convergence_order=order,
+                             agrees_with_oracle=agrees, finest_mesh=m)

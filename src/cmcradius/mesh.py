@@ -157,7 +157,7 @@ def _zip_rings(
 #: than 2 rho, so Heron's product s(s-a)(s-b)(s-c) <= (3 rho)^4 stays finite.
 MAX_CAP_RADIUS = float(np.finfo(float).max) ** 0.25 / 4.0
 
-#: Finest refinement level.  Each level quadruples the vertices, placed ring by
+#: Finest refinement level.  Each level quadruples the vertices, zipped ring by
 #: ring in Python: about 44k at level 7 and 0.7M at level 9 (at s = 1.4), so a
 #: larger level would not finish in reasonable time or memory.
 MAX_LEVEL = 9
@@ -179,24 +179,14 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
     rings = 2**level
     h = rho / rings
 
-    phis = [0.0]
-    thetas = [0.0]
-    ring_indices: list[np.ndarray] = []
-    ring_angles: list[np.ndarray] = []
-    next_index = 1
-    for i in range(1, rings + 1):
-        s = i * h
-        phi = s / r_int
-        circumference = 2.0 * math.pi * r_int * math.sin(phi)
-        count = max(3, int(round(circumference / h)))
-        ang = 2.0 * math.pi * np.arange(count) / count
-        phis.extend([phi] * count)
-        thetas.extend(ang.tolist())
-        ring_indices.append(np.arange(next_index, next_index + count))
-        ring_angles.append(ang)
-        next_index += count
-
-    vertices = _model_points(kappa, H, c, np.asarray(phis), np.asarray(thetas))
+    phi = np.arange(1, rings + 1) * h / r_int  # polar angle of each ring
+    counts = np.maximum(3, np.rint(2.0 * math.pi * r_int * np.sin(phi) / h).astype(np.int64))
+    ends = np.cumsum(counts)
+    k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)  # each vertex's index in its ring
+    theta = 2.0 * math.pi * k / np.repeat(counts, counts)
+    vertices = _model_points(kappa, H, c, np.append(0.0, np.repeat(phi, counts)), np.append(0.0, theta))
+    ring_indices = np.split(np.arange(1, ends[-1] + 1), ends[:-1])
+    ring_angles = np.split(theta, ends[:-1])
 
     first = ring_indices[0]
     fan = np.stack([first, np.roll(first, -1), np.zeros_like(first)], axis=1)

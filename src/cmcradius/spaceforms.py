@@ -247,7 +247,8 @@ def max_stable_cap_radius(n: int, kappa: float, H: float, delta: float) -> float
     so the scaled radius is solved once and cached.
     """
     bounds.check_delta(delta)
-    return _scaled_marginal_radius(n, float(delta)) / math.sqrt(intrinsic_curvature(kappa, H))
+    c = intrinsic_curvature(kappa, H)  # before the root search, whose failure would hide it
+    return _scaled_marginal_radius(n, float(delta)) / math.sqrt(c)
 
 
 @dataclass(frozen=True)

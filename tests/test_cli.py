@@ -129,6 +129,14 @@ class TestCapCommand:
         assert row["status"] == "not-applicable"
         assert row["reason"] == "geodesic spheres in curvature -1.0 have H > 1.0, got 0.3"
 
+    @pytest.mark.parametrize("delta", ["0", "0.5", "0.999"])
+    def test_unattainable_curvature_reason_at_any_delta(self, delta, capsys):
+        # The curvature is checked before the root search, which finds no radius at delta = 0.999.
+        code = cli.run(["cap", "--n", "2", "--kappa", "-1", "--H", "0.3", "--delta", delta, "--format", "json"])
+        assert code == 2
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["reason"] == "geodesic spheres in curvature -1.0 have H > 1.0, got 0.3"
+
     def test_overflowing_H_is_an_error(self, capsys):
         # H^2 overflows: kappa + H^2 is not a curvature the oracle can use.
         code = cli.run(["cap", "--n", "4", "--kappa", "0", "--H", "1e200", "--delta", "0"])
@@ -395,6 +403,26 @@ class TestSweepCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mode cap\n")
         assert cli.run(["sweep", "--config", str(cfg)]) == 64
+
+
+class TestUnusablePaths:
+    MESH = ["mesh", "--kappa", "0", "--H", "1", "--rho", "1", "--delta", "0", "--levels", "1"]
+    BOUND = ["bound", "--n", "2", "--delta", "0", "--H", "2"]
+
+    @pytest.mark.parametrize("argv, path", [
+        (["sweep", "--config", "{tmp}/missing.cfg"], "{tmp}/missing.cfg"),
+        (["sweep", "--config", "{tmp}"], "{tmp}"),
+        (["sweep", "--config", "{tmp}/undecodable.cfg"], "{tmp}/undecodable.cfg"),
+        ([*BOUND, "--out", "{tmp}/missing/x.json"], "{tmp}/missing/x.json"),
+        ([*MESH, "--mesh-out", "{tmp}"], "{tmp}"),
+    ], ids=["missing config", "directory config", "undecodable config", "out in a missing directory",
+            "mesh-out a directory"])
+    def test_usage_error_names_the_path(self, argv, path, capsys, tmp_path):
+        # A file that cannot be read, decoded or written is a usage error, not a traceback.
+        (tmp_path / "undecodable.cfg").write_bytes(b"mode = cap\nH = 2\xff\n")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert cli.run(argv) == 64
+        assert capsys.readouterr().err.startswith(f"usage error: {path.format(tmp=tmp_path)}: ")
 
 
 # The grid keys each mode reads, and values that parse; the faults below break one or the other.
