@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import math
+import os
 import sys
 from dataclasses import fields
 from typing import TYPE_CHECKING
@@ -41,6 +43,16 @@ def _path_errors(path: str):
         yield
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _check_output_path(path: str) -> None:
+    """Reject, before any computation, an output path that is a directory or
+    whose directory does not exist.  Nothing is created or truncated; any
+    other error surfaces when the file is written."""
+    with _path_errors(path):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        os.stat(os.path.dirname(path) or ".")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,14 +153,17 @@ def parse_config(path: str) -> dict[str, list[str]]:
     return grids
 
 
+#: The BoundResult columns of a row where no bound applies.
+_NO_BOUND = dict.fromkeys(f.name for f in fields(bounds.BoundResult))
+
+
 def _bound_row(n: int, delta: float, H: float, K: float, S: float | None) -> dict:
     """The inputs, then the BoundResult's fields (None where no bound applies), then status and reason."""
     inputs = {"n": n, "delta": delta, "H": H, "K": K, "S": S}
     try:
         res = bounds.best_bound(bounds.BoundInput(n=n, delta=delta, H=H, K_inf=K, S_inf=S))
     except NoApplicableBound as exc:
-        none = dict.fromkeys(f.name for f in fields(bounds.BoundResult))
-        return {**inputs, **none, "status": "not-applicable", "reason": str(exc)}
+        return {**inputs, **_NO_BOUND, "status": "not-applicable", "reason": str(exc)}
     return {**inputs, **vars(res), "status": "pass", "reason": ""}
 
 
@@ -266,6 +281,9 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
+        for path in (args.out, getattr(args, "mesh_out", None)):
+            if path:
+                _check_output_path(path)
         metadata = {"tool": "cmcradius", "version": __version__}
         if args.command == "bound":
             report = SweepReport(kind="bound", metadata=metadata)

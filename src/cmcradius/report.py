@@ -11,6 +11,13 @@ from dataclasses import dataclass, field
 FORMATS = ("table", "json", "csv")
 
 
+#: `encode` of the flat dicts of a JSON report, one per depth.  The item
+#: separator carries the newline and indent that `json.dumps(indent=2)` puts
+#: between items, and with `indent=None` the C encoder runs.
+_ENCODE_4 = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+_ENCODE_6 = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
 def format_number(x) -> object:
     """Round floats to 12 significant digits; other values pass through."""
     return float(f"{x:.12g}") if isinstance(x, float) else x
@@ -21,7 +28,9 @@ class SweepReport:
     """Rows plus summary counts.
 
     Every row has the same keys in the same order, so the first row's keys
-    are the report's columns.
+    are the report's columns.  The metadata and every row are flat dicts of
+    scalars (str, int, float, bool or None), so the JSON writer can encode
+    each as one unit.
     """
 
     kind: str
@@ -39,13 +48,7 @@ def emit_report(report: SweepReport, fmt: str = "table") -> str:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if fmt == "json":
-        doc = {
-            "kind": report.kind,
-            "metadata": {k: format_number(v) for k, v in report.metadata.items()},
-            "rows": [{k: format_number(v) for k, v in r.items()} for r in report.rows],
-            "summary": report.summary,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(report)
     cols = list(report.rows[0]) if report.rows else []
     cells = [["" if v is None else str(format_number(v)) for v in r.values()] for r in report.rows]
     if fmt == "csv":
@@ -59,3 +62,20 @@ def emit_report(report: SweepReport, fmt: str = "table") -> str:
     s = report.summary
     lines += ["", f"pass={s['pass']} fail={s['fail']} not-applicable={s['not_applicable']}"]
     return "\n".join(lines) + "\n"
+
+
+def _flat(encode, d: dict, indent: str) -> str:
+    """`d`, a dict of scalars, as `json.dumps(indent=2)` writes it with its closing brace at `indent`."""
+    text = encode(d)
+    return text if text == "{}" else f"{{\n{indent}  {text[1:-1]}\n{indent}}}"
+
+
+def _json(report: SweepReport) -> str:
+    """Exactly `json.dumps(doc, indent=2) + "\\n"`: the frame is written here, each flat dict by C."""
+    metadata = _flat(_ENCODE_4, {k: format_number(v) for k, v in report.metadata.items()}, "  ")
+    rows = ",\n".join("    " + _flat(_ENCODE_6, {k: format_number(v) for k, v in r.items()}, "    ")
+                      for r in report.rows)
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
+    summary = _flat(_ENCODE_4, report.summary, "  ")
+    return (f'{{\n  "kind": {_ENCODE_4(report.kind)},\n  "metadata": {metadata},\n'
+            f'  "rows": {rows},\n  "summary": {summary}\n}}\n')

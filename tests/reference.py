@@ -17,7 +17,7 @@ from cmcradius import bounds
 from cmcradius.algebra import TracelessMatrix, traceless_part
 from cmcradius.errors import HypothesisViolation, PreconditionViolation
 from cmcradius.mesh import TriMesh
-from cmcradius.report import SweepReport
+from cmcradius.report import SweepReport, format_number
 from cmcradius.spaceforms import intrinsic_curvature
 
 
@@ -156,3 +156,15 @@ def parse_report_json(text: str) -> SweepReport:
     """Inverse of emit_report(fmt='json'), used by round-trip tests."""
     doc = json.loads(text)
     return SweepReport(kind=doc["kind"], rows=doc["rows"], metadata=doc["metadata"])
+
+
+def report_json(report: SweepReport) -> str:
+    """The bytes `emit_report(report, "json")` must give: `json.dumps(indent=2)`
+    of the document with every value rounded by `format_number`."""
+    doc = {
+        "kind": report.kind,
+        "metadata": {k: format_number(v) for k, v in report.metadata.items()},
+        "rows": [{k: format_number(v) for k, v in r.items()} for r in report.rows],
+        "summary": report.summary,
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmcradius import cli
+from cmcradius import bounds, cli, discrete
 from cmcradius.report import SweepReport, emit_report
-from reference import parse_report_json
+from reference import parse_report_json, report_json
 
 
 class TestEmitReport:
@@ -56,6 +56,28 @@ class TestEmitReport:
         assert texts[0] == texts[1]
         assert json.loads(texts[0])["metadata"] == {
             "tool": "cmcradius", "c_best": 0.765136702741, "agrees_with_oracle": True}
+
+
+# Strings that test the escaping and the hand-written frame: a quote, a
+# backslash, a newline, the text between two rows, and non-ASCII characters.
+JSON_STRINGS = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", "\n", "},\n      {", "\n    },\n    {\n      ", "δ-stable ≥ ½", "\U0001d400"]))
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.sampled_from([-0.0, 1e-300, 1e300]), JSON_STRINGS,
+                         st.sampled_from(["pass", "fail", "not-applicable"]))
+JSON_DICTS = st.dictionaries(st.one_of(JSON_STRINGS, st.just("status")), JSON_SCALARS, max_size=6)
+
+
+class TestJsonBytes:
+    @given(kind=JSON_STRINGS, metadata=JSON_DICTS, rows=st.lists(JSON_DICTS, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_json_is_json_dumps_indent_2(self, kind, metadata, rows):
+        rep = SweepReport(kind=kind, rows=rows, metadata=metadata)
+        assert emit_report(rep, "json") == report_json(rep)
+
+    def test_the_c_encoder_is_available(self):
+        # Without it reports stay correct but are written by the pure-Python encoder.
+        assert json.encoder.c_make_encoder is not None
 
 
 class TestBoundCommand:
@@ -423,6 +445,30 @@ class TestUnusablePaths:
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert cli.run(argv) == 64
         assert capsys.readouterr().err.startswith(f"usage error: {path.format(tmp=tmp_path)}: ")
+
+    @pytest.mark.parametrize("argv, path", [
+        ([*BOUND, "--out", "{tmp}"], "{tmp}"),
+        ([*BOUND, "--out", "{tmp}/missing/x.json"], "{tmp}/missing/x.json"),
+        (["cap", "--n", "2", "--kappa", "0", "--H", "1", "--delta", "0", "--out", "{tmp}"], "{tmp}"),
+        (["sweep", "--config", "{tmp}/bound.cfg", "--out", "{tmp}/missing/x.json"], "{tmp}/missing/x.json"),
+        ([*MESH, "--mesh-out", "{tmp}"], "{tmp}"),
+        ([*MESH, "--mesh-out", "{tmp}/missing/m.txt"], "{tmp}/missing/m.txt"),
+        ([*MESH, "--mesh-out", "{tmp}/m.txt", "--out", "{tmp}/missing/x.json"], "{tmp}/missing/x.json"),
+    ], ids=["bound out a directory", "bound out in a missing directory", "cap out a directory",
+            "sweep out in a missing directory", "mesh-out a directory", "mesh-out in a missing directory",
+            "mesh out in a missing directory"])
+    def test_unusable_output_path_is_rejected_before_computing(self, argv, path, capsys, tmp_path,
+                                                                monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("the computation ran")
+
+        monkeypatch.setattr(bounds, "best_bound", computed)
+        monkeypatch.setattr(discrete, "mesh_verify", computed)
+        (tmp_path / "bound.cfg").write_text("mode = bound\nH = 2\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.run([arg.format(tmp=tmp_path) for arg in argv]) == 64
+        assert capsys.readouterr().err.startswith(f"usage error: {path.format(tmp=tmp_path)}: ")
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 # The grid keys each mode reads, and values that parse; the faults below break one or the other.
