@@ -18,10 +18,6 @@ from .errors import PreconditionViolation
 TRACE_TOL = 1e-12
 #: Entries at most this over n keep the sum of their n^2 squares finite.
 _SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))
-#: Largest `samples` an algebra sweep accepts.  The sweep holds every
-#: sample of a dimension at once (samples * n^2 floats, 12.8 MB for n = 4),
-#: so the limit bounds its memory as well as its run time.
-MAX_SAMPLES = 100_000
 
 
 def traceless_part(raw: np.ndarray) -> np.ndarray:

@@ -92,13 +92,10 @@ def _dimension(text: str) -> int:
 
 
 def _levels(text: str) -> list[int]:
-    """Comma-separated distinct refinement levels, each an integer in [0, mesh.MAX_LEVEL]."""
-    from .mesh import MAX_LEVEL
-
+    """Comma-separated distinct non-negative integers; `run` checks them against mesh.MAX_LEVEL."""
     levels = [_integer(v) for v in text.split(",") if v.strip()]
-    if not levels or len(set(levels)) < len(levels) or max(levels) > MAX_LEVEL:
-        raise argparse.ArgumentTypeError(
-            f"expected one or more distinct levels, each at most {MAX_LEVEL}, got {text!r}")
+    if not levels or len(set(levels)) < len(levels):
+        raise argparse.ArgumentTypeError(f"expected one or more distinct levels, got {text!r}")
     return levels
 
 
@@ -167,7 +164,7 @@ def _bound_row(n: int, delta: float, H: float, K: float, S: float | None) -> dic
     return {**inputs, **vars(res), "status": "pass", "reason": ""}
 
 
-def _cap_row(n: int, kappa: float, H: float, delta: float) -> dict:
+def _cap_row(n: int, kappa: float, delta: float, H: float) -> dict:
     return vars(spaceforms.verify_cap_bound(n, kappa, H, delta))
 
 
@@ -200,10 +197,14 @@ def _algebra_rows(ns: list[int], samples: int, seed: int) -> list[dict]:
     return rows
 
 
-def _samples(text: str) -> int:
-    """An algebra sweep's sample count, an integer in [1, algebra.MAX_SAMPLES]."""
-    from .algebra import MAX_SAMPLES
+#: Largest `samples` an algebra sweep accepts.  The sweep holds every
+#: sample of a dimension at once (samples * n^2 floats, 12.8 MB for n = 4),
+#: so the limit bounds its memory as well as its run time.
+MAX_SAMPLES = 100_000
 
+
+def _samples(text: str) -> int:
+    """An algebra sweep's sample count, an integer in [1, MAX_SAMPLES]."""
     value = _integer(text, 1)
     if value > MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES}, got {value}")
@@ -250,16 +251,14 @@ def _run_sweep(args) -> SweepReport:
     if unread:
         raise UsageError(f"config key {unread[0]!r} is not read in {mode} mode")
     values = [_values(grids, key, *spec) for key, spec in SWEEP_KEYS[mode].items()]
-    if mode == "cap":
-        cases = sorted(itertools.product(*values))
-        report.rows = [_cap_row(n, kappa, H, delta) for n, kappa, delta, H in cases]
-    elif mode == "bound":
-        cases = sorted(itertools.product(*values), key=lambda t: tuple(
-            -1.0 if x is None else float(x) for x in t))
-        report.rows = [_bound_row(*case) for case in cases]
-    else:
+    if mode == "algebra":
         ns, (samples,) = values
         report.rows = _algebra_rows(sorted(ns), samples, args.seed)
+    else:
+        row = _cap_row if mode == "cap" else _bound_row
+        cases = sorted(itertools.product(*values), key=lambda t: tuple(
+            -1.0 if x is None else float(x) for x in t))
+        report.rows = [row(*case) for case in cases]
     return report
 
 
@@ -273,14 +272,8 @@ def _exit_code(report: SweepReport) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
+        args = _build_parser().parse_args(argv)
         for path in (args.out, getattr(args, "mesh_out", None)):
             if path:
                 _check_output_path(path)
@@ -290,10 +283,13 @@ def run(argv: list[str] | None = None) -> int:
             report.rows = [_bound_row(args.n, args.delta, args.H, args.K, args.S)]
         elif args.command == "cap":
             report = SweepReport(kind="cap", metadata=metadata)
-            report.rows = [_cap_row(args.n, args.kappa, args.H, args.delta)]
+            report.rows = [_cap_row(args.n, args.kappa, args.delta, args.H)]
         elif args.command == "mesh":
             from . import mesh
 
+            if max(args.levels) > mesh.MAX_LEVEL:
+                raise UsageError(f"argument --levels: expected levels at most {mesh.MAX_LEVEL}, "
+                                 f"got {max(args.levels)}")
             rows, meta, finest = _mesh_rows(args.kappa, args.H, args.rho, args.delta, args.levels)
             metadata = dict(metadata, **meta)
             report = SweepReport(kind="mesh", metadata=metadata, rows=rows)

@@ -144,22 +144,28 @@ def lambda1_dirichlet(problem: SpectralProblem, shift: float) -> float:
 
     Inverse iteration on (stiffness, mass): the Dirichlet stiffness is
     symmetric positive definite and already in elimination order, so it
-    is factored once as given, with diagonal pivots only.  Stops when
-    successive Rayleigh quotients of the operator agree to STOP_TOL
-    relatively, against at least max(1, |shift|).
+    is factored once as given, with diagonal pivots only.  Each solve
+    K y = M x gives the Rayleigh numerator y.K y as y.M x, so K enters no
+    product.  Stops when successive Rayleigh quotients of the operator
+    agree to STOP_TOL relatively, against at least max(1, |shift|).
     """
     K = problem.stiffness
     m = problem.mass
     scale = max(1.0, abs(shift))
-    lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    try:
+        lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise MeshError(f"the Dirichlet stiffness cannot be factored: {exc}") from None
 
+    # The M-normalised constant vector; unnormalised, M x can under- or overflow.
     x = np.ones(K.shape[0])
     x /= math.sqrt(float(x @ (m * x)))
-    rayleigh = float(x @ (K @ x)) + shift
+    rayleigh = math.inf
     for _ in range(MAX_INVERSE_STEPS):
-        y = lu.solve(m * x)
+        b = m * x
+        y = lu.solve(b)
         norm2 = float(y @ (m * y))
-        new_rayleigh = float(y @ (K @ y)) / norm2 + shift
+        new_rayleigh = float(y @ b) / norm2 + shift
         x = y / math.sqrt(norm2)
         if abs(new_rayleigh - rayleigh) <= STOP_TOL * max(abs(new_rayleigh), scale):
             return new_rayleigh

@@ -28,8 +28,8 @@ class TriMesh:
     vertices are (nv, 3) for kappa = 0 and (nv, 4) otherwise, faces (nf, 3)
     vertex indices.  Raises MeshError unless every face has three distinct
     vertices in range, no edge lies in more than two faces, the Euler
-    characteristic is 1, the faces are consistently oriented and the edges
-    connect every vertex.
+    characteristic is 1, the faces are consistently oriented, the edges
+    connect every vertex and some edge lies in one face only (a boundary).
     """
 
     def __init__(self, vertices: np.ndarray, faces: np.ndarray, kappa: float):
@@ -73,6 +73,8 @@ class TriMesh:
         if components != 1:  # chi adds over components: a disk plus a torus has chi = 1
             raise MeshError(f"not a disk: {components} connected components")
         self.boundary = np.unique(self.edges[edge_faces == 1])  # vertices of the edges in one face
+        if self.boundary.size == 0:  # a closed surface, such as a sphere with two points identified
+            raise MeshError("not a disk: no boundary")
         self.interior = np.setdiff1d(np.arange(nv), self.boundary, assume_unique=True)
         self.edge_lengths = ambient_distance(kappa, v[self.edges[:, 0]], v[self.edges[:, 1]])  # geodesic
         edge_of_half_edge = np.empty(key.size, dtype=np.int64)
@@ -227,8 +229,6 @@ def intrinsic_radius(mesh: TriMesh) -> float:
     traversed both ways; overestimates the smooth intrinsic radius by the
     mesh anisotropy factor.
     """
-    if mesh.boundary.size == 0:
-        raise MeshError("mesh has no boundary")
     if mesh.interior.size == 0:
         raise MeshError("mesh has no interior vertices")
     edges, n = mesh.edges, mesh.num_vertices

@@ -183,7 +183,7 @@ class TestCapCommand:
 # (an import of either then raises ImportError), and prints the exit codes,
 # the report bytes and the numeric modules that were loaded.
 _LANE_SCRIPT = """
-import json, sys
+import json, os, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = sys.modules["scipy"] = None
 from cmcradius import cli
@@ -191,6 +191,9 @@ results = []
 for i, argv in enumerate(json.loads(sys.argv[2])):
     out = f"report{i}.txt"
     code = cli.run(argv + ["--out", out])
+    if not os.path.exists(out):  # a usage error writes no report
+        results.append([code, None])
+        continue
     with open(out) as fh:
         results.append([code, fh.read()])
 numeric = sorted(m for m, mod in sys.modules.items()
@@ -226,6 +229,20 @@ class TestScalarLane:
         assert runs["blocked"]["results"] == runs["unblocked"]["results"]
         assert runs["unblocked"]["numeric"] == []
 
+    def test_usage_errors_load_no_numerics(self, tmp_path):
+        (tmp_path / "zero.cfg").write_text("mode = algebra\nsamples = 0\n")
+        (tmp_path / "huge.cfg").write_text("mode = algebra\nsamples = 1000000000\n")
+        mesh = ["mesh", "--kappa", "-1", "--H", "2.5", "--rho", "0.55", "--delta", "0"]
+        commands = [
+            [*mesh, "--levels", "3,4,5,6,7", "--mesh-out", "."],
+            [*mesh, "--levels", "3,3"],
+            ["sweep", "--config", "zero.cfg"],
+            ["sweep", "--config", "huge.cfg"],
+        ]
+        for mode in ("blocked", "unblocked"):
+            run = json.loads(_run_isolated(_LANE_SCRIPT, mode, json.dumps(commands), cwd=tmp_path))
+            assert run == {"results": [[64, None]] * len(commands), "numeric": []}
+
     def test_package_resolves_submodules_on_access(self, tmp_path):
         code = (
             "import sys, cmcradius\n"
@@ -258,6 +275,15 @@ class TestMeshCommand:
         assert len(doc["rows"]) == 2
         assert doc["metadata"]["oracle_lambda1"] is not None
         assert mesh_file.read_text().startswith("v ")
+
+    def test_singular_stiffness_is_an_error(self, capsys):
+        # A level-0 cap within 3e-9 of the whole unit sphere: SuperLU finds
+        # its Dirichlet stiffness singular.
+        code = cli.run(["mesh", "--kappa", "1", "--H", "0", "--rho", "3.1415926504", "--delta", "0",
+                        "--levels", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Dirichlet stiffness" in err and "Traceback" not in err
 
     def test_mesh_out_matches_direct_export(self, capsys, tmp_path):
         from cmcradius import mesh
@@ -332,7 +358,7 @@ class TestMalformedIntegers:
         ("bound", "n = 1"),
         ("algebra", "samples = x"),
         ("algebra", "samples = 0"),
-        ("algebra", "samples = 1000000000"),  # over algebra.MAX_SAMPLES
+        ("algebra", "samples = 1000000000"),  # over cli.MAX_SAMPLES
         ("algebra", "n = 3.0"),
     ], ids=lambda v: v)
     def test_sweep_config(self, mode, line, capsys, tmp_path):

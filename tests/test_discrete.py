@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
 
 from cmcradius import discrete as dd
 from cmcradius import mesh as mm
@@ -167,6 +168,12 @@ class TestMeshVerify:
         assert rep.levels[-1].verdict == "marginal"
         assert rep.agrees_with_oracle
 
+    def test_singular_stiffness_is_a_mesh_error(self):
+        # A level-0 cap this close to the whole unit sphere has a numerically
+        # singular Dirichlet stiffness; SuperLU's RuntimeError must not escape.
+        with pytest.raises(MeshError, match="Dirichlet stiffness"):
+            dd.mesh_verify(1.0, 0.0, (1 - 1e-9) * math.pi, 0.0, [0])
+
     def test_levels_out_of_range_are_rejected_before_any_mesh(self, monkeypatch):
         monkeypatch.setattr(dd, "build_cap_mesh", lambda *args: pytest.fail("a mesh was built"))
         for levels in ([3, 40], [-1, 3]):
@@ -216,6 +223,15 @@ class TestShortEdges:
         assert rep.agrees_with_oracle
 
 
+class _FactorOnly(csc_matrix):
+    """A stiffness that SuperLU factors but that takes part in no product."""
+
+    def _product(self, other):
+        raise AssertionError("a product with the stiffness")
+
+    __matmul__ = __rmatmul__ = __mul__ = __rmul__ = dot = _product
+
+
 class TestDenseReference:
     @pytest.mark.parametrize("kappa, H, rho, delta", [(-1.0, 2.5, 0.6, 0.0), (1.0, 1.0, 1.0, 0.4)])
     def test_lambda1_matches_dense_pencil(self, kappa, H, rho, delta):
@@ -240,6 +256,17 @@ class TestDenseReference:
         problem = dd.assemble_stability(m)
         dense = eigh(problem.stiffness.toarray(), np.diag(problem.mass), eigvals_only=True)
         assert dd.lambda1_dirichlet(problem, 0.0) == pytest.approx(dense[0], rel=1e-10)
+
+    def test_stiffness_is_only_factored(self):
+        # Each solve K y = M x gives the Rayleigh numerator y.K y as y.M x.
+        from scipy.linalg import eigh
+
+        problem = dd.assemble_stability(mm.build_cap_mesh(-1.0, 2.5, 0.6, 3))
+        dense = eigh(problem.stiffness.toarray(), np.diag(problem.mass), eigvals_only=True)
+        problem.stiffness = _FactorOnly(problem.stiffness)
+        with pytest.raises(AssertionError, match="product"):
+            problem.stiffness @ problem.mass
+        assert dd.lambda1_dirichlet(problem, -2.0) == pytest.approx(dense[0] - 2.0, rel=1e-10)
 
 
 # One study per model with the scaled radii s = rho * sqrt(kappa + H^2) of the

@@ -222,13 +222,11 @@ class TestIntrinsicRadius:
     def test_no_boundary_error(self):
         # An icosahedron with two antipodal vertices identified: every edge
         # lies in two faces, the orientation is consistent and V - E + F =
-        # 11 - 30 + 20 = 1, so it passes as a disk with no boundary.
+        # 11 - 30 + 20 = 1, so only the boundary rule rejects it.
         vertices, faces = _icosahedron()
         faces = np.where(faces == 11, 0, faces)  # vertex 11 is antipodal to vertex 0
-        m = mm.TriMesh(vertices=vertices[:11], faces=faces, kappa=0.0)
-        assert m.boundary.size == 0
         with pytest.raises(MeshError, match="no boundary"):
-            mm.intrinsic_radius(m)
+            mm.TriMesh(vertices=vertices[:11], faces=faces, kappa=0.0)
 
 
 class TestExport:

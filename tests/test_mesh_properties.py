@@ -21,10 +21,15 @@ numbers = st.one_of(reals, magnitudes, st.floats(-4.0, 4.0))
 levels = st.lists(st.integers(0, 3), min_size=1, max_size=4)
 
 
+# Fractions of the whole sphere's radius pi / sqrt(c) within a few ulps to 1e-7 of it,
+# where the Dirichlet stiffness of a coarse cap can be numerically singular.
+NEAR_SPHERE = st.sampled_from([1 - 1e-7, 1 - 3e-9, 1 - 1e-9, math.nextafter(1.0, 0.0)])
+
+
 @st.composite
 def caps(draw):
     """(kappa, H, rho): any finite numbers, or an attainable H and a radius up to
-    1.2 times that of the whole sphere."""
+    1.2 times that of the whole sphere, or just short of it."""
     kappa = draw(numbers)
     if draw(st.booleans()):
         H = math.sqrt(max(-kappa, 0.0)) * draw(st.floats(1.0, 4.0)) + draw(st.floats(0.0, 4.0))
@@ -32,7 +37,7 @@ def caps(draw):
         H = draw(numbers)
     c = kappa + H * H
     if 0.0 < c < math.inf and draw(st.booleans()):
-        rho = draw(st.floats(0.0, 1.2)) * math.pi / math.sqrt(c)
+        rho = draw(st.one_of(NEAR_SPHERE, st.floats(0.0, 1.2))) * math.pi / math.sqrt(c)
     else:
         rho = draw(numbers)
     return kappa, H, rho
