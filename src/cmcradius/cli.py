@@ -55,6 +55,16 @@ def _check_output_path(path: str) -> None:
         os.stat(os.path.dirname(path) or ".")
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: they resolve alike, or both exist and are one file (hard links)."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return False
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -274,9 +284,11 @@ def _exit_code(report: SweepReport) -> int:
 def run(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        for path in (args.out, getattr(args, "mesh_out", None)):
-            if path:
-                _check_output_path(path)
+        outputs = [path for path in (args.out, getattr(args, "mesh_out", None)) if path]
+        for path in outputs:
+            _check_output_path(path)
+        if len(outputs) == 2 and _same_file(*outputs):
+            raise UsageError(f"--out {outputs[0]} and --mesh-out {outputs[1]} name one file")
         metadata = {"tool": "cmcradius", "version": __version__}
         if args.command == "bound":
             report = SweepReport(kind="bound", metadata=metadata)

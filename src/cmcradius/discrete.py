@@ -11,7 +11,8 @@ directly in a geometric nested-dissection elimination order of the
 cap's pole chart, which gives less fill than SuperLU's minimum-degree
 ordering of A + A^T.  Its first eigenvalue comes from inverse iteration
 on the Dirichlet stiffness, factored once by SuperLU in symmetric mode
-with diagonal pivots only.
+with diagonal pivots only, started from the cap's closed-form radial
+eigenfunction.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import MeshError, NoApplicableBound, NonConvergence
 from .mesh import MAX_LEVEL, TriMesh, build_cap_mesh, intrinsic_radius, pole_chart
-from .spaceforms import cap_bound, intrinsic_curvature, lambda1_ball
+from .spaceforms import cap_bound, intrinsic_curvature, lambda1_ball, radial_profile
 
 DEGENERATE_AREA_FRACTION = 1e-14
 
@@ -93,13 +94,15 @@ class SpectralProblem:
     """Dirichlet-reduced generalized eigenproblem (stiffness, mass).
 
     interior lists the interior vertices in nested-dissection elimination
-    order; stiffness is the full stiffness restricted to them and mass
-    their lumped masses, both in that order.
+    order; stiffness is the full stiffness restricted to them, mass their
+    lumped masses and polar their polar angles in the pole chart, all in
+    that order.
     """
 
     stiffness: csc_matrix
     mass: np.ndarray
     interior: np.ndarray
+    polar: np.ndarray
 
 
 def assemble_stability(mesh: TriMesh) -> SpectralProblem:
@@ -129,25 +132,29 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
     position = np.full(nv, -1)
     position[idx] = np.arange(idx.size)
     inner = (position[mesh.edges] >= 0).all(axis=1)
-    idx = idx[nested_dissection(pole_chart(mesh, idx), position[mesh.edges[inner]])]
+    chart = pole_chart(mesh, idx)
+    order = nested_dissection(chart, position[mesh.edges[inner]])
+    idx = idx[order]
     position[idx] = np.arange(idx.size)
     a, b = position[mesh.edges[inner]].T
     n = np.arange(idx.size)
     rows, cols = np.concatenate([a, b, n]), np.concatenate([b, a, n])
     entries = np.concatenate([-weight[inner], -weight[inner], diagonal[idx]])
     stiffness = csc_matrix((entries, (rows, cols)), shape=(n.size, n.size))  # no duplicate entries
-    return SpectralProblem(stiffness=stiffness, mass=mass[idx], interior=idx)
+    return SpectralProblem(stiffness=stiffness, mass=mass[idx], interior=idx,
+                           polar=np.hypot(chart[order, 0], chart[order, 1]))
 
 
-def lambda1_dirichlet(problem: SpectralProblem, shift: float) -> float:
+def lambda1_dirichlet(problem: SpectralProblem, shift: float, start: np.ndarray) -> float:
     """Smallest generalized eigenvalue of (stiffness + shift * mass, mass).
 
-    Inverse iteration on (stiffness, mass): the Dirichlet stiffness is
-    symmetric positive definite and already in elimination order, so it
-    is factored once as given, with diagonal pivots only.  Each solve
-    K y = M x gives the Rayleigh numerator y.K y as y.M x, so K enters no
-    product.  Stops when successive Rayleigh quotients of the operator
-    agree to STOP_TOL relatively, against at least max(1, |shift|).
+    Inverse iteration on (stiffness, mass) from the vector start, one
+    entry per interior vertex in elimination order: the Dirichlet
+    stiffness is symmetric positive definite and already in that order,
+    so it is factored once as given, with diagonal pivots only.  Each
+    solve K y = M x gives the Rayleigh numerator y.K y as y.M x, so K
+    enters no product.  Stops when successive Rayleigh quotients of the
+    operator agree to STOP_TOL relatively, against at least max(1, |shift|).
     """
     K = problem.stiffness
     m = problem.mass
@@ -157,9 +164,8 @@ def lambda1_dirichlet(problem: SpectralProblem, shift: float) -> float:
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise MeshError(f"the Dirichlet stiffness cannot be factored: {exc}") from None
 
-    # The M-normalised constant vector; unnormalised, M x can under- or overflow.
-    x = np.ones(K.shape[0])
-    x /= math.sqrt(float(x @ (m * x)))
+    # M-normalised: unnormalised, M x can under- or overflow.
+    x = start / math.sqrt(float(start @ (m * start)))
     rayleigh = math.inf
     for _ in range(MAX_INVERSE_STEPS):
         b = m * x
@@ -209,12 +215,22 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
         c_best = cap_bound(2, kappa, H, delta).c
     except NoApplicableBound:
         c_best = None
-    oracle = lambda1_ball(2, c, rho) - q
+    ball = lambda1_ball(2, c, rho)
+    oracle = ball - q
+    # The inverse iteration starts from the cap's eigenfunction, tabulated at
+    # the finest level's ring angles; a coarser level's rings are a subset.
+    s = rho * math.sqrt(c)
+    angles = np.arange(2 ** max(levels) + 1) * s / 2 ** max(levels)
+    profile = None
 
     results = []
     for level in sorted(levels):
         m = build_cap_mesh(kappa, H, rho, level)
-        lam = lambda1_dirichlet(assemble_stability(m), -q)
+        problem = assemble_stability(m)
+        if profile is None:  # after the first mesh, so that a cap too large to mesh says so first
+            profile = radial_profile(2, ball / c, s, angles.tolist())
+        lam = lambda1_dirichlet(problem, -q, np.interp(problem.polar, angles, profile))
+        del problem  # kept through the radius and the next mesh, it would raise their peak memory
         radius = intrinsic_radius(m)
         if abs(lam) <= MARGINAL_BAND * q:
             verdict = "marginal"

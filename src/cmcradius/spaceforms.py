@@ -150,7 +150,8 @@ def _radial(n: int, nu: float, s: float) -> float:
     sin((nu+1)s) / ((nu+1) sin s), expanded so that a small nu keeps its
     digits.  Otherwise it is a Gauss series up to the equator and the
     logarithmic series about s = pi past it, where 0 < nu < 1 is
-    required (the callers only need nu <= 1 there).
+    required.  The callers only need nu <= 1 there: the root searches,
+    and radial_profile, which clamps a nu rounded from an eigenvalue.
     """
     if nu == 1.0:
         return math.cos(s)
@@ -222,6 +223,25 @@ def lambda1_ball(n: int, c_int: float, rho: float) -> float:
     return bounds._finite("lambda1", c_int * nu * (nu + n - 1.0))
 
 
+def _nu(n: int, lam: float) -> float:
+    """The nu >= 0 with nu(nu+n-1) = lam, in a form that keeps a small lam's digits."""
+    return 2.0 * lam / ((n - 1.0) + math.sqrt((n - 1.0) ** 2 + 4.0 * lam))
+
+
+def radial_profile(n: int, lam: float, s: float, angles: list[float]) -> list[float]:
+    """The first Dirichlet eigenfunction of the s-ball in the unit n-sphere at polar angles in [0, s].
+
+    lam is its eigenvalue, lambda1_ball(n, c_int, rho) / c_int for the
+    rho-ball of curvature c_int with s = rho sqrt(c_int).  The function is
+    1 at the centre and 0 at the rim.  Past the equator the exact nu is at
+    most 1, so a nu that rounds above 1 is clamped to 1.
+    """
+    nu = _nu(n, lam)
+    if s > 0.5 * math.pi:
+        nu = min(nu, 1.0)
+    return [_radial(n, nu, t) for t in angles]
+
+
 @lru_cache(maxsize=None)
 def _scaled_marginal_radius(n: int, delta: float) -> float:
     """Radius x with lambda1_ball(n, 1, x) = n(1-delta), on the unit-curvature sphere.
@@ -231,8 +251,7 @@ def _scaled_marginal_radius(n: int, delta: float) -> float:
     zero lies in [pi/2, pi), where it is bracketed by a scan towards S_MAX.
     """
     bounds._check_dimension(n)
-    lam = n * (1.0 - delta)
-    nu = 2.0 * lam / ((n - 1.0) + math.sqrt((n - 1.0) ** 2 + 4.0 * lam))
+    nu = _nu(n, n * (1.0 - delta))
     return _first_zero(
         lambda s: _radial(n, nu, s), _CAP_SCAN,
         f"marginal radius not found below {S_MAX} for n={n}, delta={delta}; potential too weak",

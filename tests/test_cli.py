@@ -496,6 +496,34 @@ class TestUnusablePaths:
         assert capsys.readouterr().err.startswith(f"usage error: {path.format(tmp=tmp_path)}: ")
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("out, mesh_out, exists", [
+        ("same.txt", "same.txt", False),
+        ("same.txt", "same.txt", True),
+        ("link.txt", "./same.txt", True),
+    ], ids=["one new file", "one existing file", "a symlink to the mesh file"])
+    def test_report_and_mesh_in_one_file_are_rejected_before_computing(self, out, mesh_out, exists, capsys,
+                                                                       tmp_path, monkeypatch):
+        # The report would overwrite the exported mesh.
+        monkeypatch.setattr(discrete, "mesh_verify", lambda *args: pytest.fail("the computation ran"))
+        monkeypatch.chdir(tmp_path)
+        if exists:
+            (tmp_path / "same.txt").write_text("kept\n")
+        if out == "link.txt":
+            (tmp_path / "link.txt").symlink_to("same.txt")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.run([*self.MESH, "--levels", "1,2", "--out", out, "--mesh-out", mesh_out]) == 64
+        assert capsys.readouterr().err == f"usage error: --out {out} and --mesh-out {mesh_out} name one file\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        if exists:
+            assert (tmp_path / "same.txt").read_text() == "kept\n"
+
+    def test_hard_link_to_the_mesh_file_is_rejected(self, capsys, tmp_path):
+        (tmp_path / "mesh.txt").write_text("kept\n")
+        os.link(tmp_path / "mesh.txt", tmp_path / "report.txt")
+        argv = [*self.MESH, "--out", str(tmp_path / "report.txt"), "--mesh-out", str(tmp_path / "mesh.txt")]
+        assert cli.run(argv) == 64
+        assert (tmp_path / "mesh.txt").read_text() == "kept\n"
+
 
 # The grid keys each mode reads, and values that parse; the faults below break one or the other.
 FUZZ_READ = {"cap": ("n", "kappa", "delta", "H"), "bound": ("n", "delta", "H", "K", "S"), "algebra": ("n",)}

@@ -123,12 +123,13 @@ class TestLambda1Dirichlet:
         problem = dd.assemble_stability(m)
         K, mass = _reference_system(m)
         expected = K[4, 4] / mass[4]
-        assert dd.lambda1_dirichlet(problem, 0.0) == pytest.approx(expected, rel=1e-10)
+        assert dd.lambda1_dirichlet(problem, 0.0, np.ones(1)) == pytest.approx(expected, rel=1e-10)
 
     def test_flat_cap_matches_ode_oracle(self):
         rho = math.pi / 3
         m = mm.build_cap_mesh(0.0, 1.0, rho, 6)
-        lam = dd.lambda1_dirichlet(dd.assemble_stability(m), -2.0)
+        problem = dd.assemble_stability(m)
+        lam = dd.lambda1_dirichlet(problem, -2.0, np.ones_like(problem.mass))
         oracle = sf.lambda1_ball(2, 1.0, rho) - 2.0
         assert lam == pytest.approx(oracle, rel=0.02)
 
@@ -137,9 +138,10 @@ class TestLambda1Dirichlet:
         # depend on the shift, which is added to the same Rayleigh quotient.
         m = mm.build_cap_mesh(-1.0, 2.5, 0.5, 4)
         problem = dd.assemble_stability(m)
-        lam0 = dd.lambda1_dirichlet(problem, 0.0)
+        ones = np.ones_like(problem.mass)
+        lam0 = dd.lambda1_dirichlet(problem, 0.0, ones)
         for s in (-8.5, -1.25, 3.0):
-            assert dd.lambda1_dirichlet(problem, s) - lam0 == pytest.approx(s, rel=1e-12, abs=1e-12)
+            assert dd.lambda1_dirichlet(problem, s, ones) - lam0 == pytest.approx(s, rel=1e-12, abs=1e-12)
 
     def test_stiffness_is_full_stiffness_on_the_interior(self):
         m = mm.build_cap_mesh(1.0, 1.0, 1.0, 4)
@@ -197,6 +199,50 @@ class TestMeshVerify:
                 assert r >= rho
 
 
+class _CountingLU:
+    """Forwards to a SuperLU factor and appends each solve's size to `solves`."""
+
+    def __init__(self, lu, solves: list):
+        self._lu, self._solves = lu, solves
+
+    def solve(self, b):
+        self._solves.append(b.size)
+        return self._lu.solve(b)
+
+
+class TestWarmStart:
+    # The inverse iteration starts from the cap's radial eigenfunction.
+    STUDY = (-1.0, 2.7, 1.25 / math.sqrt(6.29), 0.1, [3, 4, 5, 6])
+
+    def test_saves_solves(self, monkeypatch):
+        splu, solves = dd.splu, []
+        monkeypatch.setattr(dd, "splu", lambda *args, **kwargs: _CountingLU(splu(*args, **kwargs), solves))
+        dd.mesh_verify(*self.STUDY)
+        assert len(solves) <= 16  # 32 from the constant vector
+
+    def test_eigenvalues_match_the_constant_start(self):
+        kappa, H, rho, delta, _ = self.STUDY
+        q = 2.0 * (1.0 - delta) * (kappa + H * H)
+        rep = dd.mesh_verify(*self.STUDY)
+        for row in rep.levels:
+            problem = dd.assemble_stability(mm.build_cap_mesh(kappa, H, rho, row.level))
+            lam = dd.lambda1_dirichlet(problem, -q, np.ones_like(problem.mass))
+            assert abs(row.lambda1 - lam) <= 1e-10 * max(abs(lam), 1.0, q)
+
+    def test_polar_angles_are_the_ring_angles(self):
+        # Interior vertex i of the elimination order lies on ring polar[i] 2**level / s.
+        kappa, H, rho, _, _ = self.STUDY
+        s = rho * math.sqrt(kappa + H * H)
+        for level in (0, 3):
+            m = mm.build_cap_mesh(kappa, H, rho, level)
+            problem = dd.assemble_stability(m)
+            rings = problem.polar * 2**level / s
+            assert np.abs(rings - np.rint(rings)).max() < 1e-12
+            assert np.array_equal(np.unique(np.rint(rings)), np.arange(2**level))
+            (pole,) = np.flatnonzero(problem.interior == 0)
+            assert rings[pole] == 0.0
+
+
 class TestShortEdges:
     # Caps whose edges are far shorter than the curvature radius, or whose
     # model coordinates are huge: edge lengths come from the model chord.
@@ -244,7 +290,8 @@ class TestDenseReference:
         K_ii, mass = K[np.ix_(idx, idx)], mass[idx]
         q = 2.0 * (1.0 - delta) * (kappa + H * H)
         dense = eigh(K_ii - q * np.diag(mass), np.diag(mass), eigvals_only=True)
-        assert dd.lambda1_dirichlet(problem, -q) == pytest.approx(dense[0], rel=1e-10)
+        lam = dd.lambda1_dirichlet(problem, -q, np.ones_like(problem.mass))
+        assert lam == pytest.approx(dense[0], rel=1e-10)
 
     def test_grid_with_collapsed_chart(self):
         # Grid points on one ray from the origin share a chart point, so the
@@ -255,7 +302,8 @@ class TestDenseReference:
         m = _flat_grid_mesh(9)
         problem = dd.assemble_stability(m)
         dense = eigh(problem.stiffness.toarray(), np.diag(problem.mass), eigvals_only=True)
-        assert dd.lambda1_dirichlet(problem, 0.0) == pytest.approx(dense[0], rel=1e-10)
+        lam = dd.lambda1_dirichlet(problem, 0.0, np.ones_like(problem.mass))
+        assert lam == pytest.approx(dense[0], rel=1e-10)
 
     def test_stiffness_is_only_factored(self):
         # Each solve K y = M x gives the Rayleigh numerator y.K y as y.M x.
@@ -266,7 +314,8 @@ class TestDenseReference:
         problem.stiffness = _FactorOnly(problem.stiffness)
         with pytest.raises(AssertionError, match="product"):
             problem.stiffness @ problem.mass
-        assert dd.lambda1_dirichlet(problem, -2.0) == pytest.approx(dense[0] - 2.0, rel=1e-10)
+        lam = dd.lambda1_dirichlet(problem, -2.0, np.ones_like(problem.mass))
+        assert lam == pytest.approx(dense[0] - 2.0, rel=1e-10)
 
 
 # One study per model with the scaled radii s = rho * sqrt(kappa + H^2) of the
@@ -313,7 +362,8 @@ class TestNestedDissection:
         M = diags(problem.mass).tocsc()
         lam_K = eigsh(problem.stiffness, k=1, M=M, sigma=0, return_eigenvectors=False)[0]
         q = 2.0 * (1.0 - delta) * (kappa + H * H)
-        assert dd.lambda1_dirichlet(problem, -q) == pytest.approx(lam_K - q, rel=1e-10)
+        lam = dd.lambda1_dirichlet(problem, -q, np.ones_like(problem.mass))
+        assert lam == pytest.approx(lam_K - q, rel=1e-10)
 
     @pytest.mark.parametrize("kappa, H, rho, delta", STUDIES)
     def test_level7_fill_at_most_minimum_degree(self, kappa, H, rho, delta):

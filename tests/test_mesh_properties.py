@@ -5,7 +5,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmcradius import discrete, mesh
@@ -57,6 +57,41 @@ def test_mesh_verify_reports_or_raises(cap, delta, levels):
     except CmcRadiusError:
         return
     assert [row.level for row in rep.levels] == sorted(levels)
+    for row in rep.levels:
+        assert row.vertices >= 4
+        assert math.isfinite(row.lambda1) and math.isfinite(row.radius)
+        assert row.verdict in ("stable", "unstable", "marginal")
+
+
+# Fractions of the whole sphere's radius at the hemisphere within a few ulps, where
+# the radial eigenfunction's nu, rounded from an eigenvalue, can pass 1.
+HEMISPHERE = st.sampled_from([0.5 * (1.0 + sign * k * 2.0**-52) for sign in (-1, 1) for k in (1, 2, 3, 8)])
+
+
+@st.composite
+def valid_studies(draw):
+    """(kappa, H, rho, delta, levels) of a study that is meant to run: an attainable H,
+    a radius short of the whole sphere's, delta in [0, 1) and distinct levels up to 4."""
+    kappa = draw(st.one_of(st.floats(-4.0, 4.0), st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0),
+                                                            st.integers(-300, 300))))
+    H = math.sqrt(max(-kappa, 0.0)) * draw(st.floats(1.0, 4.0)) + draw(st.floats(0.0, 4.0, exclude_min=True))
+    fraction = draw(st.one_of(HEMISPHERE, NEAR_SPHERE, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    c = kappa + H * H
+    assume(c > 0.0)  # H just above sqrt(-kappa) can round to it
+    rho = fraction * math.pi / math.sqrt(c)
+    delta = draw(st.floats(0.0, 1.0, exclude_max=True))
+    levels = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True))
+    return kappa, H, rho, delta, levels
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True, database=None)
+@given(study=valid_studies())
+def test_valid_mesh_study_reports_or_raises(study):
+    try:
+        rep = discrete.mesh_verify(*study)
+    except CmcRadiusError:
+        return
+    assert [row.level for row in rep.levels] == sorted(study[-1])
     for row in rep.levels:
         assert row.vertices >= 4
         assert math.isfinite(row.lambda1) and math.isfinite(row.radius)

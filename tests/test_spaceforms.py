@@ -259,6 +259,33 @@ class TestRootFinder:
         assert len(calls) <= 340
 
 
+class TestRadialProfile:
+    @pytest.mark.parametrize("s", [1e-4, 0.6, 1.25, 1.9, 3.1])
+    def test_one_at_the_centre_and_zero_at_the_rim(self, s):
+        lam = sf.lambda1_ball(2, 1.0, s)
+        centre, middle, rim = sf.radial_profile(2, lam, s, [0.0, 0.5 * s, s])
+        assert centre == 1.0 and 0.0 < middle < 1.0
+        assert abs(rim) <= 1e-12
+
+    def test_scales_with_the_curvature(self):
+        # On the sphere of curvature c the rho-ball's profile is that of the s-ball, s = rho sqrt(c).
+        c, rho = 6.29, 0.5
+        s = rho * math.sqrt(c)
+        angles = [k * s / 8 for k in range(9)]
+        profile = sf.radial_profile(2, sf.lambda1_ball(2, c, rho) / c, s, angles)
+        assert profile == pytest.approx(sf.radial_profile(2, sf.lambda1_ball(2, 1.0, s), s, angles), rel=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_nu_rounded_above_one_is_clamped_past_the_equator(self, k):
+        # lam = 2 is nu = 1, the hemisphere; an eigenvalue a few ulps above it
+        # gives nu > 1, which past the equator the radial function rejects.
+        s = 0.5 * math.pi * (1.0 + k * 2.0**-52)
+        lam = 2.0 * (1.0 + k * 2.0**-52)
+        with pytest.raises(PreconditionViolation):
+            sf._radial(2, sf._nu(2, lam), s)
+        assert sf.radial_profile(2, lam, s, [0.0, s]) == [1.0, math.cos(s)]
+
+
 class TestMaxStableCapRadius:
     def test_hemisphere_at_delta_zero(self):
         rho = sf.max_stable_cap_radius(2, -1.0, 2.5, 0.0)
