@@ -25,7 +25,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import MeshError, NoApplicableBound, NonConvergence
-from .mesh import MAX_LEVEL, TriMesh, build_cap_mesh, intrinsic_radius, pole_chart
+from .mesh import MAX_LEVEL, TriMesh, build_cap_mesh, intrinsic_radius, pole_chart, require_interior
 from .spaceforms import cap_bound, intrinsic_curvature, lambda1_ball, radial_profile
 
 DEGENERATE_AREA_FRACTION = 1e-14
@@ -126,12 +126,11 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
     diagonal = np.bincount(mesh.edges.ravel(), np.repeat(weight, 2), minlength=nv)
     mass = np.bincount(mesh.faces.T.ravel(), np.tile(areas / 3.0, 3), minlength=nv)
 
-    idx = mesh.interior
-    if idx.size == 0:
-        raise MeshError("no interior vertices")
+    idx = require_interior(mesh)
     position = np.full(nv, -1)
     position[idx] = np.arange(idx.size)
-    inner = (position[mesh.edges] >= 0).all(axis=1)
+    lo, hi = mesh.edges.T
+    inner = (position[lo] >= 0) & (position[hi] >= 0)
     chart = pole_chart(mesh, idx)
     order = nested_dissection(chart, position[mesh.edges[inner]])
     idx = idx[order]

@@ -12,6 +12,7 @@ applies it as a spectral shift.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -66,17 +67,23 @@ class TriMesh:
         if np.any(key[1:] == key[:-1]):  # a directed edge in two faces
             raise MeshError("inconsistent face orientation")
 
-        self.edges = np.stack([undirected[first] // nv, undirected[first] % nv], axis=1)  # i < j, sorted
+        lo, hi = undirected[first] // nv, undirected[first] % nv
+        self.edges = np.stack([lo, hi], axis=1)  # i < j, sorted
         # The edge graph is a temporary: bound to a name, it would raise the constructor's peak memory.
         components = connected_components(csr_matrix((np.ones(first.size), self.edges.T), shape=(nv, nv)),
                                           directed=False, return_labels=False)
         if components != 1:  # chi adds over components: a disk plus a torus has chi = 1
             raise MeshError(f"not a disk: {components} connected components")
-        self.boundary = np.unique(self.edges[edge_faces == 1])  # vertices of the edges in one face
+        on_boundary = np.zeros(nv, dtype=bool)
+        on_boundary[self.edges[edge_faces == 1]] = True  # vertices of the edges in one face
+        self.boundary = np.flatnonzero(on_boundary)
         if self.boundary.size == 0:  # a closed surface, such as a sphere with two points identified
             raise MeshError("not a disk: no boundary")
-        self.interior = np.setdiff1d(np.arange(nv), self.boundary, assume_unique=True)
-        self.edge_lengths = ambient_distance(kappa, v[self.edges[:, 0]], v[self.edges[:, 1]])  # geodesic
+        self.interior = np.flatnonzero(~on_boundary)
+        # Geodesic lengths from one gather per coordinate column, not per (nv, 4) row:
+        # the ends come out as (columns, ne) arrays, passed on as column-major points.
+        columns = v.T.copy()
+        self.edge_lengths = ambient_distance(kappa, columns.take(lo, axis=1).T, columns.take(hi, axis=1).T)
         edge_of_half_edge = np.empty(key.size, dtype=np.int64)
         edge_of_half_edge[order] = np.cumsum(starts) - 1
         self.face_edges = edge_of_half_edge.reshape(3, -1).T  # entry i opposite corner i
@@ -102,14 +109,16 @@ def ambient_distance(kappa: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     than the curvature radius, where an inner product near 1 does not.
     """
     d = np.atleast_2d(p) - np.atleast_2d(q)
+    # Squared one coordinate at a time and added in column order, the order of np.sum over a row.
+    squares = [x * x for x in d.T]
     if kappa == 0.0:
-        return np.linalg.norm(d, axis=-1)
+        return np.sqrt(sum(squares[1:], squares[0]))
     sq = math.sqrt(abs(kappa))
     if kappa < 0.0:
         # Minkowski signature (-, +, +, +): chords between points of the hyperboloid are spacelike.
-        half = 0.5 * sq * np.sqrt(np.clip(np.sum(d[:, 1:] ** 2, axis=-1) - d[:, 0] ** 2, 0.0, None))
+        half = 0.5 * sq * np.sqrt(np.clip(sum(squares[2:], squares[1]) - squares[0], 0.0, None))
         return 2.0 * np.arcsinh(half) / sq
-    half = 0.5 * sq * np.linalg.norm(d, axis=-1)
+    half = 0.5 * sq * np.sqrt(sum(squares[1:], squares[0]))
     return 2.0 * np.arcsin(np.clip(half, None, 1.0)) / sq
 
 
@@ -229,17 +238,37 @@ def intrinsic_radius(mesh: TriMesh) -> float:
     traversed both ways; overestimates the smooth intrinsic radius by the
     mesh anisotropy factor.
     """
-    if mesh.interior.size == 0:
-        raise MeshError("mesh has no interior vertices")
+    interior = require_interior(mesh)
     edges, n = mesh.edges, mesh.num_vertices
     g = csr_matrix((mesh.edge_lengths, (edges[:, 0], edges[:, 1])), shape=(n, n))
     dist = dijkstra(g, directed=False, indices=mesh.boundary, min_only=True)
-    return float(dist[mesh.interior].max())
+    return float(dist[interior].max())
+
+
+def require_interior(mesh: TriMesh) -> np.ndarray:
+    """mesh.interior, or MeshError when it is empty, as for a single triangle."""
+    if mesh.interior.size == 0:
+        raise MeshError("mesh has no interior vertices")
+    return mesh.interior
 
 
 def save_mesh(mesh: TriMesh, path: str) -> None:
-    """Plain-text polygon export: vertex lines, then 1-indexed face lines."""
+    """Plain-text polygon export: vertex lines, then 1-indexed face lines.
+
+    A coordinate column that changes on fewer than 1/16 of the rows, such
+    as a ring's height, is formatted once per run of consecutive vertices
+    that share its value, and each run is written as it is formatted.
+    The bytes are those of formatting every value with %.17g.
+    """
     v, f = mesh.vertices, mesh.faces + 1
+    nv = v.shape[0]
+    bits = v.view(np.int64)  # compared by bits: -0.0 prints as -0 but equals 0.0
+    change = bits[1:] != bits[:-1]
+    shared = np.count_nonzero(change, axis=0) * 16 < nv
+    cuts = np.flatnonzero(change[:, shared].any(axis=1)) + 1
+    varying = v[:, ~shared]
     with open(path, "w") as fh:
-        fh.write(("v" + " %.17g" * v.shape[1] + "\n") * v.shape[0] % tuple(v.ravel().tolist()))
+        for a, b in itertools.pairwise([0, *cuts.tolist(), nv]):
+            cells = "".join(" %.17g" % x if s else " %.17g" for x, s in zip(v[a].tolist(), shared.tolist()))
+            fh.write(("v" + cells + "\n") * (b - a) % tuple(varying[a:b].ravel().tolist()))
         fh.write("f %d %d %d\n" * f.shape[0] % tuple(f.ravel().tolist()))

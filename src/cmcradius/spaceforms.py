@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bounds
-from .errors import NoApplicableBound, NonConvergence, PreconditionViolation, UnattainableCurvature
+from .errors import (
+    CmcRadiusError, NoApplicableBound, NonConvergence, PreconditionViolation, UnattainableCurvature,
+)
 
 #: Relative slack allowed when comparing the oracle radius to a bound.
 PASS_SLACK = 1e-8
@@ -62,16 +64,20 @@ S_MAX = math.pi * (1.0 - 1e-9)
 _CAP_SCAN = tuple(math.pi * (1.0 - 2.0**-k) for k in range(1, 30)) + (S_MAX,)
 
 
-def _nu_scan():
-    """Scan points in nu, from 1 growing by a factor 1.5 up to 1e150.
+def _nu_scan(n: int, c_int: float):
+    """Scan points in nu, from 1 growing by a factor 1.5 up to the first at
+    which the eigenvalue c_int nu(nu+n-1) overflows, or the last finite nu:
+    a zero past that point has no float eigenvalue.
 
     For s <= pi/2 the second radial zero in nu lies at least 1.83 times
     above the first (the least ratio is at n = 4, s -> 0), so no cell of
     the scan holds both.
     """
     nu = 1.0
-    while nu <= 1e150:
+    while nu < math.inf:
         yield nu
+        if c_int * nu * (nu + n - 1.0) == math.inf:
+            return
         nu *= 1.5
 
 
@@ -90,13 +96,20 @@ def _gauss_series(n: int, nu: float, z: float) -> float:
     """2F1(-nu, nu+n-1; n/2; z) summed term by term, for z <= 1/2 (s <= pi/2).
 
     Once a term is negligible the term ratio stays below 2z <= 1, so the
-    rest of the series is negligible too.
+    rest of the series is negligible too.  z multiplies the term ratio last,
+    where a tiny z cannot lose digits below the normal range, unless nu is
+    so large that (a + k)(b + k) would overflow; that happens before the
+    eigenvalue c_int nu(nu+n-1) overflows when c_int < 1.
     """
     a, b, c = -nu, nu + n - 1.0, 0.5 * n
+    z_first = nu > 2.0**510
     term = total = scale = 1.0
     k = 0
     while abs(term) > _EPS * scale:
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        if z_first:
+            term *= (a + k) * z * (b + k) / ((c + k) * (k + 1.0))
+        else:
+            term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         k += 1
         total += term
         scale = max(scale, abs(term))
@@ -186,10 +199,10 @@ def _false_position(f, a: float, b: float, f_a: float, f_b: float) -> float:
     raise NonConvergence("root-finder did not converge")
 
 
-def _first_zero(f, points, failure: str) -> float:
+def _first_zero(f, points, failure: CmcRadiusError) -> float:
     """First zero of f, where f(0) = 1, at its first sign change along the increasing points.
 
-    Raises NonConvergence with the message `failure` when f stays positive.
+    Raises failure when f stays positive.
     """
     lo, f_lo = 0.0, 1.0
     for hi in points:
@@ -197,7 +210,7 @@ def _first_zero(f, points, failure: str) -> float:
         if f_hi <= 0.0:
             return _false_position(f, lo, hi, f_lo, f_hi)
         lo, f_lo = hi, f_hi
-    raise NonConvergence(failure)
+    raise failure
 
 
 def lambda1_ball(n: int, c_int: float, rho: float) -> float:
@@ -218,9 +231,14 @@ def lambda1_ball(n: int, c_int: float, rho: float) -> float:
     s = rho * math.sqrt(c_int)
     if s == 0.0:
         raise PreconditionViolation(f"rho * sqrt(c_int) underflows to 0, got rho={rho}, c_int={c_int}")
-    nu = _first_zero(lambda nu: _radial(n, nu, s), _nu_scan(),
-                     f"failed to bracket the first Dirichlet eigenvalue at s={s}")
-    return bounds._finite("lambda1", c_int * nu * (nu + n - 1.0))
+    overflow = PreconditionViolation(
+        f"the first Dirichlet eigenvalue at s={s} overflows float range (c_int={c_int})"
+    )
+    nu = _first_zero(lambda nu: _radial(n, nu, s), _nu_scan(n, c_int), overflow)
+    lam = c_int * nu * (nu + n - 1.0)
+    if lam == math.inf:
+        raise overflow
+    return lam
 
 
 def _nu(n: int, lam: float) -> float:
@@ -254,7 +272,9 @@ def _scaled_marginal_radius(n: int, delta: float) -> float:
     nu = _nu(n, n * (1.0 - delta))
     return _first_zero(
         lambda s: _radial(n, nu, s), _CAP_SCAN,
-        f"marginal radius not found below {S_MAX} for n={n}, delta={delta}; potential too weak",
+        NonConvergence(
+            f"marginal radius not found below {S_MAX} for n={n}, delta={delta}; potential too weak"
+        ),
     )
 
 

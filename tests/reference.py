@@ -152,6 +152,31 @@ def model_constraint_residual(mesh: TriMesh) -> float:
     return float(np.abs(norm - 1.0 / mesh.kappa).max())
 
 
+def export_text(mesh: TriMesh) -> str:
+    """The bytes `save_mesh` must write: one "v" line per vertex with every
+    coordinate formatted by %.17g, then one 1-indexed "f" line per face."""
+    k = mesh.vertices.shape[1]
+    lines = [("v" + " %.17g" * k) % tuple(row) for row in mesh.vertices.tolist()]
+    lines += ["f %d %d %d" % tuple(face) for face in (mesh.faces + 1).tolist()]
+    return "".join(line + "\n" for line in lines)
+
+
+def row_gather_edge_lengths(mesh: TriMesh) -> np.ndarray:
+    """Geodesic edge lengths from the (ne, k) rows of both ends of every edge,
+    with np.linalg.norm and np.sum over each row: the lengths `TriMesh`
+    must give bit for bit."""
+    d = mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]]
+    kappa = mesh.kappa
+    if kappa == 0.0:
+        return np.linalg.norm(d, axis=-1)
+    sq = math.sqrt(abs(kappa))
+    if kappa < 0.0:
+        half = 0.5 * sq * np.sqrt(np.clip(np.sum(d[:, 1:] ** 2, axis=-1) - d[:, 0] ** 2, 0.0, None))
+        return 2.0 * np.arcsinh(half) / sq
+    half = 0.5 * sq * np.linalg.norm(d, axis=-1)
+    return 2.0 * np.arcsin(np.clip(half, None, 1.0)) / sq
+
+
 def parse_report_json(text: str) -> SweepReport:
     """Inverse of emit_report(fmt='json'), used by round-trip tests."""
     doc = json.loads(text)

@@ -103,6 +103,11 @@ class TestStiffness:
         with pytest.raises(MeshError):
             dd.assemble_stability(m)
 
+    def test_mesh_without_interior_vertices_rejected(self):
+        m = _flat_triangle_mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+        with pytest.raises(MeshError, match="^mesh has no interior vertices$"):
+            dd.assemble_stability(m)
+
     def test_mass_rowsums_are_vertex_areas(self):
         m = mm.build_cap_mesh(0.0, 1.0, 1.0, 3)
         _, masses = _reference_system(m)

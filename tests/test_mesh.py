@@ -251,6 +251,78 @@ class TestExport:
         mm.save_mesh(m, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("kappa", sorted(PINNED_CAPS))
+    def test_cap_bytes_match_line_by_line_export(self, kappa, tmp_path):
+        # Ring heights, and the model coordinate for kappa != 0, are formatted once per run.
+        path = tmp_path / "cap.txt"
+        for level in range(6):
+            m = mm.build_cap_mesh(kappa, *PINNED_CAPS[kappa], level)
+            mm.save_mesh(m, str(path))
+            assert path.read_text() == reference.export_text(m), f"level {level}"
+
+    def test_level_seven_cap_bytes(self, tmp_path):
+        m = mm.build_cap_mesh(1.0, 0.5, 1.25, 7)
+        path = tmp_path / "cap.txt"
+        mm.save_mesh(m, str(path))
+        assert path.read_text() == reference.export_text(m)
+
+    @pytest.mark.parametrize("name", ["triangle", "every column varies", "negative zero"])
+    def test_hand_built_mesh_bytes(self, name, tmp_path):
+        if name == "triangle":
+            m = mm.TriMesh(vertices=_TRIANGLE, faces=np.array([[0, 1, 2]]), kappa=0.0)
+        elif name == "every column varies":
+            m = _grid(10, np.random.default_rng(3).normal(size=100))
+            jitter = np.random.default_rng(4).normal(scale=1e-3, size=(100, 3))
+            m = mm.TriMesh(vertices=m.vertices + jitter, faces=m.faces, kappa=0.0)
+        else:
+            # The height column is constant but for one -0.0 among the 0.0s: equal as
+            # floats, but printed as -0 and 0, so a run must end at each sign change.
+            z = np.zeros(100)
+            z[37] = -0.0
+            m = _grid(10, z)
+        path = tmp_path / "mesh.txt"
+        mm.save_mesh(m, str(path))
+        assert path.read_text() == reference.export_text(m)
+        if name == "negative zero":
+            assert path.read_text().splitlines()[37].endswith(" -0")
+
+
+def _grid(k, z):
+    """k x k vertices of the unit square at heights z, cut into 2 (k-1)^2 triangles."""
+    gx, gy = np.meshgrid(np.arange(k) / (k - 1), np.arange(k) / (k - 1), indexing="ij")
+    a = (np.arange(k - 1)[:, None] * k + np.arange(k - 1)[None, :]).ravel()
+    faces = np.concatenate([np.stack([a, a + k, a + k + 1], axis=1), np.stack([a, a + k + 1, a + 1], axis=1)])
+    return mm.TriMesh(vertices=np.stack([gx.ravel(), gy.ravel(), z], axis=1), faces=faces, kappa=0.0)
+
+
+class TestEdgeLengthsByColumn:
+    """TriMesh gathers each coordinate column once; its lengths equal the row-gather formula bit for bit."""
+
+    @pytest.mark.parametrize("kappa", sorted(PINNED_CAPS))
+    def test_caps(self, kappa):
+        for level in [*range(6), 7]:
+            m = mm.build_cap_mesh(kappa, *PINNED_CAPS[kappa], level)
+            assert np.array_equal(m.edge_lengths, reference.row_gather_edge_lengths(m)), f"level {level}"
+
+    @pytest.mark.parametrize("kappa, H, rho", [
+        (1.0, 1.0, 1e-5),
+        (-3.204783484537852e-74, 0.561453524084345, 2.7146211501970328),
+        (1.298757156924908, 2.7158195916232217, 1.4478499894312238e-39),
+        (0.0, 1.0, 1e-300),
+    ])
+    def test_tiny_chords(self, kappa, H, rho):
+        m = mm.build_cap_mesh(kappa, H, rho, 4)
+        assert np.array_equal(m.edge_lengths, reference.row_gather_edge_lengths(m))
+
+    def test_near_antipodal_points_on_the_sphere(self):
+        # Chords a few ulp longer than the diameter 2: half the chord clips to 1.
+        up = 1.0 + 2.0**-52
+        vertices = np.array([[up, 0.0, 0.0, 0.0], [-up, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                             [-1.0, 1e-9, 0.0, 0.0]])
+        m = mm.TriMesh(vertices=vertices, faces=np.array([[0, 1, 2], [0, 2, 3]]), kappa=1.0)
+        assert np.array_equal(m.edge_lengths, reference.row_gather_edge_lengths(m))
+        assert m.edge_lengths[0] == math.pi
+
 
 def _legacy_zip_rings(inner, inner_ang, outer, outer_ang):
     """Step-by-step walk over both rings, kept as the oracle for the array-built strips."""
@@ -380,7 +452,7 @@ class TestTriMeshInput:
         assert np.array_equal(m.boundary, [0, 1, 2])
         assert m.interior.size == 0
         assert m.areas[0] == pytest.approx(0.5, rel=1e-15)
-        with pytest.raises(MeshError, match="no interior vertices"):
+        with pytest.raises(MeshError, match="^mesh has no interior vertices$"):
             mm.intrinsic_radius(m)
 
     @pytest.mark.parametrize("faces, match", [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -125,6 +126,23 @@ class TestLambda1Ball:
             sf.lambda1_ball(3, 5e-324, 5e-324)
         with pytest.raises(PreconditionViolation):
             sf.lambda1_ball(2, 1.7e308, 1e-154)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("c, rho", [(1.0, 1e-149), (1.0, 1e-151), (1.0, 1e-153), (1e-4, 1e-152)])
+    def test_tiny_balls(self, n, c, rho):
+        # The flat limit j^2 / rho^2, with j the first zero of J_{n/2-1}; for n = 3
+        # exactly (pi/rho)^2 - c.  At c = 1e-4, rho = 1e-152, nu is about 2.4e154,
+        # whose square overflows although the eigenvalue does not.
+        j = {2: 2.404825557695773, 4: 3.8317059702075125}
+        exact = (math.pi / rho) ** 2 - c if n == 3 else j[n] ** 2 / rho**2
+        assert sf.lambda1_ball(n, c, rho) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ball_whose_eigenvalue_overflows(self, n):
+        start = time.perf_counter()
+        with pytest.raises(PreconditionViolation, match="eigenvalue at s=1e-155 overflows float range"):
+            sf.lambda1_ball(n, 1.0, 1e-155)
+        assert time.perf_counter() - start < 5.0
 
     def test_tolerance_below_float_spacing_terminates(self):
         # nu is about 24,048 here; the root-finder stops within a few ulp.
