@@ -6,26 +6,29 @@ formula), as the mesh derives them.  Each undirected edge
 gets one weight (cot a + cot b) / 2 and a vertex's diagonal entry is the
 sum of its edge weights (Pinkall & Polthier, Experiment. Math. 2, 1993).
 The cap's stability potential is constant, so it only shifts the
-spectrum of (stiffness, mass).  Only the Dirichlet block is built, and
-directly in a geometric nested-dissection elimination order of the
-cap's pole chart, which gives less fill than SuperLU's minimum-degree
-ordering of A + A^T.  Its first eigenvalue comes from inverse iteration
-on the Dirichlet stiffness, factored once by SuperLU in symmetric mode
-with diagonal pivots only, started from the cap's closed-form radial
-eigenfunction.
+spectrum of (stiffness, mass).  Only the Dirichlet block is built.  Its
+first eigenvalue comes from single-vector LOBPCG, started from the cap's
+closed-form radial eigenfunction and stopped when successive Rayleigh
+quotients agree to STOP_TOL.  The preconditioner is one V-cycle over the
+cap's own ring hierarchy, where level l - 1 has every other ring of level
+l: damped Jacobi smoothing, with the weight from a Gershgorin bound on
+D^-1 K, around the coarser level's correction, down to BASE_LEVEL.  Only
+that level's stiffness is factored, by SuperLU in symmetric mode with
+diagonal pivots only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import MeshError, NoApplicableBound, NonConvergence
-from .mesh import MAX_LEVEL, TriMesh, build_cap_mesh, intrinsic_radius, pole_chart, require_interior
+from .mesh import MAX_LEVEL, TriMesh, build_cap_mesh, intrinsic_radius, pole_chart, prolongation, require_interior
 from .spaceforms import cap_bound, intrinsic_curvature, lambda1_ball, radial_profile
 
 DEGENERATE_AREA_FRACTION = 1e-14
@@ -33,80 +36,69 @@ DEGENERATE_AREA_FRACTION = 1e-14
 #: Relative band (against the potential q) in which a verdict is "marginal".
 MARGINAL_BAND = 0.02
 
-#: Inverse iteration stops when successive Rayleigh quotients agree to this
-#: relative tolerance, and raises NonConvergence after MAX_INVERSE_STEPS.
+#: The eigensolve stops when successive Rayleigh quotients agree to this
+#: relative tolerance, and raises NonConvergence after MAX_STEPS.
 STOP_TOL = 1e-10
-MAX_INVERSE_STEPS = 500
+MAX_STEPS = 500
 
 
-#: Vertices per leaf cell of the nested-dissection order, about.
-LEAF_SIZE = 16
-
-
-def nested_dissection(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Fill-reducing elimination order of a mesh graph by geometric nested dissection.
-
-    The points' bounding box is bisected at midpoints, widest side first,
-    ceil(log2(n / LEAF_SIZE)) times; every cell of a depth has the same
-    shape, so one cut axis per depth gives each vertex an integer code of
-    cell bits.  Where the codes of an edge first differ at depth d and
-    neither endpoint already separates a shallower cell, the endpoint on
-    side 0 becomes a separator at depth d.  A base-3 post-order key (left
-    cell, right cell, separator) then orders every cell's separator after
-    both halves (George, SIAM J. Numer. Anal. 10, 1973).
-    """
-    n = points.shape[0]
-    depth = ((n - 1) // LEAF_SIZE).bit_length()
-    rel = (points - points.min(axis=0)).T.copy()  # one contiguous row per axis
-    width = rel.max(axis=1)
-    origin = np.zeros_like(rel)
-    code = np.zeros(n, dtype=np.int64)
-    for _ in range(depth):
-        a = int(np.argmax(width))
-        width[a] *= 0.5
-        upper = rel[a] >= origin[a] + width[a]
-        origin[a] += width[a] * upper
-        code = 2 * code + upper
-
-    i, j = edges[:, 0], edges[:, 1]
-    ci, cj = code[i], code[j]
-    # Depth of the first differing bit; depth itself where the codes agree.
-    cut_depth = depth - np.frexp((ci ^ cj).astype(float))[1]
-    cut = np.flatnonzero(cut_depth < depth)
-    cut = cut[np.argsort(cut_depth[cut], kind="stable")]
-    starts = np.searchsorted(cut_depth[cut], np.arange(depth + 1))
-    i, j, side0 = i[cut], j[cut], np.where(ci < cj, i, j)[cut]
-    sep = np.full(n, depth)
-    for d in range(depth):
-        at = slice(starts[d], starts[d + 1])
-        free = (sep[i[at]] == depth) & (sep[j[at]] == depth)
-        sep[side0[at][free]] = d
-
-    key = np.zeros(n, dtype=np.int64)
-    for d in range(depth):
-        bit = (code >> (depth - 1 - d)) & 1
-        key = 3 * key + np.where(sep > d, bit, 2 * (sep == d))
-    return np.argsort(key, kind="stable")
+#: Levels up to this one are preconditioned by their own factor; each finer
+#: level by a V-cycle down to it.  A level-3 cap has about 150 interior vertices.
+BASE_LEVEL = 3
 
 
 @dataclass
 class SpectralProblem:
     """Dirichlet-reduced generalized eigenproblem (stiffness, mass).
 
-    interior lists the interior vertices in nested-dissection elimination
-    order; stiffness is the full stiffness restricted to them, mass their
-    lumped masses and polar their polar angles in the pole chart, all in
-    that order.
+    interior lists the interior vertices in ascending order; stiffness is
+    the full stiffness restricted to them, mass their lumped masses and
+    polar their polar angles in the pole chart, all in that order.  A level
+    of a ring hierarchy links to the next coarser level's problem, and
+    prolongation interpolates that level's interior values to this one's.
     """
 
     stiffness: csc_matrix
     mass: np.ndarray
     interior: np.ndarray
     polar: np.ndarray
+    coarser: SpectralProblem | None = None
+    prolongation: csr_matrix | None = None
+
+    @cached_property
+    def _factor(self):
+        try:
+            return splu(self.stiffness, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True})
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise MeshError(f"the Dirichlet stiffness cannot be factored: {exc}") from None
+
+    @cached_property
+    def _smoother(self) -> np.ndarray:
+        """Damped Jacobi weights 4 / (3 g) / K_ii, with g >= the spectral radius of D^-1 K."""
+        K = abs(self.stiffness)
+        diagonal = self.stiffness.diagonal()
+        gershgorin = float(np.max(np.asarray(K.sum(axis=0)).ravel() / diagonal))
+        return 4.0 / (3.0 * gershgorin) / diagonal
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """An SPD approximation of K^-1 r: the factor's solve, or one V-cycle.
+
+        The V-cycle smooths with damped Jacobi before and after the coarse
+        correction.  Its weight keeps omega * rho(D^-1 K) <= 4/3 < 2, so the
+        smoother contracts in the energy norm and the cycle stays symmetric
+        positive definite where cotangent weights are negative.
+        """
+        if self.coarser is None:
+            return self._factor.solve(r)
+        K, P, weight = self.stiffness, self.prolongation, self._smoother
+        e = weight * r
+        e += P @ self.coarser.precondition(P.T @ (r - K @ e))
+        return e + weight * (r - K @ e)
 
 
 def assemble_stability(mesh: TriMesh) -> SpectralProblem:
-    """Assemble the Dirichlet stiffness and lumped mass of the cap, in elimination order.
+    """Assemble the Dirichlet stiffness and lumped mass of the cap.
 
     An edge's weight is the sum of the half-cotangents of the corners
     opposite it, so the stiffness is symmetric and annihilates constants
@@ -129,53 +121,65 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
     idx = require_interior(mesh)
     position = np.full(nv, -1)
     position[idx] = np.arange(idx.size)
-    lo, hi = mesh.edges.T
-    inner = (position[lo] >= 0) & (position[hi] >= 0)
-    chart = pole_chart(mesh, idx)
-    order = nested_dissection(chart, position[mesh.edges[inner]])
-    idx = idx[order]
-    position[idx] = np.arange(idx.size)
-    a, b = position[mesh.edges[inner]].T
+    a, b = position[mesh.edges].T
+    inner = (a >= 0) & (b >= 0)
+    a, b = a[inner], b[inner]
     n = np.arange(idx.size)
     rows, cols = np.concatenate([a, b, n]), np.concatenate([b, a, n])
     entries = np.concatenate([-weight[inner], -weight[inner], diagonal[idx]])
     stiffness = csc_matrix((entries, (rows, cols)), shape=(n.size, n.size))  # no duplicate entries
     return SpectralProblem(stiffness=stiffness, mass=mass[idx], interior=idx,
-                           polar=np.hypot(chart[order, 0], chart[order, 1]))
+                           polar=np.hypot(*pole_chart(mesh, idx).T))
+
+
+def _m_orthonormal(vectors: list[np.ndarray], m: np.ndarray) -> np.ndarray:
+    """Columns spanning the vectors, orthonormal in the inner product x.(m y).
+
+    Gram-Schmidt, done twice; a vector that loses all but 1e-8 of its norm
+    to the columns before it lies in their span numerically and is dropped.
+    """
+    basis = []
+    for v in vectors:
+        norm = math.sqrt(float(v @ (m * v)))
+        for _ in range(2):
+            for u in basis:
+                v = v - u * float(u @ (m * v))
+        rest = math.sqrt(float(v @ (m * v)))
+        if rest > 1e-8 * norm:
+            basis.append(v / rest)
+    return np.stack(basis, axis=1)
 
 
 def lambda1_dirichlet(problem: SpectralProblem, shift: float, start: np.ndarray) -> float:
     """Smallest generalized eigenvalue of (stiffness + shift * mass, mass).
 
-    Inverse iteration on (stiffness, mass) from the vector start, one
-    entry per interior vertex in elimination order: the Dirichlet
-    stiffness is symmetric positive definite and already in that order,
-    so it is factored once as given, with diagonal pivots only.  Each
-    solve K y = M x gives the Rayleigh numerator y.K y as y.M x, so K
-    enters no product.  Stops when successive Rayleigh quotients of the
-    operator agree to STOP_TOL relatively, against at least max(1, |shift|).
+    Single-vector LOBPCG on (stiffness, mass) (Knyazev, SIAM J. Sci.
+    Comput. 23, 2001) from the vector start, one entry per interior
+    vertex: each step takes the Rayleigh-Ritz pair of least value on the
+    iterate, its preconditioned residual and the previous step.  The
+    preconditioner is problem.precondition.  Stops when successive Rayleigh
+    quotients of the operator agree to STOP_TOL relatively, against at
+    least max(1, |shift|).
     """
     K = problem.stiffness
     m = problem.mass
     scale = max(1.0, abs(shift))
-    try:
-        lu = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise MeshError(f"the Dirichlet stiffness cannot be factored: {exc}") from None
-
     # M-normalised: unnormalised, M x can under- or overflow.
     x = start / math.sqrt(float(start @ (m * start)))
-    rayleigh = math.inf
-    for _ in range(MAX_INVERSE_STEPS):
-        b = m * x
-        y = lu.solve(b)
-        norm2 = float(y @ (m * y))
-        new_rayleigh = float(y @ b) / norm2 + shift
-        x = y / math.sqrt(norm2)
-        if abs(new_rayleigh - rayleigh) <= STOP_TOL * max(abs(new_rayleigh), scale):
-            return new_rayleigh
-        rayleigh = new_rayleigh
-    raise NonConvergence(f"inverse iteration did not converge in {MAX_INVERSE_STEPS} steps")
+    Kx = K @ x
+    theta = float(x @ Kx)  # the Rayleigh quotient of (stiffness, mass)
+    steps = []  # the previous step, once there is one
+    for _ in range(MAX_STEPS):
+        basis = _m_orthonormal([x, problem.precondition(Kx - theta * (m * x)), *steps], m)
+        K_basis = K @ basis
+        values, vectors = np.linalg.eigh(basis.T @ K_basis)
+        y = vectors[:, 0]
+        steps = [basis[:, 1:] @ y[1:]]
+        x, Kx = basis @ y, K_basis @ y
+        previous, theta = theta, float(values[0])
+        if abs(theta - previous) <= STOP_TOL * max(abs(theta + shift), scale):
+            return theta + shift
+    raise NonConvergence(f"LOBPCG did not converge in {MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -216,20 +220,25 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
         c_best = None
     ball = lambda1_ball(2, c, rho)
     oracle = ball - q
-    # The inverse iteration starts from the cap's eigenfunction, tabulated at
-    # the finest level's ring angles; a coarser level's rings are a subset.
+    # The eigensolve starts from the cap's eigenfunction, tabulated at the
+    # finest level's ring angles; a coarser level's rings are a subset.
     s = rho * math.sqrt(c)
     angles = np.arange(2 ** max(levels) + 1) * s / 2 ** max(levels)
     profile = None
 
-    results = []
-    for level in sorted(levels):
+    # Every level from the base up is built, so that each finer one has its
+    # V-cycle; a problem is kept as the next one's coarser level, its mesh is not.
+    results, problem = [], None
+    for level in range(min(BASE_LEVEL, *levels), max(levels) + 1):
         m = build_cap_mesh(kappa, H, rho, level)
-        problem = assemble_stability(m)
+        coarser, problem = problem, assemble_stability(m)
+        if level > BASE_LEVEL:
+            problem.coarser, problem.prolongation = coarser, prolongation(kappa, H, rho, level)
+        if level not in levels:
+            continue
         if profile is None:  # after the first mesh, so that a cap too large to mesh says so first
             profile = radial_profile(2, ball / c, s, angles.tolist())
         lam = lambda1_dirichlet(problem, -q, np.interp(problem.polar, angles, profile))
-        del problem  # kept through the radius and the next mesh, it would raise their peak memory
         radius = intrinsic_radius(m)
         if abs(lam) <= MARGINAL_BAND * q:
             verdict = "marginal"

@@ -169,16 +169,18 @@ def _zip_rings(
 MAX_CAP_RADIUS = float(np.finfo(float).max) ** 0.25 / 4.0
 
 #: Finest refinement level.  Each level quadruples the vertices, zipped ring by
-#: ring in Python: about 44k at level 7 and 0.7M at level 9 (at s = 1.4), so a
-#: larger level would not finish in reasonable time or memory.
+#: ring in Python: about 44k at level 7 and 0.7M at level 9 (at s = 1.25).  A
+#: level-9 study took 3.3 s and 0.88 GB peak on a 2-CPU host, and building the
+#: mesh alone 1.0 s and 0.81 GB, so level 10 would need about 3 GB for the mesh.
 MAX_LEVEL = 9
 
 
-def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
-    """Concentric-ring triangulation of the intrinsic geodesic cap of radius rho.
+def _rings(kappa: float, H: float, rho: float, level: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Intrinsic curvature c, and polar angle and vertex count of rings 1..2**level, of a cap mesh.
 
-    level sets the resolution: 2**level rings, azimuthal counts scaled to
-    the ring circumference so triangles stay near-equilateral.
+    The rings are equally spaced in intrinsic distance from the pole, and
+    each ring's count is scaled to its circumference, at least 3.  Raises
+    MeshError for a level or cap that cannot be meshed.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise MeshError(f"level must lie in [0, {MAX_LEVEL}], got {level}")
@@ -187,11 +189,20 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
     if not 0.0 < rho < limit:
         raise MeshError(f"cap radius must lie in (0, {limit}), got {rho}")
     r_int = 1.0 / math.sqrt(c)  # intrinsic sphere radius
-    rings = 2**level
-    h = rho / rings
+    h = rho / 2**level
+    phi = np.arange(1, 2**level + 1) * h / r_int
+    return c, phi, np.maximum(3, np.rint(2.0 * math.pi * r_int * np.sin(phi) / h).astype(np.int64))
 
-    phi = np.arange(1, rings + 1) * h / r_int  # polar angle of each ring
-    counts = np.maximum(3, np.rint(2.0 * math.pi * r_int * np.sin(phi) / h).astype(np.int64))
+
+def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
+    """Concentric-ring triangulation of the intrinsic geodesic cap of radius rho.
+
+    level sets the resolution: 2**level rings, azimuthal counts scaled to
+    the ring circumference so triangles stay near-equilateral.  Vertex 0 is
+    the pole, then come the rings outwards, each from azimuth 0; the last
+    ring is the boundary.
+    """
+    c, phi, counts = _rings(kappa, H, rho, level)
     ends = np.cumsum(counts)
     k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)  # each vertex's index in its ring
     theta = 2.0 * math.pi * k / np.repeat(counts, counts)
@@ -203,9 +214,40 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
     fan = np.stack([first, np.roll(first, -1), np.zeros_like(first)], axis=1)
     strips = [
         _zip_rings(ring_indices[i - 1], ring_angles[i - 1], ring_indices[i], ring_angles[i])
-        for i in range(1, rings)
+        for i in range(1, counts.size)
     ]
     return TriMesh(vertices=vertices, faces=np.concatenate([fan, *strips]), kappa=kappa)
+
+
+def prolongation(kappa: float, H: float, rho: float, level: int) -> csr_matrix:
+    """Interpolation from the interior vertices of the level - 1 cap mesh to those of level.
+
+    Fine ring i lies at the polar angle of coarse ring i/2, with ring 0 the
+    pole.  A vertex of an even ring interpolates linearly in azimuth between
+    the two vertices of coarse ring i/2 around it; a vertex of an odd ring
+    averages those interpolations on coarse rings (i - 1)/2 and (i + 1)/2.
+    The pole maps to the pole.  The coarse boundary ring has no column: its
+    values are 0 in the Dirichlet problem.
+    """
+    if level == 0:
+        raise MeshError("level 0 has no coarser level")
+    fine = np.append(1, _rings(kappa, H, rho, level)[2][:-1])  # interior rings, ring 0 the pole
+    coarse = np.append(1, _rings(kappa, H, rho, level - 1)[2][:-1])
+    ring = np.repeat(np.arange(fine.size), fine)
+    k = np.arange(ring.size) - np.repeat(np.cumsum(fine) - fine, fine)  # each vertex's index in its ring
+    first = np.cumsum(coarse) - coarse  # the first vertex of each coarse ring
+    rows, cols, weights = [], [], []
+    for j in (ring // 2, (ring + 1) // 2):  # the same coarse ring twice for an even ring
+        v = np.flatnonzero(j < coarse.size)
+        j, n, m = j[v], coarse[j[v]], fine[ring[v]]
+        # Azimuth 2 pi k / m lies between vertices a and a + 1 of coarse ring j, frac of the way on.
+        a, part = np.divmod(k[v] * n, m)
+        frac = part / m
+        rows += [v, v]
+        cols += [first[j] + a % n, first[j] + (a + 1) % n]
+        weights += [0.5 - 0.5 * frac, 0.5 * frac]
+    return csr_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(ring.size, coarse.sum()))
 
 
 def pole_chart(mesh: TriMesh, idx: np.ndarray) -> np.ndarray:

@@ -242,8 +242,11 @@ def lambda1_ball(n: int, c_int: float, rho: float) -> float:
 
 
 def _nu(n: int, lam: float) -> float:
-    """The nu >= 0 with nu(nu+n-1) = lam, in a form that keeps a small lam's digits."""
-    return 2.0 * lam / ((n - 1.0) + math.sqrt((n - 1.0) ** 2 + 4.0 * lam))
+    """The nu >= 0 with nu(nu+n-1) = lam, in a form that keeps a small lam's digits.
+
+    Halved inside the root, so that no 4 lam forms and overflows.
+    """
+    return lam / (0.5 * (n - 1.0) + math.sqrt(0.25 * (n - 1.0) ** 2 + lam))
 
 
 def radial_profile(n: int, lam: float, s: float, angles: list[float]) -> list[float]:

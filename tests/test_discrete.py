@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_matrix
 
 from cmcradius import discrete as dd
 from cmcradius import mesh as mm
@@ -216,14 +215,27 @@ class _CountingLU:
 
 
 class TestWarmStart:
-    # The inverse iteration starts from the cap's radial eigenfunction.
+    # The eigensolve starts from the cap's radial eigenfunction.
     STUDY = (-1.0, 2.7, 1.25 / math.sqrt(6.29), 0.1, [3, 4, 5, 6])
 
     def test_saves_solves(self, monkeypatch):
+        # Each LOBPCG step preconditions once, and every V-cycle ends in one solve
+        # with the base level's factor, so an eigensolve's solves are its steps.
         splu, solves = dd.splu, []
         monkeypatch.setattr(dd, "splu", lambda *args, **kwargs: _CountingLU(splu(*args, **kwargs), solves))
-        dd.mesh_verify(*self.STUDY)
-        assert len(solves) <= 16  # 32 from the constant vector
+        lambda1, steps = dd.lambda1_dirichlet, []
+
+        def counted(*args):
+            before = len(solves)
+            lam = lambda1(*args)
+            steps.append(len(solves) - before)
+            return lam
+
+        monkeypatch.setattr(dd, "lambda1_dirichlet", counted)
+        for study in STUDIES:
+            steps.clear()
+            dd.mesh_verify(*study, [3, 4, 5, 6, 7])
+            assert len(steps) == 5 and max(steps) <= 8, steps
 
     def test_eigenvalues_match_the_constant_start(self):
         kappa, H, rho, delta, _ = self.STUDY
@@ -235,7 +247,7 @@ class TestWarmStart:
             assert abs(row.lambda1 - lam) <= 1e-10 * max(abs(lam), 1.0, q)
 
     def test_polar_angles_are_the_ring_angles(self):
-        # Interior vertex i of the elimination order lies on ring polar[i] 2**level / s.
+        # Interior vertex i lies on ring polar[i] 2**level / s.
         kappa, H, rho, _, _ = self.STUDY
         s = rho * math.sqrt(kappa + H * H)
         for level in (0, 3):
@@ -274,15 +286,6 @@ class TestShortEdges:
         assert rep.agrees_with_oracle
 
 
-class _FactorOnly(csc_matrix):
-    """A stiffness that SuperLU factors but that takes part in no product."""
-
-    def _product(self, other):
-        raise AssertionError("a product with the stiffness")
-
-    __matmul__ = __rmatmul__ = __mul__ = __rmul__ = dot = _product
-
-
 class TestDenseReference:
     @pytest.mark.parametrize("kappa, H, rho, delta", [(-1.0, 2.5, 0.6, 0.0), (1.0, 1.0, 1.0, 0.4)])
     def test_lambda1_matches_dense_pencil(self, kappa, H, rho, delta):
@@ -299,9 +302,8 @@ class TestDenseReference:
         assert lam == pytest.approx(dense[0], rel=1e-10)
 
     def test_grid_with_collapsed_chart(self):
-        # Grid points on one ray from the origin share a chart point, so the
-        # order has ties in every cell; the un-permuted solve still gives
-        # the dense eigenvalue.
+        # Grid points on one ray from the origin share a chart point; the
+        # solve still gives the dense eigenvalue.
         from scipy.linalg import eigh
 
         m = _flat_grid_mesh(9)
@@ -309,18 +311,6 @@ class TestDenseReference:
         dense = eigh(problem.stiffness.toarray(), np.diag(problem.mass), eigvals_only=True)
         lam = dd.lambda1_dirichlet(problem, 0.0, np.ones_like(problem.mass))
         assert lam == pytest.approx(dense[0], rel=1e-10)
-
-    def test_stiffness_is_only_factored(self):
-        # Each solve K y = M x gives the Rayleigh numerator y.K y as y.M x.
-        from scipy.linalg import eigh
-
-        problem = dd.assemble_stability(mm.build_cap_mesh(-1.0, 2.5, 0.6, 3))
-        dense = eigh(problem.stiffness.toarray(), np.diag(problem.mass), eigvals_only=True)
-        problem.stiffness = _FactorOnly(problem.stiffness)
-        with pytest.raises(AssertionError, match="product"):
-            problem.stiffness @ problem.mass
-        lam = dd.lambda1_dirichlet(problem, -2.0, np.ones_like(problem.mass))
-        assert lam == pytest.approx(dense[0] - 2.0, rel=1e-10)
 
 
 # One study per model with the scaled radii s = rho * sqrt(kappa + H^2) of the
@@ -333,29 +323,6 @@ STUDIES = [
 
 
 class TestNestedDissection:
-    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
-    def test_order_is_a_permutation_of_the_interior(self, kappa):
-        H = 2.5 if kappa < 0 else 1.0
-        for level in range(8):
-            m = mm.build_cap_mesh(kappa, H, 1.4 / math.sqrt(kappa + H * H), level)
-            interior = dd.assemble_stability(m).interior
-            assert np.array_equal(np.sort(interior), m.interior), f"level {level}"
-
-    def test_order_on_hand_built_flat_meshes(self):
-        square = _flat_triangle_mesh(
-            [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.5, 0.5, 0]],
-            [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
-        )
-        for m in (square, _flat_grid_mesh(9), _flat_grid_mesh(20)):
-            interior = dd.assemble_stability(m).interior
-            assert np.array_equal(np.sort(interior), m.interior)
-
-    def test_order_without_edges(self):
-        # No edge crosses a cell, so nothing separates: cells in post-order.
-        points = np.random.default_rng(5).random((500, 2))
-        order = dd.nested_dissection(points, np.zeros((0, 2), dtype=np.int64))
-        assert np.array_equal(np.sort(order), np.arange(500))
-
     @pytest.mark.parametrize("kappa, H, rho, delta", STUDIES)
     def test_level5_matches_eigsh(self, kappa, H, rho, delta):
         from scipy.sparse.linalg import eigsh
@@ -370,14 +337,30 @@ class TestNestedDissection:
         lam = dd.lambda1_dirichlet(problem, -q, np.ones_like(problem.mass))
         assert lam == pytest.approx(lam_K - q, rel=1e-10)
 
-    @pytest.mark.parametrize("kappa, H, rho, delta", STUDIES)
-    def test_level7_fill_at_most_minimum_degree(self, kappa, H, rho, delta):
-        from scipy.sparse.linalg import splu
+
+class TestMultigrid:
+    def test_only_the_base_level_is_factored(self, monkeypatch):
+        splu, sizes = dd.splu, []
+        monkeypatch.setattr(dd, "splu", lambda K, *args, **kwargs: sizes.append(K.shape[0]) or splu(K, *args, **kwargs))
+        for study in STUDIES:
+            sizes.clear()
+            dd.mesh_verify(*study, [3, 4, 5, 6, 7])
+            assert sizes == [mm.build_cap_mesh(*study[:3], dd.BASE_LEVEL).interior.size]
+
+    @pytest.mark.parametrize("kappa, H, rho, delta", [*STUDIES, (1.0, 0.0, 3.1, 0.0)])
+    def test_level7_matches_eigsh(self, kappa, H, rho, delta):
+        from scipy.sparse import diags
+        from scipy.sparse.linalg import eigsh
 
         problem = dd.assemble_stability(mm.build_cap_mesh(kappa, H, rho, 7))
-        vertex_order = np.argsort(problem.interior)
-        K_ii = problem.stiffness[vertex_order][:, vertex_order].tocsc()
-        opts = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        nd = splu(problem.stiffness, permc_spec="NATURAL", **opts)
-        mmd = splu(K_ii, permc_spec="MMD_AT_PLUS_A", **opts)
-        assert nd.L.nnz + nd.U.nnz <= mmd.L.nnz + mmd.U.nnz
+        M = diags(problem.mass).tocsc()
+        lam_K = eigsh(problem.stiffness, k=1, M=M, sigma=0, return_eigenvectors=False)[0]
+        q = 2.0 * (1.0 - delta) * (kappa + H * H)
+        (row,) = dd.mesh_verify(kappa, H, rho, delta, [7]).levels
+        assert row.lambda1 == pytest.approx(lam_K - q, rel=1e-10)
+
+    def test_finest_row_does_not_depend_on_the_other_levels(self):
+        finest = dd.mesh_verify(*STUDIES[0], [3, 4, 5, 6, 7]).levels[-1]
+        assert dd.mesh_verify(*STUDIES[0], [7]).levels == [finest]
+        assert dd.mesh_verify(*STUDIES[0], [3, 5, 7]).levels[-1] == finest
+

@@ -201,6 +201,47 @@ class TestEdgeLengthPrecision:
             assert abs(m.edge_lengths[e] - exact) <= 2 * np.finfo(float).eps * exact
 
 
+class TestProlongation:
+    # A cap of each model, one past the hemisphere and one near the antipode.
+    CAPS = [(-1.0, 2.7, 0.5), (0.0, 2.0, 0.95), (1.0, 0.0, 3.1)]
+
+    @staticmethod
+    def _interior_polar(cap, level):
+        m = mm.build_cap_mesh(*cap, level)
+        return np.hypot(*mm.pole_chart(m, m.interior).T)
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_rows_sum_to_one_away_from_the_boundary(self, cap):
+        s = cap[2] * math.sqrt(cap[0] + cap[1] ** 2)  # ring i lies at polar angle i s / 2**level
+        for level in (1, 4, 6):
+            P = mm.prolongation(*cap, level)
+            fine = self._interior_polar(cap, level)
+            assert P.shape == (fine.size, self._interior_polar(cap, level - 1).size)
+            assert P.min() >= 0.0
+            ring = np.rint(fine * 2**level / s)
+            sums = np.asarray(P.sum(axis=1)).ravel()
+            # The ring next to the boundary averages a coarse ring and the boundary's zeros.
+            last = ring == 2**level - 1
+            assert np.abs(sums[~last] - 1.0).max() <= 4e-16
+            assert np.array_equal(sums[last], np.full(last.sum(), 0.5))
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_smooth_radial_function_is_second_order(self, cap):
+        # cos(pi phi / 2s) is radial, smooth and 0 on the boundary.
+        s = cap[2] * math.sqrt(cap[0] + cap[1] ** 2)
+        errors = []
+        for level in (4, 5, 6, 7):
+            coarse = np.cos(0.5 * math.pi * self._interior_polar(cap, level - 1) / s)
+            fine = np.cos(0.5 * math.pi * self._interior_polar(cap, level) / s)
+            errors.append(np.abs(mm.prolongation(*cap, level) @ coarse - fine).max())
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+    def test_level_zero_has_no_coarser_level(self):
+        with pytest.raises(MeshError, match="^level 0 has no coarser level$"):
+            mm.prolongation(*self.CAPS[0], 0)
+
+
 class TestIntrinsicRadius:
     def test_fine_mesh_brackets_rho(self):
         rho = 0.8

@@ -16,8 +16,8 @@ reals = st.floats(allow_nan=False, allow_infinity=False)
 # under- and overflow and caps shrink to a few ulps.
 magnitudes = st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-320, 307))
 numbers = st.one_of(reals, magnitudes, st.floats(-4.0, 4.0))
-# Levels 0-3 have 1 to about 160 interior vertices: most meshes are smaller
-# than one leaf cell of the nested-dissection order.  Repeated levels are drawn too.
+# Levels 0-3 have 1 to about 160 interior vertices, and level 3 is the base
+# level of the multigrid eigensolve.  Repeated levels are drawn too.
 levels = st.lists(st.integers(0, 3), min_size=1, max_size=4)
 
 
@@ -139,3 +139,15 @@ def test_trimesh_is_checked_or_raises(inputs):
     assert np.intersect1d(m.boundary, m.interior).size == 0
     assert np.array_equal(m.edges[m.face_edges], np.sort(faces[:, [[1, 2], [2, 0], [0, 1]]], axis=2))
     assert np.isfinite(m.edge_lengths).all() and np.isfinite(m.areas).all()
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True, database=None)
+@given(cap=caps(), level=st.integers(-1, 5))
+def test_prolongation_is_finite_or_raises(cap, level):
+    try:
+        P = mesh.prolongation(*cap, level)
+    except CmcRadiusError:
+        return
+    assert 1 <= level <= 5
+    assert P.shape[0] > P.shape[1] >= 1
+    assert np.isfinite(P.data).all() and P.data.min() >= 0.0

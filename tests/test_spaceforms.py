@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 import reference
 from cmcradius import spaceforms as sf
 from cmcradius.errors import (
+    CmcRadiusError,
     DimensionError,
     NonConvergence,
     PreconditionViolation,
@@ -302,6 +303,18 @@ class TestRadialProfile:
         with pytest.raises(PreconditionViolation):
             sf._radial(2, sf._nu(2, lam), s)
         assert sf.radial_profile(2, lam, s, [0.0, s]) == [1.0, math.cos(s)]
+
+
+    def test_nu_of_the_largest_eigenvalues_is_finite(self):
+        nu = sf._nu(2, 1e308)
+        assert math.isfinite(nu) and nu * (nu + 1.0) == pytest.approx(1e308, rel=1e-15)
+
+    def test_profile_of_a_huge_eigenvalue_is_finite_or_raises(self):
+        try:
+            profile = sf.radial_profile(2, 1e308, 1e-154, [0.0, 5e-155, 1e-154])
+        except CmcRadiusError:
+            return
+        assert all(math.isfinite(value) for value in profile)
 
 
 class TestMaxStableCapRadius:
