@@ -109,27 +109,37 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
     if not (0.0 < mean_area < math.inf and np.all(areas >= DEGENERATE_AREA_FRACTION * mean_area)):
         raise MeshError("degenerate triangle in mesh (area below 1e-14 of mean, or not finite)")
     nv = mesh.num_vertices
+    idx = require_interior(mesh)
+    polar = np.hypot(*pole_chart(mesh, idx).T)
+    mass = np.bincount(mesh.faces.T.ravel(), np.tile(areas / 3.0, 3), minlength=nv)[idx]
     l2 = mesh.face_lengths.T**2  # one row per corner
     i = np.arange(3)
     j, k = (i + 1) % 3, (i + 2) % 3
     # Half-cotangent of the angle at corner i, weighting the edge opposite it.
     half_cot = (l2[j] + l2[k] - l2[i]) / (8.0 * areas)
     weight = np.bincount(mesh.face_edges.T.ravel(), half_cot.ravel(), minlength=len(mesh.edges))
+    del l2, half_cot  # each temporary is released once spent, to keep the peak low
     diagonal = np.bincount(mesh.edges.ravel(), np.repeat(weight, 2), minlength=nv)
-    mass = np.bincount(mesh.faces.T.ravel(), np.tile(areas / 3.0, 3), minlength=nv)
 
-    idx = require_interior(mesh)
     position = np.full(nv, -1)
     position[idx] = np.arange(idx.size)
     a, b = position[mesh.edges].T
     inner = (a >= 0) & (b >= 0)
-    a, b = a[inner], b[inner]
-    n = np.arange(idx.size)
-    rows, cols = np.concatenate([a, b, n]), np.concatenate([b, a, n])
-    entries = np.concatenate([-weight[inner], -weight[inner], diagonal[idx]])
-    stiffness = csc_matrix((entries, (rows, cols)), shape=(n.size, n.size))  # no duplicate entries
-    return SpectralProblem(stiffness=stiffness, mass=mass[idx], interior=idx,
-                           polar=np.hypot(*pole_chart(mesh, idx).T))
+    a, b, off = a[inner], b[inner], -weight[inner]  # edges (a, b), a < b, sorted
+    # The canonical CSC, filled in place: column j holds its edges (i, j) by i,
+    # its diagonal, then its edges (j, k) by k.
+    above, below = np.bincount(b, minlength=idx.size), np.bincount(a, minlength=idx.size)
+    indptr = np.append(0, np.cumsum(above + below + 1))
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    slot = np.arange(a.size) + np.cumsum(above + 1)[a]
+    indices[slot], data[slot] = b, off
+    by_column = np.argsort(b, kind="stable")
+    slot = np.arange(a.size) + (np.cumsum(below + 1) - below - 1)[b[by_column]]
+    indices[slot], data[slot] = a[by_column], off[by_column]
+    slot = indptr[:-1] + above
+    indices[slot], data[slot] = np.arange(idx.size), diagonal[idx]
+    stiffness = csc_matrix((data, indices, indptr), shape=(idx.size, idx.size))
+    return SpectralProblem(stiffness=stiffness, mass=mass, interior=idx, polar=polar)
 
 
 def _m_orthonormal(vectors: list[np.ndarray], m: np.ndarray) -> np.ndarray:
@@ -230,6 +240,7 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
     # V-cycle; a problem is kept as the next one's coarser level, its mesh is not.
     results, problem = [], None
     for level in range(min(BASE_LEVEL, *levels), max(levels) + 1):
+        m = None  # released before the next mesh is built
         m = build_cap_mesh(kappa, H, rho, level)
         coarser, problem = problem, assemble_stability(m)
         if level > BASE_LEVEL:

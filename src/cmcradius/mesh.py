@@ -31,6 +31,8 @@ class TriMesh:
     vertices in range, no edge lies in more than two faces, the Euler
     characteristic is 1, the faces are consistently oriented, the edges
     connect every vertex and some edge lies in one face only (a boundary).
+    The constructor's traced memory peaks at about 1.5 times the bytes of
+    the arrays it adds to the vertices and faces (1.1 times all it keeps).
     """
 
     def __init__(self, vertices: np.ndarray, faces: np.ndarray, kappa: float):
@@ -50,27 +52,34 @@ class TriMesh:
         self.vertices, self.faces, self.kappa = v, f, kappa
 
         # Half-edge i of a face runs from corner i+1 to corner i+2, opposite corner i.
-        tails = f[:, [1, 2, 0]].T.ravel()
-        heads = f[:, [2, 0, 1]].T.ravel()
         # Key (min * nv + max) sorts like the (min, max) rows; the low bit keeps the direction.
-        key = (np.minimum(tails, heads) * nv + np.maximum(tails, heads)) * 2 + (tails > heads)
-        order = np.argsort(key)
-        key = key[order]
-        undirected = key >> 1
-        starts = np.concatenate([[True], undirected[1:] != undirected[:-1]])
+        key = np.empty((3, f.shape[0]), dtype=np.int64)
+        for i in range(3):
+            tail, head = f[:, (i + 1) % 3], f[:, (i + 2) % 3]
+            key[i] = (np.minimum(tail, head) * nv + np.maximum(tail, head)) * 2 + (tail > head)
+        order = np.argsort(key, axis=None)
+        key = key.ravel()[order]
+        flipped = np.any(key[1:] == key[:-1])  # a directed edge in two faces
+        key >>= 1  # the undirected key min * nv + max
+        starts = np.concatenate([[True], key[1:] != key[:-1]])
         first = np.flatnonzero(starts)
         edge_faces = np.diff(np.append(first, key.size))
         if edge_faces.max() > 2:
             raise MeshError("a mesh edge belongs to more than two faces")
         if nv - first.size + f.shape[0] != 1:
             raise MeshError(f"not a disk: Euler characteristic {nv - first.size + f.shape[0]}")
-        if np.any(key[1:] == key[:-1]):  # a directed edge in two faces
+        if flipped:
             raise MeshError("inconsistent face orientation")
 
-        lo, hi = undirected[first] // nv, undirected[first] % nv
-        self.edges = np.stack([lo, hi], axis=1)  # i < j, sorted
-        # The edge graph is a temporary: bound to a name, it would raise the constructor's peak memory.
-        components = connected_components(csr_matrix((np.ones(first.size), self.edges.T), shape=(nv, nv)),
+        self.edges = np.stack(np.divmod(key[first], nv), axis=1)  # i < j, sorted
+        # The key buffer becomes the half-edges' edge ids, and each temporary is
+        # released once spent: the constructor's peak sets that of a mesh study.
+        key[order] = np.cumsum(starts)
+        key -= 1
+        del order, starts, first
+        self.face_edges = key.reshape(3, -1).T  # entry i opposite corner i
+        lo, hi = self.edges.T
+        components = connected_components(csr_matrix((np.ones(lo.size), (lo, hi)), shape=(nv, nv)),
                                           directed=False, return_labels=False)
         if components != 1:  # chi adds over components: a disk plus a torus has chi = 1
             raise MeshError(f"not a disk: {components} connected components")
@@ -80,13 +89,8 @@ class TriMesh:
         if self.boundary.size == 0:  # a closed surface, such as a sphere with two points identified
             raise MeshError("not a disk: no boundary")
         self.interior = np.flatnonzero(~on_boundary)
-        # Geodesic lengths from one gather per coordinate column, not per (nv, 4) row:
-        # the ends come out as (columns, ne) arrays, passed on as column-major points.
-        columns = v.T.copy()
-        self.edge_lengths = ambient_distance(kappa, columns.take(lo, axis=1).T, columns.take(hi, axis=1).T)
-        edge_of_half_edge = np.empty(key.size, dtype=np.int64)
-        edge_of_half_edge[order] = np.cumsum(starts) - 1
-        self.face_edges = edge_of_half_edge.reshape(3, -1).T  # entry i opposite corner i
+        # Geodesic lengths from the chord, gathered one coordinate column at a time.
+        self.edge_lengths = ambient_distance(kappa, (x[lo] - x[hi] for x in v.T))
         # One distance per undirected edge, scattered back to the faces:
         # ambient_distance is exactly symmetric in its two points.
         self.face_lengths = self.edge_lengths[self.face_edges]
@@ -101,24 +105,26 @@ class TriMesh:
         return self.faces.shape[0]
 
 
-def ambient_distance(kappa: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Geodesic distance in the ambient space form between model points.
+def ambient_distance(kappa: float, chord) -> np.ndarray:
+    """Geodesic distance in the ambient space form between model points p and q.
 
     Computed from the model chord |p - q| (its Minkowski norm on the
     hyperboloid), which stays well conditioned for edges much shorter
     than the curvature radius, where an inner product near 1 does not.
+    chord yields the coordinate columns of p - q in order; they are squared
+    and summed one at a time in that order, the order of np.sum over a row.
     """
-    d = np.atleast_2d(p) - np.atleast_2d(q)
-    # Squared one coordinate at a time and added in column order, the order of np.sum over a row.
-    squares = [x * x for x in d.T]
+    squares = (x * x for x in chord)
+    time = next(squares) if kappa < 0.0 else None  # the hyperboloid's timelike coordinate
+    total = sum(squares, next(squares))
     if kappa == 0.0:
-        return np.sqrt(sum(squares[1:], squares[0]))
+        return np.sqrt(total)
     sq = math.sqrt(abs(kappa))
     if kappa < 0.0:
         # Minkowski signature (-, +, +, +): chords between points of the hyperboloid are spacelike.
-        half = 0.5 * sq * np.sqrt(np.clip(sum(squares[2:], squares[1]) - squares[0], 0.0, None))
+        half = 0.5 * sq * np.sqrt(np.clip(total - time, 0.0, None))
         return 2.0 * np.arcsinh(half) / sq
-    half = 0.5 * sq * np.sqrt(sum(squares[1:], squares[0]))
+    half = 0.5 * sq * np.sqrt(total)
     return 2.0 * np.arcsin(np.clip(half, None, 1.0)) / sq
 
 
@@ -170,9 +176,12 @@ MAX_CAP_RADIUS = float(np.finfo(float).max) ** 0.25 / 4.0
 
 #: Finest refinement level.  Each level quadruples the vertices, zipped ring by
 #: ring in Python: about 44k at level 7 and 0.7M at level 9 (at s = 1.25).  A
-#: level-9 study took 3.3 s and 0.88 GB peak on a 2-CPU host, and building the
-#: mesh alone 1.0 s and 0.81 GB, so level 10 would need about 3 GB for the mesh.
+#: level-9 study took 3.4 s and 0.57 GB peak on a 2-CPU host, and building the
+#: mesh alone 1.4 s and 0.36 GB, so a level-10 study would need about 2 GB.
 MAX_LEVEL = 9
+
+#: Rows of the mesh export formatted per write.
+EXPORT_BLOCK = 4096
 
 
 def _rings(kappa: float, H: float, rho: float, level: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -212,10 +221,9 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
 
     first = ring_indices[0]
     fan = np.stack([first, np.roll(first, -1), np.zeros_like(first)], axis=1)
-    strips = [
-        _zip_rings(ring_indices[i - 1], ring_angles[i - 1], ring_indices[i], ring_angles[i])
-        for i in range(1, counts.size)
-    ]
+    # The strips are released once joined, before TriMesh measures the mesh.
+    strips = (_zip_rings(ring_indices[i - 1], ring_angles[i - 1], ring_indices[i], ring_angles[i])
+              for i in range(1, counts.size))
     return TriMesh(vertices=vertices, faces=np.concatenate([fan, *strips]), kappa=kappa)
 
 
@@ -236,18 +244,20 @@ def prolongation(kappa: float, H: float, rho: float, level: int) -> csr_matrix:
     ring = np.repeat(np.arange(fine.size), fine)
     k = np.arange(ring.size) - np.repeat(np.cumsum(fine) - fine, fine)  # each vertex's index in its ring
     first = np.cumsum(coarse) - coarse  # the first vertex of each coarse ring
-    rows, cols, weights = [], [], []
+    # At most two coarse rings of two vertices each per fine vertex, filled in place.
+    rows, cols = np.empty((2, 4 * ring.size), dtype=np.int64)
+    weights, end = np.empty(4 * ring.size), 0
     for j in (ring // 2, (ring + 1) // 2):  # the same coarse ring twice for an even ring
         v = np.flatnonzero(j < coarse.size)
         j, n, m = j[v], coarse[j[v]], fine[ring[v]]
         # Azimuth 2 pi k / m lies between vertices a and a + 1 of coarse ring j, frac of the way on.
         a, part = np.divmod(k[v] * n, m)
         frac = part / m
-        rows += [v, v]
-        cols += [first[j] + a % n, first[j] + (a + 1) % n]
-        weights += [0.5 - 0.5 * frac, 0.5 * frac]
-    return csr_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(ring.size, coarse.sum()))
+        for at, weight in ((a % n, 0.5 - 0.5 * frac), ((a + 1) % n, 0.5 * frac)):
+            span = slice(end, end + v.size)
+            rows[span], cols[span], weights[span] = v, first[j] + at, weight
+            end += v.size
+    return csr_matrix((weights[:end], (rows[:end], cols[:end])), shape=(ring.size, coarse.sum()))
 
 
 def pole_chart(mesh: TriMesh, idx: np.ndarray) -> np.ndarray:
@@ -299,18 +309,22 @@ def save_mesh(mesh: TriMesh, path: str) -> None:
 
     A coordinate column that changes on fewer than 1/16 of the rows, such
     as a ring's height, is formatted once per run of consecutive vertices
-    that share its value, and each run is written as it is formatted.
-    The bytes are those of formatting every value with %.17g.
+    that share its value.  Lines are written in blocks of at most
+    EXPORT_BLOCK rows, runs split at block bounds.  The bytes are those of
+    formatting every value with %.17g.
     """
-    v, f = mesh.vertices, mesh.faces + 1
+    v = mesh.vertices
     nv = v.shape[0]
     bits = v.view(np.int64)  # compared by bits: -0.0 prints as -0 but equals 0.0
     change = bits[1:] != bits[:-1]
     shared = np.count_nonzero(change, axis=0) * 16 < nv
-    cuts = np.flatnonzero(change[:, shared].any(axis=1)) + 1
+    cuts = np.union1d(np.flatnonzero(change[:, shared].any(axis=1)) + 1,
+                      np.arange(EXPORT_BLOCK, nv, EXPORT_BLOCK))
     varying = v[:, ~shared]
     with open(path, "w") as fh:
         for a, b in itertools.pairwise([0, *cuts.tolist(), nv]):
             cells = "".join(" %.17g" % x if s else " %.17g" for x, s in zip(v[a].tolist(), shared.tolist()))
             fh.write(("v" + cells + "\n") * (b - a) % tuple(varying[a:b].ravel().tolist()))
-        fh.write("f %d %d %d\n" * f.shape[0] % tuple(f.ravel().tolist()))
+        for a in range(0, mesh.num_faces, EXPORT_BLOCK):
+            f = mesh.faces[a:a + EXPORT_BLOCK] + 1
+            fh.write("f %d %d %d\n" * f.shape[0] % tuple(f.ravel().tolist()))

@@ -161,6 +161,20 @@ def export_text(mesh: TriMesh) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def naive_topology(faces: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """edges, face_edges, boundary and interior of a mesh from one np.unique over
+    its sorted face edges: the arrays `TriMesh` must derive, values and dtypes.
+
+    Entry i of a face's edges is the edge opposite corner i; a boundary vertex
+    lies on an edge of one face only.
+    """
+    f = np.asarray(faces, dtype=np.int64)
+    ends = np.sort(f[:, [[1, 2], [2, 0], [0, 1]]], axis=2).reshape(-1, 2)
+    edges, inverse, counts = np.unique(ends, axis=0, return_inverse=True, return_counts=True)
+    boundary = np.unique(edges[counts == 1])
+    return edges, inverse.reshape(-1, 3), boundary, np.setdiff1d(np.arange(nv), boundary)
+
+
 def row_gather_edge_lengths(mesh: TriMesh) -> np.ndarray:
     """Geodesic edge lengths from the (ne, k) rows of both ends of every edge,
     with np.linalg.norm and np.sum over each row: the lengths `TriMesh`

@@ -36,7 +36,7 @@ def _reference_system(m):
     v, faces = m.vertices, m.faces.tolist()
     squares, areas = [], []
     for f in faces:
-        a, b, c = (float(mm.ambient_distance(m.kappa, v[f[q]], v[f[r]])[0])
+        a, b, c = (float(mm.ambient_distance(m.kappa, np.atleast_2d(v[f[q]] - v[f[r]]).T)[0])
                    for q, r in ((1, 2), (2, 0), (0, 1)))
         s = 0.5 * (a + b + c)
         squares.append((a * a, b * b, c * c))

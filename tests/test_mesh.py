@@ -18,7 +18,7 @@ def _per_corner_lengths(m):
     """(nf, 3) geodesic lengths computed at every face corner, entry i opposite corner i."""
     v, f = m.vertices, m.faces
     return np.stack(
-        [mm.ambient_distance(m.kappa, v[f[:, j]], v[f[:, k]]) for j, k in ((1, 2), (2, 0), (0, 1))],
+        [mm.ambient_distance(m.kappa, (v[f[:, j]] - v[f[:, k]]).T) for j, k in ((1, 2), (2, 0), (0, 1))],
         axis=1,
     )
 
@@ -78,7 +78,7 @@ class TestBuildCapMesh:
         centre = np.zeros(m.vertices.shape[1])
         if kappa:
             centre[0 if kappa < 0.0 else -1] = 1.0 / math.sqrt(abs(kappa))
-        for r in mm.ambient_distance(kappa, m.vertices, centre):
+        for r in mm.ambient_distance(kappa, (m.vertices - centre).T):
             assert reference.cot_kappa(kappa, float(r)) == pytest.approx(H, rel=1e-12, abs=1e-15)
 
     def test_boundary_is_last_ring(self):
@@ -129,7 +129,7 @@ class TestTopologyRecord:
         assert np.array_equal(m.edges, edges)
         assert counts.max() == 2
         assert np.array_equal(m.boundary, np.unique(edges[counts == 1]))
-        lengths = mm.ambient_distance(kappa, m.vertices[edges[:, 0]], m.vertices[edges[:, 1]])
+        lengths = mm.ambient_distance(kappa, (m.vertices[edges[:, 0]] - m.vertices[edges[:, 1]]).T)
         assert np.array_equal(m.edge_lengths, lengths)
         assert np.array_equal(m.edges[m.face_edges], np.sort(m.faces[:, [[1, 2], [2, 0], [0, 1]]], axis=2))
         assert np.array_equal(m.face_lengths, _per_corner_lengths(m))
@@ -144,23 +144,68 @@ class TestTopologyRecord:
             assert np.array_equal(m.face_lengths, _per_corner_lengths(m)), f"level {level}"
 
 
+def _hand_built(name):
+    """(vertices, faces, kappa) of a valid hand-built mesh of this module."""
+    if name == "triangle":
+        return _TRIANGLE, np.array([[0, 1, 2]]), 0.0
+    if name == "jittered grid":
+        m = _grid(10, np.random.default_rng(3).normal(size=100))
+        return m.vertices + np.random.default_rng(4).normal(scale=1e-3, size=(100, 3)), m.faces, 0.0
+    if name == "negative zero grid":
+        z = np.zeros(100)
+        z[37] = -0.0
+        m = _grid(10, z)
+        return m.vertices, m.faces, 0.0
+    up = 1.0 + 2.0**-52  # near-antipodal points on the sphere
+    vertices = np.array([[up, 0.0, 0.0, 0.0], [-up, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-1.0, 1e-9, 0.0, 0.0]])
+    return vertices, np.array([[0, 1, 2], [0, 2, 3]]), 1.0
+
+
+class TestNaiveTopology:
+    """Every TriMesh array equals, in value and dtype, its naive derivation in tests/reference.py."""
+
+    @staticmethod
+    def _check(vertices, faces, kappa):
+        m = mm.TriMesh(vertices=vertices, faces=faces, kappa=kappa)
+        edges, face_edges, boundary, interior = reference.naive_topology(faces, len(vertices))
+        expected = {"vertices": np.asarray(vertices, dtype=float), "faces": np.asarray(faces, dtype=np.int64),
+                    "edges": edges, "face_edges": face_edges, "boundary": boundary, "interior": interior,
+                    "edge_lengths": reference.row_gather_edge_lengths(m)}  # from m.edges, checked first
+        expected["face_lengths"] = expected["edge_lengths"][face_edges]
+        expected["areas"] = mm.triangle_areas(expected["face_lengths"])
+        for name, want in expected.items():
+            got = getattr(m, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("kappa", sorted(PINNED_CAPS))
+    @pytest.mark.parametrize("level", range(7))
+    def test_pinned_caps(self, kappa, level):
+        cap = mm.build_cap_mesh(kappa, *PINNED_CAPS[kappa], level)
+        self._check(cap.vertices.copy(), cap.faces.copy(), kappa)
+
+    @pytest.mark.parametrize("name", ["triangle", "jittered grid", "negative zero grid", "near-antipodal"])
+    def test_hand_built_meshes(self, name):
+        self._check(*_hand_built(name))
+
+
 class TestAmbientDistance:
     def test_euclidean(self):
         p = np.array([[0.0, 0.0, 0.0]])
         q = np.array([[3.0, 4.0, 0.0]])
-        assert mm.ambient_distance(0.0, p, q)[0] == pytest.approx(5.0)
+        assert mm.ambient_distance(0.0, (p - q).T)[0] == pytest.approx(5.0)
 
     def test_hyperbolic_antipodal_axis(self):
         # Points at hyperbolic distance 2t along a geodesic through the origin.
         t = 0.8
         p = np.array([[math.cosh(t), math.sinh(t), 0.0, 0.0]])
         q = np.array([[math.cosh(t), -math.sinh(t), 0.0, 0.0]])
-        assert mm.ambient_distance(-1.0, p, q)[0] == pytest.approx(2 * t, rel=1e-12)
+        assert mm.ambient_distance(-1.0, (p - q).T)[0] == pytest.approx(2 * t, rel=1e-12)
 
     def test_spherical(self):
         p = np.array([[1.0, 0.0, 0.0, 0.0]])
         q = np.array([[0.0, 1.0, 0.0, 0.0]])
-        assert mm.ambient_distance(1.0, p, q)[0] == pytest.approx(math.pi / 2, rel=1e-12)
+        assert mm.ambient_distance(1.0, (p - q).T)[0] == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 def _mpmath_distance(kappa, p, q):
@@ -253,7 +298,7 @@ class TestIntrinsicRadius:
         m = mm.build_cap_mesh(0.0, 1.0, 0.5, 0)
         r = mm.intrinsic_radius(m)
         # One interior vertex (the center); distance is the radial edge.
-        edge = mm.ambient_distance(0.0, m.vertices[:1], m.vertices[1:2])[0]
+        edge = mm.ambient_distance(0.0, (m.vertices[:1] - m.vertices[1:2]).T)[0]
         assert r == pytest.approx(edge, rel=1e-12)
 
     def test_hemisphere(self):
@@ -306,6 +351,16 @@ class TestExport:
         path = tmp_path / "cap.txt"
         mm.save_mesh(m, str(path))
         assert path.read_text() == reference.export_text(m)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocked_export_bytes(self, block, tmp_path, monkeypatch):
+        # Runs and face lines split at every block bound, down to one row per write.
+        monkeypatch.setattr(mm, "EXPORT_BLOCK", block)
+        path = tmp_path / "mesh.txt"
+        for m in [mm.build_cap_mesh(-1.0, *PINNED_CAPS[-1.0], 3), _grid(10, np.zeros(100)),
+                  mm.TriMesh(*_hand_built("jittered grid"))]:
+            mm.save_mesh(m, str(path))
+            assert path.read_text() == reference.export_text(m)
 
     @pytest.mark.parametrize("name", ["triangle", "every column varies", "negative zero"])
     def test_hand_built_mesh_bytes(self, name, tmp_path):

@@ -1,0 +1,48 @@
+"""Memory bounds of the mesh pipeline, traced with tracemalloc.
+
+NumPy reports its array buffers to tracemalloc, and allocation sizes do not
+depend on timing, so these bounds are deterministic.  The cap is the
+kappa = -1 cap of the mesh-refine benchmark at s = rho sqrt(c) = 1.25.
+"""
+
+import math
+import tracemalloc
+
+from cmcradius import discrete, mesh as mm
+
+CAP = (-1.0, 2.7, 1.25 / math.sqrt(6.29))  # kappa, H, rho, with c = kappa + H^2 = 6.29
+KEPT = ("vertices", "faces", "edges", "boundary", "interior", "edge_lengths", "face_edges", "face_lengths",
+        "areas")
+
+
+def _traced_peak(fn):
+    """fn's result and the peak, in bytes, of the memory traced while it ran above that at its start."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_cap_build_peaks_below_two_and_a_half_times_the_mesh():
+    m, peak = _traced_peak(lambda: mm.build_cap_mesh(*CAP, 7))
+    kept = sum(getattr(m, name).nbytes for name in KEPT)
+    assert m.num_vertices > 40_000
+    assert peak <= 2.5 * kept, f"peak {peak / 1e6:.1f} MB for a mesh of {kept / 1e6:.1f} MB"
+
+
+def test_mesh_study_and_export_stay_under_36_mb(tmp_path):
+    def study():
+        report = discrete.mesh_verify(*CAP, 0.1, [3, 4, 5, 6, 7])
+        mm.save_mesh(report.finest_mesh, str(tmp_path / "mesh.txt"))
+        return report
+
+    report, peak = _traced_peak(study)
+    assert report.levels[-1].vertices > 40_000
+    assert peak < 36e6, f"peak {peak / 1e6:.1f} MB"
