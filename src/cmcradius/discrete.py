@@ -248,7 +248,7 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
         if level not in levels:
             continue
         if profile is None:  # after the first mesh, so that a cap too large to mesh says so first
-            profile = radial_profile(2, ball / c, s, angles.tolist())
+            profile = radial_profile(2, ball * rho * rho, s, angles.tolist())
         lam = lambda1_dirichlet(problem, -q, np.interp(problem.polar, angles, profile))
         radius = intrinsic_radius(m)
         if abs(lam) <= MARGINAL_BAND * q:

@@ -5,8 +5,10 @@ on it has constant stability potential q = n(1-delta)(H^2 + kappa) and
 its first Dirichlet eigenvalue is that of a geodesic ball in the round
 sphere of intrinsic curvature c_int = kappa + H^2.  On the unit n-sphere
 the radial eigenfunction with eigenvalue nu(nu+n-1) has the closed form
-2F1(-nu, nu+n-1; n/2; sin^2(s/2)), so bracketed root-finding on it, in s
-or in nu, gives an exact oracle for the maximal delta-stable cap radius.
+2F1(-nu, nu+n-1; n/2; sin^2(s/2)), so bracketed root-finding on it gives
+an exact oracle: in s for the maximal delta-stable cap radius, and in the
+scaled variable w = nu s, on a bracket fixed by Cheng's eigenvalue
+comparison, for the first Dirichlet eigenvalue of a ball.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bounds
-from .errors import (
-    CmcRadiusError, NoApplicableBound, NonConvergence, PreconditionViolation, UnattainableCurvature,
-)
+from .errors import NoApplicableBound, NonConvergence, PreconditionViolation, UnattainableCurvature
 
 #: Relative slack allowed when comparing the oracle radius to a bound.
 PASS_SLACK = 1e-8
@@ -62,23 +62,10 @@ S_MAX = math.pi * (1.0 - 1e-9)
 #: Scan points in s for the cap radius, which lies in [pi/2, pi): the
 #: distance to pi halves from one point to the next.
 _CAP_SCAN = tuple(math.pi * (1.0 - 2.0**-k) for k in range(1, 30)) + (S_MAX,)
-
-
-def _nu_scan(n: int, c_int: float):
-    """Scan points in nu, from 1 growing by a factor 1.5 up to the first at
-    which the eigenvalue c_int nu(nu+n-1) overflows, or the last finite nu:
-    a zero past that point has no float eigenvalue.
-
-    For s <= pi/2 the second radial zero in nu lies at least 1.83 times
-    above the first (the least ratio is at n = 4, s -> 0), so no cell of
-    the scan holds both.
-    """
-    nu = 1.0
-    while nu < math.inf:
-        yield nu
-        if c_int * nu * (nu + n - 1.0) == math.inf:
-            return
-        nu *= 1.5
+#: Right end of the bracket for w = nu s up to the equator: the first zero j
+#: of the Bessel function J_{n/2-1}, raised by 1e-9 relative, since the
+#: root lies below j and tends to it as s -> 0.
+_W_MAX = {n: j * (1.0 + 1e-9) for n, j in ((2, 2.404825557695773), (3, math.pi), (4, 3.8317059702075125))}
 
 
 def _digamma(x: float) -> float:
@@ -92,24 +79,29 @@ def _digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - y * tail
 
 
-def _gauss_series(n: int, nu: float, z: float) -> float:
-    """2F1(-nu, nu+n-1; n/2; z) summed term by term, for z <= 1/2 (s <= pi/2).
+def _sinc(x: float) -> float:
+    """sin(x) / x, continued by 1 at x = 0; it is exactly 1 for |x| below about 1e-8."""
+    return math.sin(x) / x if x else 1.0
 
-    Once a term is negligible the term ratio stays below 2z <= 1, so the
-    rest of the series is negligible too.  z multiplies the term ratio last,
-    where a tiny z cannot lose digits below the normal range, unless nu is
-    so large that (a + k)(b + k) would overflow; that happens before the
-    eigenvalue c_int nu(nu+n-1) overflows when c_int < 1.
+
+def _gauss_series(n: int, w: float, s: float) -> float:
+    """2F1(-nu, nu+n-1; n/2; sin^2(s/2)) at nu = w/s, summed term by term, for s <= pi/2.
+
+    The term ratio (k - nu)(k + nu + n-1) sin^2(s/2) / ((n/2 + k)(k + 1)) is
+    a product of bounded factors, (k h - w sigma)(k h + (w + (n-1)s) sigma),
+    with h = sin(s/2) and sigma = sin(s/2) / s, which is 1/2 for a tiny or
+    subnormal s: neither the huge nu nor the tiny z = h^2 of a small ball
+    forms.  Once a term is negligible the term ratio stays below
+    2z <= 1, so the rest of the series is negligible too.
     """
-    a, b, c = -nu, nu + n - 1.0, 0.5 * n
-    z_first = nu > 2.0**510
+    h = math.sin(0.5 * s)
+    sigma = 0.5 * _sinc(0.5 * s)
+    a, b, c = w * sigma, (w + (n - 1.0) * s) * sigma, 0.5 * n
     term = total = scale = 1.0
     k = 0
     while abs(term) > _EPS * scale:
-        if z_first:
-            term *= (a + k) * z * (b + k) / ((c + k) * (k + 1.0))
-        else:
-            term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        kh = k * h
+        term *= (kh - a) * (kh + b) / ((c + k) * (k + 1.0))
         k += 1
         total += term
         scale = max(scale, abs(term))
@@ -155,23 +147,26 @@ def _log_series(n: int, nu: float, w: float) -> float:
     return math.sin(math.pi * min(nu, 1.0 - nu)) / math.pi * total
 
 
-def _radial(n: int, nu: float, s: float) -> float:
-    """Radial Dirichlet eigenfunction 2F1(-nu, nu+n-1; n/2; sin^2(s/2)) on the unit n-sphere.
+def _radial(n: int, w: float, s: float) -> float:
+    """Radial Dirichlet eigenfunction 2F1(-nu, nu+n-1; n/2; sin^2(s/2)) on the unit n-sphere, at nu = w/s.
 
-    It solves f'' + (n-1) cot(s) f' + nu(nu+n-1) f = 0 with f(0) = 1.
-    At nu = 1 it is cos s for every n.  For n = 3 it is
-    sin((nu+1)s) / ((nu+1) sin s), expanded so that a small nu keeps its
-    digits.  Otherwise it is a Gauss series up to the equator and the
-    logarithmic series about s = pi past it, where 0 < nu < 1 is
-    required.  The callers only need nu <= 1 there: the root searches,
-    and radial_profile, which clamps a nu rounded from an eigenvalue.
+    It solves f'' + (n-1) cot(s) f' + nu(nu+n-1) f = 0 with f(0) = 1.  It
+    takes the scaled variable w = nu s, which stays bounded for a small
+    ball, where nu does not.  At w = s (nu = 1, or the centre s = 0) it is
+    cos s for every n.  For n = 3 it is sin(w + s) / ((w + s) sin(s) / s),
+    expanded so that a small w keeps its digits and a subnormal s forms no
+    1 / tan s.  Otherwise it is a Gauss series up to the equator and the
+    logarithmic series about s = pi past it, where 0 < nu < 1 is required.
+    The callers only need nu <= 1 there: the root searches, and
+    radial_profile, which clamps a w rounded from an eigenvalue.
     """
-    if nu == 1.0:
+    if w == s:
         return math.cos(s)
     if n == 3:
-        return (math.cos(nu * s) + math.sin(nu * s) / math.tan(s)) / (nu + 1.0)
+        return (s * math.cos(w) + math.sin(w) * (math.cos(s) / _sinc(s))) / (w + s)
     if s <= 0.5 * math.pi:
-        return _gauss_series(n, nu, math.sin(0.5 * s) ** 2)
+        return _gauss_series(n, w, s)
+    nu = w / s
     if not 0.0 < nu < 1.0:
         raise PreconditionViolation(f"past the equator the radial function needs 0 < nu <= 1, got {nu}")
     return _log_series(n, nu, math.cos(0.5 * s) ** 2)
@@ -189,7 +184,7 @@ def _false_position(f, a: float, b: float, f_a: float, f_b: float) -> float:
         if f_b == 0.0 or abs(b - a) < 4.0 * _EPS * abs(b):
             return b
         c = b - f_b * (b - a) / (f_b - f_a)
-        f_c = f(c)
+        f_c = f_b if c == b else f(c)  # a step that rounds away would re-evaluate f(b)
         if (f_c < 0.0) == (f_b < 0.0):
             scale = 1.0 - f_c / f_b
             f_a *= scale if scale > 0.0 else 0.5
@@ -199,28 +194,18 @@ def _false_position(f, a: float, b: float, f_a: float, f_b: float) -> float:
     raise NonConvergence("root-finder did not converge")
 
 
-def _first_zero(f, points, failure: CmcRadiusError) -> float:
-    """First zero of f, where f(0) = 1, at its first sign change along the increasing points.
-
-    Raises failure when f stays positive.
-    """
-    lo, f_lo = 0.0, 1.0
-    for hi in points:
-        f_hi = f(hi)
-        if f_hi <= 0.0:
-            return _false_position(f, lo, hi, f_lo, f_hi)
-        lo, f_lo = hi, f_hi
-    raise failure
-
-
 def lambda1_ball(n: int, c_int: float, rho: float) -> float:
-    """First Dirichlet eigenvalue of the geodesic rho-ball in the round sphere.
+    """First Dirichlet eigenvalue of the geodesic rho-ball in the round sphere of curvature c_int > 0.
 
-    The sphere has constant curvature c_int > 0, so the eigenvalue is
-    c_int nu(nu+n-1) for the smallest nu at which the radial function
-    vanishes at s = rho sqrt(c_int).  The radial function is 1 at nu = 0
-    and cos s at nu = 1, so for s > pi/2 the root lies in (0, 1);
-    otherwise the scan grows upward until the sign changes.
+    By scaling it is mu / rho^2, where mu = w (w + (n-1) s) depends only on
+    s = rho sqrt(c_int), and w = nu s is the first zero of the radial
+    function at s.  The sphere has Ricci curvature >= 0, so Cheng's
+    comparison (Math. Z. 143, 1975) puts the eigenvalue below the flat
+    ball's j^2 / rho^2, j = j_{n/2-1,1}: mu lies in (0, j^2), so w lies
+    in (0, j), and (0, j (1 + 1e-9)] brackets the zero up to the equator.
+    Past it nu < 1, so (0, s] brackets it, where the radial function is
+    cos s < 0.  The eigenvalue overflows only where mu / rho / rho does,
+    whatever c_int is.
     """
     bounds._check_dimension(n)
     if not (c_int > 0.0 and math.isfinite(c_int)):
@@ -229,38 +214,40 @@ def lambda1_ball(n: int, c_int: float, rho: float) -> float:
     if not 0.0 < rho < full:
         raise PreconditionViolation(f"rho must lie in (0, {full}), got {rho}")
     s = rho * math.sqrt(c_int)
-    if s == 0.0:
-        raise PreconditionViolation(f"rho * sqrt(c_int) underflows to 0, got rho={rho}, c_int={c_int}")
-    overflow = PreconditionViolation(
-        f"the first Dirichlet eigenvalue at s={s} overflows float range (c_int={c_int})"
-    )
-    nu = _first_zero(lambda nu: _radial(n, nu, s), _nu_scan(n, c_int), overflow)
-    lam = c_int * nu * (nu + n - 1.0)
+    hi = s if s > 0.5 * math.pi else _W_MAX[n]
+    w = _false_position(lambda w: _radial(n, w, s), 0.0, hi, 1.0, _radial(n, hi, s))
+    lam = w * (w + (n - 1.0) * s) / rho / rho
     if lam == math.inf:
-        raise overflow
+        raise PreconditionViolation(f"the first Dirichlet eigenvalue at s={s} overflows float range (rho={rho})")
     return lam
 
 
-def _nu(n: int, lam: float) -> float:
-    """The nu >= 0 with nu(nu+n-1) = lam, in a form that keeps a small lam's digits.
+def _solve_w(n: int, s: float, mu: float) -> float:
+    """The w >= 0 with w(w + (n-1)s) = mu, in a form that keeps a small mu's digits.
 
-    Halved inside the root, so that no 4 lam forms and overflows.
+    Halved inside the root, so that no 4 mu forms and overflows.  At s = 1
+    it is the nu with nu(nu+n-1) = mu.
     """
-    return lam / (0.5 * (n - 1.0) + math.sqrt(0.25 * (n - 1.0) ** 2 + lam))
+    half = 0.5 * (n - 1.0) * s
+    return mu / (half + math.sqrt(half * half + mu))
 
 
-def radial_profile(n: int, lam: float, s: float, angles: list[float]) -> list[float]:
+def radial_profile(n: int, mu: float, s: float, angles: list[float]) -> list[float]:
     """The first Dirichlet eigenfunction of the s-ball in the unit n-sphere at polar angles in [0, s].
 
-    lam is its eigenvalue, lambda1_ball(n, c_int, rho) / c_int for the
-    rho-ball of curvature c_int with s = rho sqrt(c_int).  The function is
-    1 at the centre and 0 at the rim.  Past the equator the exact nu is at
-    most 1, so a nu that rounds above 1 is clamped to 1.
+    mu is its scaled eigenvalue lambda1_ball(n, c_int, rho) rho^2 for the
+    rho-ball of curvature c_int with s = rho sqrt(c_int), which lies in
+    (0, j^2) by Cheng's comparison (see lambda1_ball).  At the angle t the
+    function is the radial function at w t / s, with w = nu s solved from
+    mu.  It is 1 at the centre and 0 at the rim.  Past the equator the
+    exact nu is at most 1, so a w t / s that rounds above t is clamped to t.
     """
-    nu = _nu(n, lam)
-    if s > 0.5 * math.pi:
-        nu = min(nu, 1.0)
-    return [_radial(n, nu, t) for t in angles]
+    bounds._check_dimension(n)
+    if not (0.0 < s < math.pi and 0.0 < mu <= _W_MAX[n] ** 2):
+        raise PreconditionViolation(f"expected 0 < s < pi and 0 < mu <= {_W_MAX[n] ** 2}, got s={s}, mu={mu}")
+    w = _solve_w(n, s, mu)
+    past = s > 0.5 * math.pi
+    return [_radial(n, min(w * (t / s), t) if past else w * (t / s), t) for t in angles]
 
 
 @lru_cache(maxsize=None)
@@ -272,13 +259,18 @@ def _scaled_marginal_radius(n: int, delta: float) -> float:
     zero lies in [pi/2, pi), where it is bracketed by a scan towards S_MAX.
     """
     bounds._check_dimension(n)
-    nu = _nu(n, n * (1.0 - delta))
-    return _first_zero(
-        lambda s: _radial(n, nu, s), _CAP_SCAN,
-        NonConvergence(
-            f"marginal radius not found below {S_MAX} for n={n}, delta={delta}; potential too weak"
-        ),
-    )
+    nu = _solve_w(n, 1.0, n * (1.0 - delta))
+
+    def f(s):
+        return _radial(n, nu * s, s)
+
+    lo, f_lo = 0.0, 1.0
+    for hi in _CAP_SCAN:
+        f_hi = f(hi)
+        if f_hi <= 0.0:
+            return _false_position(f, lo, hi, f_lo, f_hi)
+        lo, f_lo = hi, f_hi
+    raise NonConvergence(f"marginal radius not found below {S_MAX} for n={n}, delta={delta}; potential too weak")
 
 
 def max_stable_cap_radius(n: int, kappa: float, H: float, delta: float) -> float:

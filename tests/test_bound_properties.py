@@ -6,7 +6,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -104,6 +104,7 @@ ROLES = {
     "k": _around(st.floats(0.0, 4.0)),
     "curvature": _around(reals),  # H, K, S or kappa
     "length": _around(st.floats(0.0, 4.0)),
+    "mu": _around(st.floats(0.0, 16.0)),  # a scaled eigenvalue lambda rho^2, below j^2 = 14.68 for n = 4
     "phi": st.sampled_from(PHIS),
 }
 ENTRY_POINTS = {
@@ -125,6 +126,8 @@ ENTRY_POINTS = {
                                         ("n", "curvature", "curvature", "delta")),
     "cot_kappa": (reference.cot_kappa, ("curvature", "length")),
     "lambda1_ball": (spaceforms.lambda1_ball, ("n", "curvature", "length")),
+    "radial_profile": (lambda n, mu, s: min(spaceforms.radial_profile(n, mu, s, [0.0, 0.5 * s, s])),
+                       ("n", "mu", "length")),
     "check_potential_remainder": (algebra.check_potential_remainder, ("phi", "k", "delta")),
 }
 
@@ -151,6 +154,29 @@ def test_scalar_entry_point_is_finite_or_raises(entry, data):
         return
     assert not any(_out_of_domain(role, a) for role, a in zip(roles, args))
     assert math.isfinite(value)
+
+
+# First zeros of the Bessel functions J_{n/2-1}: the flat ball's lambda rho^2 is j^2.
+BESSEL_ZEROS = {2: 2.404825557695773, 3: math.pi, 4: 3.8317059702075125}
+
+
+@settings(max_examples=500, deadline=timedelta(milliseconds=200), derandomize=True, database=None)
+@given(n=st.sampled_from((2, 3, 4)), c_int=magnitudes, rho=magnitudes)
+@example(3, 5e-324, 4.5e-149)
+def test_lambda1_ball_over_the_float_range(n, c_int, rho):
+    """The sibling of ENTRY_POINTS' lambda1_ball, whose lengths stay in [0, 4]:
+    over the whole float range the eigenvalue is finite and positive, or the
+    ball is out of domain, or the eigenvalue overflows; a small ball has the
+    flat ball's lambda rho^2 = j^2."""
+    j2 = BESSEL_ZEROS[n] ** 2
+    try:
+        value = spaceforms.lambda1_ball(n, c_int, rho)
+    except PreconditionViolation:
+        assert not 0.0 < rho < math.pi / math.sqrt(c_int) or j2 / rho / rho > 1e308
+        return
+    assert 0.0 < value < math.inf
+    if rho * math.sqrt(c_int) < 1e-8:
+        assert abs(value * rho * rho - j2) <= 1e-12
 
 
 # Three members from 1e-150 to 1e150 in size, so |Phi|^2 under- and overflows in the products.

@@ -122,7 +122,8 @@ class TestLambda1Ball:
             sf.lambda1_ball(2, 1.0, math.pi + 0.1)
 
     def test_out_of_float_range(self):
-        # rho * sqrt(c_int) underflows to 0; c_int * nu(nu + 1) overflows.
+        # The eigenvalue mu / rho^2 overflows: at rho = 5e-324, where s = rho * sqrt(c_int)
+        # underflows to 0 and mu is j^2 = pi^2, and at rho = 1e-154, where s = 1.3.
         with pytest.raises(PreconditionViolation):
             sf.lambda1_ball(3, 5e-324, 5e-324)
         with pytest.raises(PreconditionViolation):
@@ -145,15 +146,11 @@ class TestLambda1Ball:
             sf.lambda1_ball(n, 1.0, 1e-155)
         assert time.perf_counter() - start < 5.0
 
-    # With c_int subnormal the zero in nu, about pi / s = 3e310, lies past the float
-    # range, so the nu scan ends at inf and reports an overflow, although the
-    # eigenvalue, about (pi/rho)^2 = 4.9e297, is finite.  Once the oracle works in
-    # the scaled variable s = rho sqrt(c_int) this passes, and the marker must go.
-    @pytest.mark.xfail(strict=True, raises=PreconditionViolation,
-                       reason="the nu scan overflows for subnormal c_int")
     def test_ball_with_subnormal_curvature(self):
-        rho = 4.5e-149
-        assert sf.lambda1_ball(3, 5e-324, rho) == pytest.approx((math.pi / rho) ** 2, rel=1e-12)
+        # With c_int subnormal the zero in nu, about pi / s = 3e310, lies past the
+        # float range, but the zero in w = nu s does not; the eigenvalue is finite.
+        c, rho = 5e-324, 4.5e-149
+        assert sf.lambda1_ball(3, c, rho) == pytest.approx((math.pi / rho) ** 2 - c, rel=1e-12)
 
     def test_tolerance_below_float_spacing_terminates(self):
         # nu is about 24,048 here; the root-finder stops within a few ulp.
@@ -226,7 +223,7 @@ class TestClosedFormOracle:
     ])
     def test_radial_function_values(self, n, nu, s, expected):
         # 2F1(-nu, nu+n-1; n/2; sin^2(s/2)) evaluated by mpmath at 40 digits.
-        assert sf._radial(n, nu, s) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+        assert sf._radial(n, nu * s, s) == pytest.approx(expected, rel=1e-14, abs=1e-15)
 
     @pytest.mark.parametrize("s", [2.6, 2.9, 3.1, 3.14])
     def test_n4_past_the_equator(self, s):
@@ -237,7 +234,7 @@ class TestClosedFormOracle:
         assert 0.0 < lam < 4.0
         assert shoot_first_zero(4, lam) == pytest.approx(s, rel=1e-9)
         with pytest.raises(PreconditionViolation):
-            sf._radial(4, 1.2, s)
+            sf._radial(4, 1.2 * s, s)
 
     def test_large_nu_regression(self):
         # nu ~ 24,048, where scipy.special.hyp2f1 returns NaN.
@@ -254,7 +251,7 @@ class TestRootFinder:
         nu = 2 * lam / (3 + math.sqrt(9 + 4 * lam))
 
         def f(s):
-            return sf._radial(4, nu, s)
+            return sf._radial(4, nu * s, s)
 
         root = sf._false_position(f, math.pi / 2, sf.S_MAX, f(math.pi / 2), f(sf.S_MAX))
         eps = 2.0**-52
@@ -287,12 +284,29 @@ class TestRootFinder:
             sf._scaled_marginal_radius.cache_clear()
         assert len(calls) <= 340
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("c, rho", [(1.0, 3.1), (1.0, 1.25), (1.0, 0.01), (1.0, 1e-8), (1.0, 1e-149),
+                                        (1.0, 1e-152), (1e-300, 1e-150)])
+    def test_radial_evaluations_per_ball(self, monkeypatch, n, c, rho):
+        # One false-position search on a fixed bracket in w = nu s, whatever the
+        # size of the ball; a scan in nu made 856 evaluations at s = 1e-149.
+        calls = []
+        radial = sf._radial
+
+        def counting(*args):
+            calls.append(args)
+            return radial(*args)
+
+        monkeypatch.setattr(sf, "_radial", counting)
+        sf.lambda1_ball(n, c, rho)
+        assert len(calls) <= 24
+
 
 class TestRadialProfile:
     @pytest.mark.parametrize("s", [1e-4, 0.6, 1.25, 1.9, 3.1])
     def test_one_at_the_centre_and_zero_at_the_rim(self, s):
-        lam = sf.lambda1_ball(2, 1.0, s)
-        centre, middle, rim = sf.radial_profile(2, lam, s, [0.0, 0.5 * s, s])
+        mu = sf.lambda1_ball(2, 1.0, s) * s * s
+        centre, middle, rim = sf.radial_profile(2, mu, s, [0.0, 0.5 * s, s])
         assert centre == 1.0 and 0.0 < middle < 1.0
         assert abs(rim) <= 1e-12
 
@@ -301,27 +315,28 @@ class TestRadialProfile:
         c, rho = 6.29, 0.5
         s = rho * math.sqrt(c)
         angles = [k * s / 8 for k in range(9)]
-        profile = sf.radial_profile(2, sf.lambda1_ball(2, c, rho) / c, s, angles)
-        assert profile == pytest.approx(sf.radial_profile(2, sf.lambda1_ball(2, 1.0, s), s, angles), rel=1e-13)
+        profile = sf.radial_profile(2, sf.lambda1_ball(2, c, rho) * rho * rho, s, angles)
+        unit = sf.radial_profile(2, sf.lambda1_ball(2, 1.0, s) * s * s, s, angles)
+        assert profile == pytest.approx(unit, rel=1e-13)
 
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_nu_rounded_above_one_is_clamped_past_the_equator(self, k):
         # lam = 2 is nu = 1, the hemisphere; an eigenvalue a few ulps above it
-        # gives nu > 1, which past the equator the radial function rejects.
+        # gives w = nu s > s, which past the equator the radial function rejects.
         s = 0.5 * math.pi * (1.0 + k * 2.0**-52)
-        lam = 2.0 * (1.0 + k * 2.0**-52)
+        mu = 2.0 * (1.0 + k * 2.0**-52) * s * s
         with pytest.raises(PreconditionViolation):
-            sf._radial(2, sf._nu(2, lam), s)
-        assert sf.radial_profile(2, lam, s, [0.0, s]) == [1.0, math.cos(s)]
+            sf._radial(2, sf._solve_w(2, s, mu), s)
+        assert sf.radial_profile(2, mu, s, [0.0, s]) == [1.0, math.cos(s)]
 
 
     def test_nu_of_the_largest_eigenvalues_is_finite(self):
-        nu = sf._nu(2, 1e308)
+        nu = sf._solve_w(2, 1.0, 1e308)  # w at s = 1 is nu
         assert math.isfinite(nu) and nu * (nu + 1.0) == pytest.approx(1e308, rel=1e-15)
 
     def test_profile_of_a_huge_eigenvalue_is_finite_or_raises(self):
         try:
-            profile = sf.radial_profile(2, 1e308, 1e-154, [0.0, 5e-155, 1e-154])
+            profile = sf.radial_profile(2, 1e308 * 1e-154 * 1e-154, 1e-154, [0.0, 5e-155, 1e-154])
         except CmcRadiusError:
             return
         assert all(math.isfinite(value) for value in profile)
