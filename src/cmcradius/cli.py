@@ -137,7 +137,7 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p_sweep.add_argument("--config", type=str, required=True)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=_integer, default=0)
 
     for p in (p_bound, p_cap, p_mesh, p_sweep):
         p.add_argument("--out", type=str, default=None)

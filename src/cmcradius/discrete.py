@@ -8,13 +8,13 @@ sum of its edge weights (Pinkall & Polthier, Experiment. Math. 2, 1993).
 The cap's stability potential is constant, so it only shifts the
 spectrum of (stiffness, mass).  Only the Dirichlet block is built.  Its
 first eigenvalue comes from single-vector LOBPCG, started from the cap's
-closed-form radial eigenfunction and stopped when successive Rayleigh
-quotients agree to STOP_TOL.  The preconditioner is one V-cycle over the
-cap's own ring hierarchy, where level l - 1 has every other ring of level
-l: damped Jacobi smoothing, with the weight from a Gershgorin bound on
-D^-1 K, around the coarser level's correction, down to BASE_LEVEL.  Only
-that level's stiffness is factored, by SuperLU in symmetric mode with
-diagonal pivots only.
+closed-form radial eigenfunction, read at each interior vertex's ring, and
+stopped when successive Rayleigh quotients agree to STOP_TOL.  The
+preconditioner is one V-cycle over the cap's own ring hierarchy, where
+level l - 1 has every other ring of level l: damped Jacobi smoothing, with
+the weight from a Gershgorin bound on D^-1 K, around the coarser level's
+correction, down to BASE_LEVEL.  Only that level's stiffness is factored,
+by SuperLU in symmetric mode with diagonal pivots only.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import MeshError, NoApplicableBound, NonConvergence
-from .mesh import MAX_LEVEL, TriMesh, build_cap_mesh, intrinsic_radius, pole_chart, prolongation, require_interior
+from .mesh import (MAX_LEVEL, TriMesh, build_cap_mesh, interior_rings, intrinsic_radius, prolongation,
+                   require_interior)
 from .spaceforms import cap_bound, intrinsic_curvature, lambda1_ball, radial_profile
 
 DEGENERATE_AREA_FRACTION = 1e-14
@@ -51,17 +52,15 @@ BASE_LEVEL = 3
 class SpectralProblem:
     """Dirichlet-reduced generalized eigenproblem (stiffness, mass).
 
-    interior lists the interior vertices in ascending order; stiffness is
-    the full stiffness restricted to them, mass their lumped masses and
-    polar their polar angles in the pole chart, all in that order.  A level
-    of a ring hierarchy links to the next coarser level's problem, and
-    prolongation interpolates that level's interior values to this one's.
+    stiffness is the full stiffness restricted to the mesh's interior
+    vertices, in ascending order, and mass their lumped masses in that
+    order.  A level of a ring hierarchy links to the next coarser level's
+    problem, and prolongation interpolates that level's interior values to
+    this one's.
     """
 
     stiffness: csc_matrix
     mass: np.ndarray
-    interior: np.ndarray
-    polar: np.ndarray
     coarser: SpectralProblem | None = None
     prolongation: csr_matrix | None = None
 
@@ -110,7 +109,6 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
         raise MeshError("degenerate triangle in mesh (area below 1e-14 of mean, or not finite)")
     nv = mesh.num_vertices
     idx = require_interior(mesh)
-    polar = np.hypot(*pole_chart(mesh, idx).T)
     mass = np.bincount(mesh.faces.T.ravel(), np.tile(areas / 3.0, 3), minlength=nv)[idx]
     l2 = mesh.face_lengths.T**2  # one row per corner
     i = np.arange(3)
@@ -139,7 +137,7 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
     slot = indptr[:-1] + above
     indices[slot], data[slot] = np.arange(idx.size), diagonal[idx]
     stiffness = csc_matrix((data, indices, indptr), shape=(idx.size, idx.size))
-    return SpectralProblem(stiffness=stiffness, mass=mass, interior=idx, polar=polar)
+    return SpectralProblem(stiffness=stiffness, mass=mass)
 
 
 def _m_orthonormal(vectors: list[np.ndarray], m: np.ndarray) -> np.ndarray:
@@ -230,16 +228,14 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
         c_best = None
     ball = lambda1_ball(2, c, rho)
     oracle = ball - q
-    # The eigensolve starts from the cap's eigenfunction, tabulated at the
-    # finest level's ring angles; a coarser level's rings are a subset.
-    s = rho * math.sqrt(c)
-    angles = np.arange(2 ** max(levels) + 1) * s / 2 ** max(levels)
-    profile = None
+    # The eigensolve starts from the cap's eigenfunction, tabulated at the finest
+    # level's ring angles: ring i of level l is ring i << (finest - l) there.
+    s, finest, profile = rho * math.sqrt(c), max(levels), None
 
     # Every level from the base up is built, so that each finer one has its
     # V-cycle; a problem is kept as the next one's coarser level, its mesh is not.
     results, problem = [], None
-    for level in range(min(BASE_LEVEL, *levels), max(levels) + 1):
+    for level in range(min(BASE_LEVEL, *levels), finest + 1):
         m = None  # released before the next mesh is built
         m = build_cap_mesh(kappa, H, rho, level)
         coarser, problem = problem, assemble_stability(m)
@@ -248,8 +244,9 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
         if level not in levels:
             continue
         if profile is None:  # after the first mesh, so that a cap too large to mesh says so first
-            profile = radial_profile(2, ball * rho * rho, s, angles.tolist())
-        lam = lambda1_dirichlet(problem, -q, np.interp(problem.polar, angles, profile))
+            angles = np.arange(2**finest) * s / 2**finest
+            profile = np.array(radial_profile(2, ball * rho * rho, s, angles.tolist()))
+        lam = lambda1_dirichlet(problem, -q, profile[interior_rings(kappa, H, rho, level) << (finest - level)])
         radius = intrinsic_radius(m)
         if abs(lam) <= MARGINAL_BAND * q:
             verdict = "marginal"

@@ -7,7 +7,9 @@ Edge lengths are exact ambient geodesic distances between vertices,
 computed from the model chord so that short edges keep full precision;
 they approximate the intrinsic cap metric to second order.  The stability
 potential of a cap is constant and is not stored here: the FEM check
-applies it as a spectral shift.
+applies it as a spectral shift.  A cap's vertices are numbered ring by
+ring, so interior_rings gives each interior vertex's ring from the ring
+layout alone; prolongation and the eigensolve's start vector read it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class TriMesh:
         f = f.astype(np.int64, copy=False)
         if np.any((f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])):
             raise MeshError("a face repeats a vertex")
-        self.vertices, self.faces, self.kappa = v, f, kappa
+        self.vertices, self.faces = v, f
 
         # Half-edge i of a face runs from corner i+1 to corner i+2, opposite corner i.
         # Key (min * nv + max) sorts like the (min, max) rows; the low bit keeps the direction.
@@ -227,6 +229,16 @@ def build_cap_mesh(kappa: float, H: float, rho: float, level: int) -> TriMesh:
     return TriMesh(vertices=vertices, faces=np.concatenate([fan, *strips]), kappa=kappa)
 
 
+def interior_rings(kappa: float, H: float, rho: float, level: int) -> np.ndarray:
+    """Ring of each interior vertex of the level cap mesh, in vertex order: 0 at the pole.
+
+    Ring i lies at intrinsic distance i rho / 2**level from the pole.
+    Raises MeshError for a level or cap that cannot be meshed.
+    """
+    counts = np.append(1, _rings(kappa, H, rho, level)[2][:-1])
+    return np.repeat(np.arange(counts.size), counts)
+
+
 def prolongation(kappa: float, H: float, rho: float, level: int) -> csr_matrix:
     """Interpolation from the interior vertices of the level - 1 cap mesh to those of level.
 
@@ -239,10 +251,9 @@ def prolongation(kappa: float, H: float, rho: float, level: int) -> csr_matrix:
     """
     if level == 0:
         raise MeshError("level 0 has no coarser level")
-    fine = np.append(1, _rings(kappa, H, rho, level)[2][:-1])  # interior rings, ring 0 the pole
-    coarse = np.append(1, _rings(kappa, H, rho, level - 1)[2][:-1])
-    ring = np.repeat(np.arange(fine.size), fine)
-    k = np.arange(ring.size) - np.repeat(np.cumsum(fine) - fine, fine)  # each vertex's index in its ring
+    ring = interior_rings(kappa, H, rho, level)
+    fine, coarse = np.bincount(ring), np.bincount(interior_rings(kappa, H, rho, level - 1))
+    k = np.arange(ring.size) - (np.cumsum(fine) - fine)[ring]  # each vertex's index in its ring
     first = np.cumsum(coarse) - coarse  # the first vertex of each coarse ring
     # At most two coarse rings of two vertices each per fine vertex, filled in place.
     rows, cols = np.empty((2, 4 * ring.size), dtype=np.int64)
@@ -258,21 +269,6 @@ def prolongation(kappa: float, H: float, rho: float, level: int) -> csr_matrix:
             rows[span], cols[span], weights[span] = v, first[j] + at, weight
             end += v.size
     return csr_matrix((weights[:end], (rows[:end], cols[:end])), shape=(ring.size, coarse.sum()))
-
-
-def pole_chart(mesh: TriMesh, idx: np.ndarray) -> np.ndarray:
-    """Azimuthal equidistant chart (phi cos theta, phi sin theta) of vertices idx.
-
-    phi and theta are the polar angle and azimuth of each vertex's model
-    direction about the pole axis: model coordinates 0-2, or 1-3 on the
-    hyperboloid.  Unlike an ambient projection it does not fold caps that
-    pass the equator.
-    """
-    v = mesh.vertices[idx]
-    d = v[:, 1:4] if mesh.kappa < 0.0 else v[:, 0:3]
-    phi = np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
-    theta = np.arctan2(d[:, 1], d[:, 0])
-    return np.stack([phi * np.cos(theta), phi * np.sin(theta)], axis=1)
 
 
 def triangle_areas(lengths: np.ndarray) -> np.ndarray:

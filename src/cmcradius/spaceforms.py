@@ -178,13 +178,19 @@ def _false_position(f, a: float, b: float, f_a: float, f_b: float) -> float:
     Each step moves one end to the secant point.  When the same end stays
     twice, its value is scaled by 1 - f_new/f_old (1/2 where that is not
     positive), so that it moves next (Anderson & Bjorck, BIT 13, 1973).
+    A secant point that rounds onto b moves one float towards a; one that
+    rounds onto or past a is a, with f_a, whose sign holds where it is scaled.
     Stops when the bracket is narrower than 4 eps |root|.
     """
     for _ in range(200):
         if f_b == 0.0 or abs(b - a) < 4.0 * _EPS * abs(b):
             return b
         c = b - f_b * (b - a) / (f_b - f_a)
-        f_c = f_b if c == b else f(c)  # a step that rounds away would re-evaluate f(b)
+        if c == a or (c < a) == (a < b):  # f_b dwarfs f_a, and f may be undefined past a
+            c, f_c = a, f_a
+        else:
+            c = math.nextafter(b, a) if c == b else c  # a step that rounds to no step moves one float
+            f_c = f(c)
         if (f_c < 0.0) == (f_b < 0.0):
             scale = 1.0 - f_c / f_b
             f_a *= scale if scale > 0.0 else 0.5

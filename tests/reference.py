@@ -141,15 +141,26 @@ def gauss_ricci_contraction(phi: TracelessMatrix, H: float, ambient_sectional_su
     )
 
 
-def model_constraint_residual(mesh: TriMesh) -> float:
+def model_constraint_residual(mesh: TriMesh, kappa: float) -> float:
     """Max deviation of the vertices of a mesh with kappa != 0 from the
     quadric <v, v> = 1/kappa of the space form's model."""
     v = mesh.vertices
-    if mesh.kappa < 0.0:
+    if kappa < 0.0:
         norm = -v[:, 0] ** 2 + np.sum(v[:, 1:] ** 2, axis=1)
-        return float(np.abs(norm - 1.0 / mesh.kappa).max())
+        return float(np.abs(norm - 1.0 / kappa).max())
     norm = np.sum(v**2, axis=1)
-    return float(np.abs(norm - 1.0 / mesh.kappa).max())
+    return float(np.abs(norm - 1.0 / kappa).max())
+
+
+def polar_angles(mesh: TriMesh, kappa: float) -> np.ndarray:
+    """Polar angle of every vertex of a cap mesh, from its model coordinates alone.
+
+    The angle between the vertex's model direction (coordinates 0-2, or 1-3
+    on the hyperboloid) and the pole's, (0, 0, 1); it reads nothing of the
+    ring layout.  Ring i of a level-l cap of scaled radius s lies at i s / 2**l.
+    """
+    d = mesh.vertices[:, 1:4] if kappa < 0.0 else mesh.vertices[:, :3]
+    return np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
 
 
 def export_text(mesh: TriMesh) -> str:
@@ -175,12 +186,11 @@ def naive_topology(faces: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray, 
     return edges, inverse.reshape(-1, 3), boundary, np.setdiff1d(np.arange(nv), boundary)
 
 
-def row_gather_edge_lengths(mesh: TriMesh) -> np.ndarray:
+def row_gather_edge_lengths(mesh: TriMesh, kappa: float) -> np.ndarray:
     """Geodesic edge lengths from the (ne, k) rows of both ends of every edge,
     with np.linalg.norm and np.sum over each row: the lengths `TriMesh`
     must give bit for bit."""
     d = mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]]
-    kappa = mesh.kappa
     if kappa == 0.0:
         return np.linalg.norm(d, axis=-1)
     sq = math.sqrt(abs(kappa))

@@ -163,6 +163,7 @@ BESSEL_ZEROS = {2: 2.404825557695773, 3: math.pi, 4: 3.8317059702075125}
 @settings(max_examples=500, deadline=timedelta(milliseconds=200), derandomize=True, database=None)
 @given(n=st.sampled_from((2, 3, 4)), c_int=magnitudes, rho=magnitudes)
 @example(3, 5e-324, 4.5e-149)
+@example(4, 1.0, math.pi * (1.0 - 2.0**-29))
 def test_lambda1_ball_over_the_float_range(n, c_int, rho):
     """The sibling of ENTRY_POINTS' lambda1_ball, whose lengths stay in [0, 4]:
     over the whole float range the eigenvalue is finite and positive, or the

@@ -369,6 +369,16 @@ class TestMalformedIntegers:
         key = line.split(" = ")[0]
         assert f"usage error: config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    def test_sweep_seed(self, seed, capsys, tmp_path):
+        # numpy rejects a negative seed with a ValueError; the parser says so first.
+        cfg = tmp_path / "algebra.cfg"
+        cfg.write_text("mode = algebra\nn = 2\nsamples = 10\n")
+        out = tmp_path / "report"
+        assert cli.run(["sweep", "--config", str(cfg), "--seed", seed, "--out", str(out)]) == 64
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_cap_sweep_and_determinism(self, capsys, tmp_path):

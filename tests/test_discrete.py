@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from cmcradius import discrete as dd
 from cmcradius import mesh as mm
 from cmcradius import spaceforms as sf
@@ -25,7 +26,7 @@ def _flat_grid_mesh(k):
     return _flat_triangle_mesh(points, faces)
 
 
-def _reference_system(m):
+def _reference_system(m, kappa):
     """Dense full cotangent stiffness and lumped mass, assembled one face at a time.
 
     Lengths are model distances between each face's corners and areas come
@@ -36,7 +37,7 @@ def _reference_system(m):
     v, faces = m.vertices, m.faces.tolist()
     squares, areas = [], []
     for f in faces:
-        a, b, c = (float(mm.ambient_distance(m.kappa, np.atleast_2d(v[f[q]] - v[f[r]]).T)[0])
+        a, b, c = (float(mm.ambient_distance(kappa, np.atleast_2d(v[f[q]] - v[f[r]]).T)[0])
                    for q, r in ((1, 2), (2, 0), (0, 1)))
         s = 0.5 * (a + b + c)
         squares.append((a * a, b * b, c * c))
@@ -55,9 +56,9 @@ def _reference_system(m):
     return K, mass
 
 
-def _assert_matches_reference(m, problem):
-    K, mass = _reference_system(m)
-    idx = problem.interior
+def _assert_matches_reference(m, kappa, problem):
+    K, mass = _reference_system(m, kappa)
+    idx = m.interior
     scale = np.abs(K).max()
     assert np.abs(problem.stiffness.toarray() - K[np.ix_(idx, idx)]).max() <= 1e-13 * scale
     assert np.array_equal(problem.mass, mass[idx])
@@ -66,7 +67,7 @@ def _assert_matches_reference(m, problem):
 class TestStiffness:
     def test_equilateral_cotangent_weight(self):
         m = _flat_triangle_mesh([[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0]], [[0, 1, 2]])
-        K, _ = _reference_system(m)
+        K, _ = _reference_system(m, 0.0)
         w = 1.0 / (2.0 * math.sqrt(3.0))
         off = np.array([[K[0, 1], K[0, 2], K[1, 2]]])
         assert np.allclose(off, -w, rtol=1e-12)
@@ -81,13 +82,13 @@ class TestStiffness:
 
     def test_kernel_and_symmetry_on_cap(self):
         m = mm.build_cap_mesh(-1.0, 2.5, 0.6, 4)
-        K, _ = _reference_system(m)
+        K, _ = _reference_system(m, -1.0)
         assert np.array_equal(K, K.T)
         assert np.abs(K @ np.ones(m.num_vertices)).max() < 1e-12
         problem = dd.assemble_stability(m)
         S = problem.stiffness
         assert (S != S.T).nnz == 0
-        _assert_matches_reference(m, problem)
+        _assert_matches_reference(m, -1.0, problem)
         # Positive definite: Rayleigh quotient positive on random vectors.
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -109,12 +110,12 @@ class TestStiffness:
 
     def test_mass_rowsums_are_vertex_areas(self):
         m = mm.build_cap_mesh(0.0, 1.0, 1.0, 3)
-        _, masses = _reference_system(m)
+        _, masses = _reference_system(m, 0.0)
         total = mm.triangle_areas(m.face_lengths).sum()
         assert masses.sum() == pytest.approx(total, rel=1e-12)
         assert (masses > 0).all()
         problem = dd.assemble_stability(m)
-        assert np.array_equal(problem.mass, masses[problem.interior])
+        assert np.array_equal(problem.mass, masses[m.interior])
 
 
 class TestLambda1Dirichlet:
@@ -125,7 +126,7 @@ class TestLambda1Dirichlet:
         faces = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
         m = _flat_triangle_mesh(pts, faces)
         problem = dd.assemble_stability(m)
-        K, mass = _reference_system(m)
+        K, mass = _reference_system(m, 0.0)
         expected = K[4, 4] / mass[4]
         assert dd.lambda1_dirichlet(problem, 0.0, np.ones(1)) == pytest.approx(expected, rel=1e-10)
 
@@ -149,7 +150,7 @@ class TestLambda1Dirichlet:
 
     def test_stiffness_is_full_stiffness_on_the_interior(self):
         m = mm.build_cap_mesh(1.0, 1.0, 1.0, 4)
-        _assert_matches_reference(m, dd.assemble_stability(m))
+        _assert_matches_reference(m, 1.0, dd.assemble_stability(m))
 
 
 class TestMeshVerify:
@@ -246,18 +247,28 @@ class TestWarmStart:
             lam = dd.lambda1_dirichlet(problem, -q, np.ones_like(problem.mass))
             assert abs(row.lambda1 - lam) <= 1e-10 * max(abs(lam), 1.0, q)
 
-    def test_polar_angles_are_the_ring_angles(self):
-        # Interior vertex i lies on ring polar[i] 2**level / s.
-        kappa, H, rho, _, _ = self.STUDY
-        s = rho * math.sqrt(kappa + H * H)
-        for level in (0, 3):
+    def test_ring_index_and_start_vector(self, monkeypatch):
+        # Interior vertex i lies on ring interior_rings[i], at the polar angle
+        # ring s / 2**level that its coordinates give, and each level's start
+        # vector is the radial profile at its vertices' ring angles.
+        kappa, H, rho, delta, _ = self.STUDY
+        c = kappa + H * H
+        s = rho * math.sqrt(c)
+        lambda1, starts = dd.lambda1_dirichlet, []
+        monkeypatch.setattr(dd, "lambda1_dirichlet", lambda problem, shift, start: starts.append(start)
+                            or lambda1(problem, shift, start))
+        levels = [0, 3, 5]
+        dd.mesh_verify(kappa, H, rho, delta, levels)
+        assert len(starts) == len(levels)
+        mu = sf.lambda1_ball(2, c, rho) * rho * rho
+        for level, start in zip(levels, starts):
             m = mm.build_cap_mesh(kappa, H, rho, level)
-            problem = dd.assemble_stability(m)
-            rings = problem.polar * 2**level / s
-            assert np.abs(rings - np.rint(rings)).max() < 1e-12
-            assert np.array_equal(np.unique(np.rint(rings)), np.arange(2**level))
-            (pole,) = np.flatnonzero(problem.interior == 0)
-            assert rings[pole] == 0.0
+            ring = mm.interior_rings(kappa, H, rho, level)
+            assert ring.size == m.interior.size and ring[0] == 0
+            assert np.array_equal(np.unique(ring), np.arange(2**level))
+            angles = ring * s / 2**level
+            assert np.abs(reference.polar_angles(m, kappa)[m.interior] - angles).max() <= 1e-12
+            assert np.array_equal(start, sf.radial_profile(2, mu, s, angles.tolist()))
 
 
 class TestShortEdges:
@@ -293,7 +304,7 @@ class TestDenseReference:
 
         m = mm.build_cap_mesh(kappa, H, rho, 3)
         problem = dd.assemble_stability(m)
-        K, mass = _reference_system(m)
+        K, mass = _reference_system(m, kappa)
         idx = m.interior
         K_ii, mass = K[np.ix_(idx, idx)], mass[idx]
         q = 2.0 * (1.0 - delta) * (kappa + H * H)
@@ -302,7 +313,8 @@ class TestDenseReference:
         assert lam == pytest.approx(dense[0], rel=1e-10)
 
     def test_grid_with_collapsed_chart(self):
-        # Grid points on one ray from the origin share a chart point; the
+        # A plane grid is no cap: about the pole axis every point but the
+        # origin has polar angle pi/2.  Assembly reads no angle, so the
         # solve still gives the dense eigenvalue.
         from scipy.linalg import eigh
 
@@ -322,7 +334,7 @@ STUDIES = [
 ]
 
 
-class TestNestedDissection:
+class TestSparseReference:
     @pytest.mark.parametrize("kappa, H, rho, delta", STUDIES)
     def test_level5_matches_eigsh(self, kappa, H, rho, delta):
         from scipy.sparse.linalg import eigsh

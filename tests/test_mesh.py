@@ -14,11 +14,11 @@ from cmcradius import mesh as mm
 from cmcradius.errors import MeshError
 
 
-def _per_corner_lengths(m):
+def _per_corner_lengths(m, kappa):
     """(nf, 3) geodesic lengths computed at every face corner, entry i opposite corner i."""
     v, f = m.vertices, m.faces
     return np.stack(
-        [mm.ambient_distance(m.kappa, (v[f[:, j]] - v[f[:, k]]).T) for j, k in ((1, 2), (2, 0), (0, 1))],
+        [mm.ambient_distance(kappa, (v[f[:, j]] - v[f[:, k]]).T) for j, k in ((1, 2), (2, 0), (0, 1))],
         axis=1,
     )
 
@@ -52,7 +52,7 @@ class TestBuildCapMesh:
 
     def test_hemisphere_area(self):
         m = mm.build_cap_mesh(0.0, 1.0, math.pi / 2, 4)
-        area = mm.triangle_areas(_per_corner_lengths(m)).sum()
+        area = mm.triangle_areas(_per_corner_lengths(m, 0.0)).sum()
         assert area == pytest.approx(2 * math.pi, rel=0.01)
 
     def test_level_zero_is_a_disk(self):
@@ -64,11 +64,11 @@ class TestBuildCapMesh:
     def test_hyperboloid_constraint(self):
         m = mm.build_cap_mesh(-1.0, 2.5, 0.6856, 5)
         assert m.vertices.shape[1] == 4
-        assert reference.model_constraint_residual(m) <= 1e-10
+        assert reference.model_constraint_residual(m, -1.0) <= 1e-10
 
     def test_spherical_model_constraint(self):
         m = mm.build_cap_mesh(1.0, 1.0, 0.4, 3)
-        assert reference.model_constraint_residual(m) <= 1e-10
+        assert reference.model_constraint_residual(m, 1.0) <= 1e-10
 
     @pytest.mark.parametrize("kappa, H", [(-1.0, 2.5), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (-4.0, 2.1)])
     def test_vertices_lie_on_the_sphere_of_mean_curvature_H(self, kappa, H):
@@ -86,7 +86,7 @@ class TestBuildCapMesh:
             m = mm.build_cap_mesh(kappa, H, 1.0 / math.sqrt(kappa + H * H), level)
             # build_cap_mesh places the rings outward, so the last ring is the
             # trailing block of vertices at the largest polar angle.
-            phi = np.hypot(*mm.pole_chart(m, np.arange(m.num_vertices)).T)
+            phi = reference.polar_angles(m, kappa)
             last_ring = np.flatnonzero(np.isclose(phi, phi.max(), rtol=1e-9, atol=0.0))
             assert 0 < last_ring[0]
             assert np.array_equal(last_ring, np.arange(last_ring[0], m.num_vertices)), (kappa, level)
@@ -132,8 +132,8 @@ class TestTopologyRecord:
         lengths = mm.ambient_distance(kappa, (m.vertices[edges[:, 0]] - m.vertices[edges[:, 1]]).T)
         assert np.array_equal(m.edge_lengths, lengths)
         assert np.array_equal(m.edges[m.face_edges], np.sort(m.faces[:, [[1, 2], [2, 0], [0, 1]]], axis=2))
-        assert np.array_equal(m.face_lengths, _per_corner_lengths(m))
-        assert np.array_equal(m.areas, mm.triangle_areas(_per_corner_lengths(m)))
+        assert np.array_equal(m.face_lengths, _per_corner_lengths(m, kappa))
+        assert np.array_equal(m.areas, mm.triangle_areas(_per_corner_lengths(m, kappa)))
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
     def test_edge_lengths_scatter_to_faces_exactly(self, kappa):
@@ -141,7 +141,7 @@ class TestTopologyRecord:
         H = 2.5 if kappa < 0 else 1.0
         for level in range(8):
             m = mm.build_cap_mesh(kappa, H, 1.4 / math.sqrt(kappa + H * H), level)
-            assert np.array_equal(m.face_lengths, _per_corner_lengths(m)), f"level {level}"
+            assert np.array_equal(m.face_lengths, _per_corner_lengths(m, kappa)), f"level {level}"
 
 
 def _hand_built(name):
@@ -170,7 +170,7 @@ class TestNaiveTopology:
         edges, face_edges, boundary, interior = reference.naive_topology(faces, len(vertices))
         expected = {"vertices": np.asarray(vertices, dtype=float), "faces": np.asarray(faces, dtype=np.int64),
                     "edges": edges, "face_edges": face_edges, "boundary": boundary, "interior": interior,
-                    "edge_lengths": reference.row_gather_edge_lengths(m)}  # from m.edges, checked first
+                    "edge_lengths": reference.row_gather_edge_lengths(m, kappa)}  # from m.edges, checked first
         expected["face_lengths"] = expected["edge_lengths"][face_edges]
         expected["areas"] = mm.triangle_areas(expected["face_lengths"])
         for name, want in expected.items():
@@ -253,7 +253,7 @@ class TestProlongation:
     @staticmethod
     def _interior_polar(cap, level):
         m = mm.build_cap_mesh(*cap, level)
-        return np.hypot(*mm.pole_chart(m, m.interior).T)
+        return reference.polar_angles(m, cap[0])[m.interior]
 
     @pytest.mark.parametrize("cap", CAPS)
     def test_rows_sum_to_one_away_from_the_boundary(self, cap):
@@ -398,7 +398,7 @@ class TestEdgeLengthsByColumn:
     def test_caps(self, kappa):
         for level in [*range(6), 7]:
             m = mm.build_cap_mesh(kappa, *PINNED_CAPS[kappa], level)
-            assert np.array_equal(m.edge_lengths, reference.row_gather_edge_lengths(m)), f"level {level}"
+            assert np.array_equal(m.edge_lengths, reference.row_gather_edge_lengths(m, kappa)), f"level {level}"
 
     @pytest.mark.parametrize("kappa, H, rho", [
         (1.0, 1.0, 1e-5),
@@ -408,7 +408,7 @@ class TestEdgeLengthsByColumn:
     ])
     def test_tiny_chords(self, kappa, H, rho):
         m = mm.build_cap_mesh(kappa, H, rho, 4)
-        assert np.array_equal(m.edge_lengths, reference.row_gather_edge_lengths(m))
+        assert np.array_equal(m.edge_lengths, reference.row_gather_edge_lengths(m, kappa))
 
     def test_near_antipodal_points_on_the_sphere(self):
         # Chords a few ulp longer than the diameter 2: half the chord clips to 1.
@@ -416,7 +416,7 @@ class TestEdgeLengthsByColumn:
         vertices = np.array([[up, 0.0, 0.0, 0.0], [-up, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                              [-1.0, 1e-9, 0.0, 0.0]])
         m = mm.TriMesh(vertices=vertices, faces=np.array([[0, 1, 2], [0, 2, 3]]), kappa=1.0)
-        assert np.array_equal(m.edge_lengths, reference.row_gather_edge_lengths(m))
+        assert np.array_equal(m.edge_lengths, reference.row_gather_edge_lengths(m, 1.0))
         assert m.edge_lengths[0] == math.pi
 
 
@@ -459,11 +459,11 @@ class TestRingStrips:
 
 
 def _with_extra(m, vertices, faces):
-    """Copy of m with vertices and faces appended (new faces index the new vertices too)."""
+    """Copy of the flat mesh m with vertices and faces appended (new faces index the new vertices too)."""
     return mm.TriMesh(
         vertices=np.vstack([m.vertices, vertices]),
         faces=np.vstack([m.faces, np.asarray(faces, dtype=np.int64).reshape(-1, 3)]),
-        kappa=m.kappa,
+        kappa=0.0,
     )
 
 
@@ -492,7 +492,7 @@ class TestCheckTopology:
 
     def test_valid_cap_passes(self):
         m = self._cap()
-        rebuilt = mm.TriMesh(vertices=m.vertices, faces=m.faces, kappa=m.kappa)
+        rebuilt = mm.TriMesh(vertices=m.vertices, faces=m.faces, kappa=0.0)
         assert np.array_equal(rebuilt.edges, m.edges)
         assert np.array_equal(rebuilt.areas, m.areas)
 
@@ -507,7 +507,7 @@ class TestCheckTopology:
         faces = m.faces.copy()
         faces[0] = faces[0, ::-1]
         with pytest.raises(MeshError, match="orientation"):
-            mm.TriMesh(vertices=m.vertices, faces=faces, kappa=m.kappa)
+            mm.TriMesh(vertices=m.vertices, faces=faces, kappa=0.0)
 
     def test_extra_disjoint_triangle_is_not_a_disk(self):
         m = self._cap()

@@ -151,3 +151,17 @@ def test_prolongation_is_finite_or_raises(cap, level):
     assert 1 <= level <= 5
     assert P.shape[0] > P.shape[1] >= 1
     assert np.isfinite(P.data).all() and P.data.min() >= 0.0
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True, database=None)
+@given(cap=caps(), level=st.integers(-1, 6))
+def test_interior_rings_are_finite_or_raise(cap, level):
+    try:
+        ring = mesh.interior_rings(*cap, level)
+    except CmcRadiusError:
+        return
+    assert 0 <= level <= 6
+    # The pole, then every interior ring in order, each with at least 3 vertices.
+    counts = np.bincount(ring)
+    assert ring.dtype.kind == "i" and np.all(np.diff(ring) >= 0)
+    assert counts.size == 2**level and counts[0] == 1 and np.all(counts[1:] >= 3)

@@ -52,7 +52,7 @@ def test_empty_report_is_unchanged(fmt):
     assert emit_report(report, fmt) == (PINNED / f"empty.{fmt}").read_text()
 
 
-MESH_ARGV = ["mesh", "--kappa", "-1", "--H", "2.5", "--rho", "0.55", "--delta", "0", "--levels", "1,2,3"]
+MESH_ARGV = ["mesh", "--kappa", "-1", "--H", "2.5", "--rho", "0.55", "--delta", "0"]
 
 
 def _assert_close(got: dict, want: dict) -> None:
@@ -65,13 +65,23 @@ def _assert_close(got: dict, want: dict) -> None:
             assert got[key] == value, key
 
 
-def test_mesh_report_structure(tmp_path):
+def _assert_mesh_report(tmp_path, levels: str, name: str) -> None:
     out = tmp_path / "report"
-    assert cli.run([*MESH_ARGV, "--format", "json", "--out", str(out)]) == 0
-    got, want = json.loads(out.read_text()), json.loads((PINNED / "mesh.json").read_text())
+    assert cli.run([*MESH_ARGV, "--levels", levels, "--format", "json", "--out", str(out)]) == 0
+    got, want = json.loads(out.read_text()), json.loads((PINNED / f"{name}.json").read_text())
     assert list(got) == list(want)
     assert got["kind"] == want["kind"] and got["summary"] == want["summary"]
     _assert_close(got["metadata"], want["metadata"])
     assert len(got["rows"]) == len(want["rows"])
     for row, pinned in zip(got["rows"], want["rows"]):
         _assert_close(row, pinned)
+
+
+def test_mesh_report_structure(tmp_path):
+    # Every level is at most BASE_LEVEL, so each eigensolve uses its own factor.
+    _assert_mesh_report(tmp_path, "1,2,3", "mesh")
+
+
+def test_multigrid_mesh_report_structure(tmp_path):
+    # Levels 4 and 5 are preconditioned by V-cycles down to level 3.
+    _assert_mesh_report(tmp_path, "3,4,5", "mesh_multigrid")

@@ -152,6 +152,15 @@ class TestLambda1Ball:
         c, rho = 5e-324, 4.5e-149
         assert sf.lambda1_ball(3, c, rho) == pytest.approx((math.pi / rho) ** 2 - c, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_balls_next_to_the_whole_sphere(self, n):
+        # s = pi (1 - 2^-k), up to two floats below pi.  For n = 4 and k >= 29 the
+        # zero in w lies below 1e-16 and the radial function at the far end is
+        # below -1e17, so a secant point from w = 0 rounds onto or past 0.
+        values = [sf.lambda1_ball(n, 1.0, math.pi * (1.0 - 2.0**-k)) for k in range(2, 53)]
+        assert all(0.0 < v < math.inf for v in values)
+        assert all(a >= b for a, b in zip(values, values[1:]))
+
     def test_tolerance_below_float_spacing_terminates(self):
         # nu is about 24,048 here; the root-finder stops within a few ulp.
         rho = 1e-4
