@@ -14,7 +14,7 @@ preconditioner is one V-cycle over the cap's own ring hierarchy, where
 level l - 1 has every other ring of level l: damped Jacobi smoothing, with
 the weight from a Gershgorin bound on D^-1 K, around the coarser level's
 correction, down to BASE_LEVEL.  Only that level's stiffness is factored,
-by SuperLU in symmetric mode with diagonal pivots only.
+by a dense Cholesky factorization, and kept as its inverse.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.linalg import splu
 
 from .errors import MeshError, NoApplicableBound, NonConvergence
 from .mesh import (MAX_LEVEL, TriMesh, build_cap_mesh, interior_rings, intrinsic_radius, prolongation,
@@ -44,8 +43,12 @@ MAX_STEPS = 500
 
 
 #: Levels up to this one are preconditioned by their own factor; each finer
-#: level by a V-cycle down to it.  A level-3 cap has about 150 interior vertices.
+#: level by a V-cycle down to it.  A level-3 cap has at most 177 interior vertices:
+#: 1 + the sum over rings i = 1..7 of max(3, rint(16 pi sin(i s / 8) / s)) at scaled radius s.
 BASE_LEVEL = 3
+
+#: The most unknowns a problem with no coarser level may have: its inverse is dense.
+MAX_FACTORED = 2048
 
 
 @dataclass
@@ -65,12 +68,19 @@ class SpectralProblem:
     prolongation: csr_matrix | None = None
 
     @cached_property
-    def _factor(self):
+    def _inverse(self) -> np.ndarray:
+        """The dense K^-1 = L^-T L^-1 of a base level, from the Cholesky factor K = L L^T."""
+        if (n := self.stiffness.shape[0]) > MAX_FACTORED:
+            raise MeshError(f"a problem of {n} unknowns needs a coarser level: at most {MAX_FACTORED} are factored")
         try:
-            return splu(self.stiffness, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                        options={"SymmetricMode": True})
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            inverse_factor = np.linalg.inv(np.linalg.cholesky(self.stiffness.toarray()))
+        except np.linalg.LinAlgError as exc:  # "Matrix is not positive definite"
             raise MeshError(f"the Dirichlet stiffness cannot be factored: {exc}") from None
+        return inverse_factor.T @ inverse_factor
+
+    @cached_property
+    def _restriction(self) -> csr_matrix:
+        return self.prolongation.T.tocsr()
 
     @cached_property
     def _smoother(self) -> np.ndarray:
@@ -81,7 +91,7 @@ class SpectralProblem:
         return 4.0 / (3.0 * gershgorin) / diagonal
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """An SPD approximation of K^-1 r: the factor's solve, or one V-cycle.
+        """An SPD approximation of K^-1 r: the factor's inverse, or one V-cycle.
 
         The V-cycle smooths with damped Jacobi before and after the coarse
         correction.  Its weight keeps omega * rho(D^-1 K) <= 4/3 < 2, so the
@@ -89,10 +99,10 @@ class SpectralProblem:
         positive definite where cotangent weights are negative.
         """
         if self.coarser is None:
-            return self._factor.solve(r)
-        K, P, weight = self.stiffness, self.prolongation, self._smoother
+            return self._inverse @ r
+        K, weight = self.stiffness, self._smoother
         e = weight * r
-        e += P @ self.coarser.precondition(P.T @ (r - K @ e))
+        e += self.prolongation @ self.coarser.precondition(self._restriction @ (r - K @ e))
         return e + weight * (r - K @ e)
 
 

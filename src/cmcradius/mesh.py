@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import MeshError
 from .spaceforms import intrinsic_curvature
@@ -59,7 +58,7 @@ class TriMesh:
         for i in range(3):
             tail, head = f[:, (i + 1) % 3], f[:, (i + 2) % 3]
             key[i] = (np.minimum(tail, head) * nv + np.maximum(tail, head)) * 2 + (tail > head)
-        order = np.argsort(key, axis=None)
+        order = np.argsort(key, axis=None, kind="stable")
         key = key.ravel()[order]
         flipped = np.any(key[1:] == key[:-1])  # a directed edge in two faces
         key >>= 1  # the undirected key min * nv + max
@@ -81,8 +80,7 @@ class TriMesh:
         del order, starts, first
         self.face_edges = key.reshape(3, -1).T  # entry i opposite corner i
         lo, hi = self.edges.T
-        components = connected_components(csr_matrix((np.ones(lo.size), (lo, hi)), shape=(nv, nv)),
-                                          directed=False, return_labels=False)
+        components = np.count_nonzero(component_roots(self.edges, nv) == np.arange(nv))
         if components != 1:  # chi adds over components: a disk plus a torus has chi = 1
             raise MeshError(f"not a disk: {components} connected components")
         on_boundary = np.zeros(nv, dtype=bool)
@@ -105,6 +103,21 @@ class TriMesh:
     @property
     def num_faces(self) -> int:
         return self.faces.shape[0]
+
+
+def component_roots(edges: np.ndarray, n: int) -> np.ndarray:
+    """The least vertex of each vertex's connected component.  Each round hooks every edge's
+    larger root onto its smaller one, then follows each label to its root; labels only fall,
+    so the rounds end, and a cap takes two."""
+    label = np.arange(n)
+    lo, hi = edges.T
+    while True:
+        a, b = label[lo], label[hi]
+        if np.array_equal(a, b):
+            return label
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := label[label], label):
+            label = up
 
 
 def ambient_distance(kappa: float, chord) -> np.ndarray:
@@ -178,8 +191,8 @@ MAX_CAP_RADIUS = float(np.finfo(float).max) ** 0.25 / 4.0
 
 #: Finest refinement level.  Each level quadruples the vertices, zipped ring by
 #: ring in Python: about 44k at level 7 and 0.7M at level 9 (at s = 1.25).  A
-#: level-9 study took 3.4 s and 0.57 GB peak on a 2-CPU host, and building the
-#: mesh alone 1.4 s and 0.36 GB, so a level-10 study would need about 2 GB.
+#: level-9 study took 3.0 s and 0.55 GB peak on a 2-CPU host, and building the
+#: mesh alone 1.5 s and 0.35 GB, so a level-10 study would need about 2 GB.
 MAX_LEVEL = 9
 
 #: Rows of the mesh export formatted per write.
@@ -255,20 +268,22 @@ def prolongation(kappa: float, H: float, rho: float, level: int) -> csr_matrix:
     fine, coarse = np.bincount(ring), np.bincount(interior_rings(kappa, H, rho, level - 1))
     k = np.arange(ring.size) - (np.cumsum(fine) - fine)[ring]  # each vertex's index in its ring
     first = np.cumsum(coarse) - coarse  # the first vertex of each coarse ring
-    # At most two coarse rings of two vertices each per fine vertex, filled in place.
-    rows, cols = np.empty((2, 4 * ring.size), dtype=np.int64)
-    weights, end = np.empty(4 * ring.size), 0
-    for j in (ring // 2, (ring + 1) // 2):  # the same coarse ring twice for an even ring
-        v = np.flatnonzero(j < coarse.size)
-        j, n, m = j[v], coarse[j[v]], fine[ring[v]]
+    odd = ring % 2
+    second = (odd == 1) & ((ring + 1) // 2 < coarse.size)  # an odd ring whose outer coarse ring is interior
+    # The canonical CSR, filled in place: a row holds one entry on the pole, else two per coarse ring.
+    indptr = np.append(0, np.cumsum(np.where(ring > 1, 2, 1) + 2 * second)).astype(np.int32)
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    for j, v, s in ((ring // 2, slice(None), indptr[:-1]), ((ring + 1) // 2, second, indptr[1:] - 2)):
         # Azimuth 2 pi k / m lies between vertices a and a + 1 of coarse ring j, frac of the way on.
+        j, n, m, s = j[v], coarse[j[v]], fine[ring[v]], s[v]
         a, part = np.divmod(k[v] * n, m)
-        frac = part / m
-        for at, weight in ((a % n, 0.5 - 0.5 * frac), ((a + 1) % n, 0.5 * frac)):
-            span = slice(end, end + v.size)
-            rows[span], cols[span], weights[span] = v, first[j] + at, weight
-            end += v.size
-    return csr_matrix((weights[:end], (rows[:end], cols[:end])), shape=(ring.size, coarse.sum()))
+        frac, half = part / m, 0.5 ** odd[v]  # an even ring reads one coarse ring, at full weight
+        col, w, col2, w2 = first[j] + a, half * (1.0 - frac), first[j] + (a + 1) % n, half * frac
+        wrap, pole = col2 < col, n == 1  # vertex a + 1 is the ring's first; the pole is one vertex
+        indices[s], data[s] = np.where(wrap, col2, col), np.where(pole, w + w2, np.where(wrap, w2, w))
+        s = s[~pole] + 1
+        indices[s], data[s] = np.where(wrap, col, col2)[~pole], np.where(wrap, w, w2)[~pole]
+    return csr_matrix((data, indices, indptr), shape=(ring.size, coarse.sum()))
 
 
 def triangle_areas(lengths: np.ndarray) -> np.ndarray:
@@ -282,14 +297,29 @@ def triangle_areas(lengths: np.ndarray) -> np.ndarray:
 def intrinsic_radius(mesh: TriMesh) -> float:
     """Max over interior vertices of the edge-path distance to the boundary.
 
-    Dijkstra over geodesic edge lengths, each edge stored once and
-    traversed both ways; overestimates the smooth intrinsic radius by the
-    mesh anisotropy factor.
+    Label-correcting sweeps from the boundary over geodesic edge lengths,
+    each edge stored once.  A sweep relaxes every edge away from its end in
+    the window of vertex indices whose distance fell in the last one, as
+    slices of the edges sorted by either end, so its cost follows the
+    vertex numbering.  The fixed point is Dijkstra's least path sum.  It
+    overestimates the smooth intrinsic radius by the mesh anisotropy factor.
     """
     interior = require_interior(mesh)
-    edges, n = mesh.edges, mesh.num_vertices
-    g = csr_matrix((mesh.edge_lengths, (edges[:, 0], edges[:, 1])), shape=(n, n))
-    dist = dijkstra(g, directed=False, indices=mesh.boundary, min_only=True)
+    lo, hi = mesh.edges.T  # sorted by lo
+    order = np.argsort(hi, kind="stable")
+    hi_sorted, lo_by_hi, length_by_hi = hi[order], lo[order], mesh.edge_lengths[order]
+    dist = np.full(mesh.num_vertices, np.inf)
+    dist[mesh.boundary] = 0.0
+    fell = mesh.boundary
+    while fell.size:
+        window = (fell[0], fell[-1] + 1)
+        (i0, i1), (j0, j1) = np.searchsorted(lo, window), np.searchsorted(hi_sorted, window)
+        out, back = hi[i0:i1], lo_by_hi[j0:j1]  # the other ends of the edges from the window
+        start, stop = back.min(initial=fell[0]), out.max(initial=fell[-1]) + 1
+        before = dist[start:stop].copy()
+        np.minimum.at(dist, out, dist[lo[i0:i1]] + mesh.edge_lengths[i0:i1])
+        np.minimum.at(dist, back, dist[hi_sorted[j0:j1]] + length_by_hi[j0:j1])
+        fell = start + np.flatnonzero(dist[start:stop] < before)
     return float(dist[interior].max())
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from cmcradius import bounds
 from cmcradius.algebra import TracelessMatrix, traceless_part
 from cmcradius.errors import HypothesisViolation, PreconditionViolation
-from cmcradius.mesh import TriMesh
+from cmcradius.mesh import TriMesh, interior_rings
 from cmcradius.report import SweepReport, format_number
 from cmcradius.spaceforms import intrinsic_curvature
 
@@ -199,6 +199,40 @@ def row_gather_edge_lengths(mesh: TriMesh, kappa: float) -> np.ndarray:
         return 2.0 * np.arcsinh(half) / sq
     half = 0.5 * sq * np.linalg.norm(d, axis=-1)
     return 2.0 * np.arcsin(np.clip(half, None, 1.0)) / sq
+
+
+def dijkstra_radius(mesh: TriMesh) -> float:
+    """The max over interior vertices of scipy's Dijkstra distance to the boundary:
+    the value `intrinsic_radius` must give bit for bit."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    n = mesh.num_vertices
+    graph = csr_matrix((mesh.edge_lengths, mesh.edges.T), shape=(n, n))
+    return float(dijkstra(graph, directed=False, indices=mesh.boundary, min_only=True)[mesh.interior].max())
+
+
+def coo_prolongation(kappa: float, H: float, rho: float, level: int):
+    """`prolongation` built from COO triplets, four per fine vertex, that scipy sums:
+    the CSR arrays `prolongation` must fill, explicit zeros and dtypes included."""
+    from scipy.sparse import csr_matrix
+
+    ring = interior_rings(kappa, H, rho, level)
+    fine, coarse = np.bincount(ring), np.bincount(interior_rings(kappa, H, rho, level - 1))
+    k = np.arange(ring.size) - (np.cumsum(fine) - fine)[ring]
+    first = np.cumsum(coarse) - coarse
+    rows, cols, weights = [], [], []
+    for j in (ring // 2, (ring + 1) // 2):  # the same coarse ring twice for an even ring
+        v = np.flatnonzero(j < coarse.size)
+        j, n, m = j[v], coarse[j[v]], fine[ring[v]]
+        a, part = np.divmod(k[v] * n, m)
+        frac = part / m
+        for at, weight in ((a % n, 0.5 - 0.5 * frac), ((a + 1) % n, 0.5 * frac)):
+            rows.append(v)
+            cols.append(first[j] + at)
+            weights.append(weight)
+    triplets = np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))
+    return csr_matrix(triplets, shape=(ring.size, coarse.sum()))
 
 
 def parse_report_json(text: str) -> SweepReport:

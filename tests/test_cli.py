@@ -262,6 +262,16 @@ class TestScalarLane:
 
 
 class TestMeshCommand:
+    def test_loads_scipy_sparse_only(self, tmp_path):
+        # Topology, radius and the base factor are numpy; scipy.sparse holds the matrices.
+        commands = [["mesh", "--kappa", "-1", "--H", "2.5", "--rho", "0.55", "--delta", "0", "--levels", "3",
+                     "--mesh-out", "cap.txt", "--format", "json"]]
+        run = json.loads(_run_isolated(_LANE_SCRIPT, "unblocked", json.dumps(commands), cwd=tmp_path))
+        assert run["results"][0][0] == 0
+        assert "scipy.sparse" in run["numeric"]
+        heavy = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+        assert [m for m in run["numeric"] if m.startswith(heavy)] == []
+
     def test_small_run(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         mesh_file = tmp_path / "cap.txt"

@@ -56,6 +56,16 @@ def _reference_system(m, kappa):
     return K, mass
 
 
+def _cap_problem(kappa, H, rho, level):
+    """The level's Dirichlet problem over the ring hierarchy that mesh_verify builds under it."""
+    problem = None
+    for lv in range(min(dd.BASE_LEVEL, level), level + 1):
+        coarser, problem = problem, dd.assemble_stability(mm.build_cap_mesh(kappa, H, rho, lv))
+        if lv > dd.BASE_LEVEL:
+            problem.coarser, problem.prolongation = coarser, mm.prolongation(kappa, H, rho, lv)
+    return problem
+
+
 def _assert_matches_reference(m, kappa, problem):
     K, mass = _reference_system(m, kappa)
     idx = m.interior
@@ -132,8 +142,7 @@ class TestLambda1Dirichlet:
 
     def test_flat_cap_matches_ode_oracle(self):
         rho = math.pi / 3
-        m = mm.build_cap_mesh(0.0, 1.0, rho, 6)
-        problem = dd.assemble_stability(m)
+        problem = _cap_problem(0.0, 1.0, rho, 6)
         lam = dd.lambda1_dirichlet(problem, -2.0, np.ones_like(problem.mass))
         oracle = sf.lambda1_ball(2, 1.0, rho) - 2.0
         assert lam == pytest.approx(oracle, rel=0.02)
@@ -204,15 +213,15 @@ class TestMeshVerify:
                 assert r >= rho
 
 
-class _CountingLU:
-    """Forwards to a SuperLU factor and appends each solve's size to `solves`."""
+class _CountingInverse:
+    """Forwards to a base level's dense inverse and appends each solve's size to `solves`."""
 
-    def __init__(self, lu, solves: list):
-        self._lu, self._solves = lu, solves
+    def __init__(self, inverse, solves: list):
+        self._inverse, self._solves = inverse, solves
 
-    def solve(self, b):
+    def __matmul__(self, b):
         self._solves.append(b.size)
-        return self._lu.solve(b)
+        return self._inverse @ b
 
 
 class TestWarmStart:
@@ -221,9 +230,10 @@ class TestWarmStart:
 
     def test_saves_solves(self, monkeypatch):
         # Each LOBPCG step preconditions once, and every V-cycle ends in one solve
-        # with the base level's factor, so an eigensolve's solves are its steps.
-        splu, solves = dd.splu, []
-        monkeypatch.setattr(dd, "splu", lambda *args, **kwargs: _CountingLU(splu(*args, **kwargs), solves))
+        # with the base level's inverse, so an eigensolve's solves are its steps.
+        inverse, solves = vars(dd.SpectralProblem)["_inverse"], []  # the cached property
+        monkeypatch.setattr(dd.SpectralProblem, "_inverse",
+                            property(lambda problem: _CountingInverse(inverse.__get__(problem), solves)))
         lambda1, steps = dd.lambda1_dirichlet, []
 
         def counted(*args):
@@ -236,14 +246,14 @@ class TestWarmStart:
         for study in STUDIES:
             steps.clear()
             dd.mesh_verify(*study, [3, 4, 5, 6, 7])
-            assert len(steps) == 5 and max(steps) <= 8, steps
+            assert len(steps) == 5 and 1 <= min(steps) and max(steps) <= 8, steps
 
     def test_eigenvalues_match_the_constant_start(self):
         kappa, H, rho, delta, _ = self.STUDY
         q = 2.0 * (1.0 - delta) * (kappa + H * H)
         rep = dd.mesh_verify(*self.STUDY)
         for row in rep.levels:
-            problem = dd.assemble_stability(mm.build_cap_mesh(kappa, H, rho, row.level))
+            problem = _cap_problem(kappa, H, rho, row.level)
             lam = dd.lambda1_dirichlet(problem, -q, np.ones_like(problem.mass))
             assert abs(row.lambda1 - lam) <= 1e-10 * max(abs(lam), 1.0, q)
 
@@ -341,8 +351,7 @@ class TestSparseReference:
 
         from scipy.sparse import diags
 
-        m = mm.build_cap_mesh(kappa, H, rho, 5)
-        problem = dd.assemble_stability(m)
+        problem = _cap_problem(kappa, H, rho, 5)
         M = diags(problem.mass).tocsc()
         lam_K = eigsh(problem.stiffness, k=1, M=M, sigma=0, return_eigenvectors=False)[0]
         q = 2.0 * (1.0 - delta) * (kappa + H * H)
@@ -351,9 +360,15 @@ class TestSparseReference:
 
 
 class TestMultigrid:
+    def test_a_fine_problem_without_a_coarser_level_is_refused(self):
+        problem = dd.assemble_stability(mm.build_cap_mesh(*STUDIES[0][:3], 5))
+        assert problem.stiffness.shape[0] > dd.MAX_FACTORED
+        with pytest.raises(MeshError, match="needs a coarser level"):
+            dd.lambda1_dirichlet(problem, 0.0, np.ones_like(problem.mass))
+
     def test_only_the_base_level_is_factored(self, monkeypatch):
-        splu, sizes = dd.splu, []
-        monkeypatch.setattr(dd, "splu", lambda K, *args, **kwargs: sizes.append(K.shape[0]) or splu(K, *args, **kwargs))
+        cholesky, sizes = np.linalg.cholesky, []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda K: sizes.append(K.shape[0]) or cholesky(K))
         for study in STUDIES:
             sizes.clear()
             dd.mesh_verify(*study, [3, 4, 5, 6, 7])

@@ -13,7 +13,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # Targets the bench still names although the program dropped them.
 STALE_TARGETS = {"mesh.edge_face_counts", "discrete.face_edge_lengths", "spaceforms.solve_ivp",
-                 "bounds.coeff_B"}
+                 "bounds.coeff_B", "discrete.splu"}
 
 
 def test_tracer_targets_are_bound(monkeypatch):

@@ -282,6 +282,19 @@ class TestProlongation:
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
 
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_arrays_match_the_summed_triplets(self, cap):
+        # Every stored entry in place, the explicit zeros at frac = 0 included:
+        # an even ring's two reads of one coarse ring merge bit for bit.
+        for level in range(1, 8):
+            got, want = mm.prolongation(*cap, level), reference.coo_prolongation(*cap, level)
+            assert got.shape == want.shape and got.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (level, name)
+            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+            assert level == 1 or np.count_nonzero(got.data == 0.0) > 0  # level 1 reads only the pole
+
     def test_level_zero_has_no_coarser_level(self):
         with pytest.raises(MeshError, match="^level 0 has no coarser level$"):
             mm.prolongation(*self.CAPS[0], 0)
@@ -304,6 +317,25 @@ class TestIntrinsicRadius:
     def test_hemisphere(self):
         m = mm.build_cap_mesh(0.0, 1.0, math.pi / 2, 6)
         assert mm.intrinsic_radius(m) == pytest.approx(math.pi / 2, rel=0.03)
+
+    @pytest.mark.parametrize("kappa", sorted(PINNED_CAPS))
+    @pytest.mark.parametrize("level", range(8))
+    def test_equals_dijkstra_on_pinned_caps(self, kappa, level):
+        m = mm.build_cap_mesh(kappa, *PINNED_CAPS[kappa], level)
+        assert mm.intrinsic_radius(m) == reference.dijkstra_radius(m)
+
+    def test_equals_dijkstra_on_a_shuffled_cap(self):
+        # Any vertex numbering gives the same least path sums; only the sweeps' cost depends on it.
+        cap = mm.build_cap_mesh(-1.0, *PINNED_CAPS[-1.0], 5)
+        order = np.random.default_rng(11).permutation(cap.num_vertices)
+        new_index = np.argsort(order)
+        m = mm.TriMesh(vertices=cap.vertices[order], faces=new_index[cap.faces], kappa=-1.0)
+        assert mm.intrinsic_radius(m) == reference.dijkstra_radius(m) == mm.intrinsic_radius(cap)
+
+    @pytest.mark.parametrize("name", ["jittered grid", "negative zero grid"])
+    def test_equals_dijkstra_on_hand_built_meshes(self, name):
+        m = mm.TriMesh(*_hand_built(name))
+        assert mm.intrinsic_radius(m) == reference.dijkstra_radius(m)
 
     def test_no_boundary_error(self):
         # An icosahedron with two antipodal vertices identified: every edge
@@ -484,6 +516,17 @@ def _icosahedron():
     return vertices, np.where(outward[:, None], faces, faces[:, ::-1])
 
 
+def _torus_faces(offset):
+    """Consistently oriented faces of a 4 x 4 grid torus on vertices offset, ..., offset + 15."""
+    i, j = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+
+    def vertex(di, dj):
+        return offset + ((i + di) % 4 * 4 + (j + dj) % 4).ravel()
+
+    p, q, r, s = vertex(0, 0), vertex(1, 0), vertex(1, 1), vertex(0, 1)
+    return np.concatenate([np.stack([p, q, r], axis=1), np.stack([p, r, s], axis=1)])
+
+
 class TestCheckTopology:
     """The checks that the TriMesh constructor runs on every mesh."""
 
@@ -523,14 +566,22 @@ class TestCheckTopology:
         i, j = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
         a, b = 2.0 * math.pi * i.ravel() / 4, 2.0 * math.pi * j.ravel() / 4
         torus = np.stack([(3 + np.cos(b)) * np.cos(a), (3 + np.cos(b)) * np.sin(a), np.sin(b)], axis=1)
-
-        def vertex(di, dj):
-            return m.num_vertices + ((i + di) % 4 * 4 + (j + dj) % 4).ravel()
-
-        p, q, r, s = vertex(0, 0), vertex(1, 0), vertex(1, 1), vertex(0, 1)
-        faces = np.concatenate([np.stack([p, q, r], axis=1), np.stack([p, r, s], axis=1)])
         with pytest.raises(MeshError, match="2 connected components"):
-            _with_extra(m, torus + 10.0, faces)
+            _with_extra(m, torus + 10.0, _torus_faces(m.num_vertices))
+
+    @pytest.mark.parametrize("second", ["torus", "disk"])
+    def test_component_roots_agree_with_scipy(self, second):
+        from scipy.sparse.csgraph import connected_components
+
+        cap = mm.build_cap_mesh(0.0, 1.0, 1.0, 1)
+        faces = _torus_faces(cap.num_vertices) if second == "torus" else cap.faces + cap.num_vertices
+        nv = int(faces.max()) + 1
+        edges = reference.naive_topology(np.vstack([cap.faces, faces]), nv)[0]
+        roots = mm.component_roots(edges, nv)
+        graph = csr_matrix((np.ones(len(edges)), edges.T), shape=(nv, nv))
+        count, labels = connected_components(graph, directed=False)
+        assert count == 2 and np.count_nonzero(roots == np.arange(nv)) == count
+        assert np.array_equal(np.unique(roots, return_inverse=True)[1], labels)
 
     def test_closed_surface_is_not_a_disk(self):
         vertices, faces = _icosahedron()
