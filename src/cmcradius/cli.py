@@ -13,6 +13,7 @@ import errno
 import itertools
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from typing import TYPE_CHECKING
@@ -66,6 +67,13 @@ def _same_file(a: str, b: str) -> bool:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # An argument that starts with "-" is an option unless this matches it.  argparse's own
+        # pattern misses exponents and non-finite values: "--K -1e-3" is a value, and "--K -inf"
+        # reaches _finite, which rejects it.  The subparsers are _Parsers too.
+        self._negative_number_matcher = re.compile(r"(?i)^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$")
+
     def error(self, message):
         raise UsageError(message)
 

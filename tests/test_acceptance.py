@@ -47,13 +47,13 @@ def test_02_scalar_route_consistency():
     _verdict(2, "fixed-k route at k = 1/(1-delta) equals the scalar bound on a 100-point grid")
 
 
-def test_03_cap_vs_bound_sweep():
-    checked = 0
-    reference_seen = False
-    for n in (2, 3, 4):
+def _cap_sweep(ns, kappas) -> tuple[int, list[str]]:
+    """rho* <= c_best on a grid of caps: the number of applicable cells, and those that fail."""
+    checked, failed = 0, []
+    for n in ns:
         thr = float(bounds.delta_threshold(n))
         deltas = np.linspace(0.0, 0.95 * thr, 8)
-        for kappa in (-1.0, 0.0):
+        for kappa in kappas:
             h_min = bounds.mean_curvature_threshold(kappa)
             hs = [h_min + step for step in (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)]
             for delta in deltas:
@@ -61,18 +61,37 @@ def test_03_cap_vs_bound_sweep():
                     rec = sf.verify_cap_bound(n, kappa, H, float(delta))
                     if rec.status != "not-applicable":
                         checked += 1
-                        assert rec.status == "pass", (
-                            f"theorem instance failed: n={n} kappa={kappa} H={H} "
-                            f"delta={delta}: rho*={rec.rho_star} > c={rec.c_best}"
-                        )
-                        assert rec.rho_star <= rec.c_best * (1 + 1e-8)
+                        if rec.status != "pass" or not rec.rho_star <= rec.c_best * (1 + 1e-8):
+                            failed.append(f"n={n} kappa={kappa} H={H} delta={delta}: "
+                                          f"rho*={rec.rho_star} > c={rec.c_best}")
+    return checked, failed
+
+
+def test_03_cap_vs_bound_sweep():
+    checked, failed = _cap_sweep((2, 3, 4), (-1.0, 0.0))
+    assert failed == []
     assert checked > 200
+    # Positive kappa on n = 3 and 4: all 192 cells apply.  n = 2 is test_03b.
+    more, failed = _cap_sweep((3, 4), (1.0, 4.0))
+    assert failed == [] and more == 192
+    checked += more
     # Reference instance with closed forms.
     rec = sf.verify_cap_bound(2, -1.0, 2.5, 0.0)
     assert rec.rho_star == pytest.approx(math.pi / (2 * math.sqrt(5.25)), rel=1e-8)
     assert rec.c_best == pytest.approx((4 * math.sqrt(2) / 9) * math.pi / math.sqrt(5.25), rel=1e-8)
     assert rec.ratio == pytest.approx(9 / (8 * math.sqrt(2)), rel=1e-8)
     _verdict(3, f"rho* <= c_best on all {checked} applicable sweep cases, reference instance exact")
+
+
+# The n = 2 scalar route is fed S = 6*kappa, which on positive kappa gives c
+# below rho* on 42 of these 96 cells (as on the unit-sphere hemisphere, see
+# tests/test_spaceforms.py).  Once the normalisation of S is settled this passes,
+# and the marker must go.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="S = 6*kappa on the n = 2 scalar route gives c < rho*")
+def test_03b_cap_vs_bound_sweep_positive_kappa_n2():
+    checked, failed = _cap_sweep((2,), (1.0, 4.0))
+    assert checked == 96
+    assert failed == []
 
 
 def test_04_hemisphere_spectral_identity():

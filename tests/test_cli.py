@@ -326,6 +326,9 @@ class TestNonFiniteFlags:
         ["bound", "--n", "2", "--delta", "nan", "--H", "2.5"],
         ["bound", "--n", "2", "--delta", "0", "--H", "2.5", "--K", "nan"],
         ["bound", "--n", "2", "--delta", "0", "--H", "2.5", "--S=-inf"],
+        ["bound", "--n", "2", "--delta", "0", "--H", "2.5", "--S", "-inf"],
+        ["bound", "--n", "2", "--delta", "0", "--H", "2.5", "--K", "-NaN"],
+        ["cap", "--n", "2", "--kappa", "-Infinity", "--H", "2.5", "--delta", "0"],
         ["cap", "--n", "2", "--kappa", "-1", "--H", "nan", "--delta", "0"],
         ["cap", "--n", "2", "--kappa", "inf", "--H", "2.5", "--delta", "0"],
         ["mesh", "--kappa", "0", "--H", "1", "--rho", "inf", "--delta", "0", "--levels", "2"],
@@ -341,6 +344,26 @@ class TestNonFiniteFlags:
         cfg.write_text(f"mode = cap\nn = 2\nH = 2.5\n{line}\n")
         assert cli.run(["sweep", "--config", str(cfg)]) == 64
         assert "finite" in capsys.readouterr().err
+
+
+class TestNegativeNumbers:
+    # argparse takes an argument that starts with "-" for an option unless it
+    # reads as a negative number, and its own pattern has no exponents.
+    ARGS = {
+        "bound": {"n": "2", "delta": "0", "H": "2.5", "K": "-1", "S": "2"},
+        "cap": {"n": "2", "kappa": "-1", "H": "2.5", "delta": "0"},
+        "mesh": {"kappa": "-1", "H": "2.5", "rho": "0.55", "delta": "0"},
+    }
+
+    @pytest.mark.parametrize("command, option", [(c, o) for c, args in ARGS.items() for o in args if o != "n"])
+    @pytest.mark.parametrize("text", ["-1.5e-3", "-1E2", "-.5e+1", "-2e0"])
+    def test_exponent_notation(self, command, option, text):
+        argv = [command, *(t for k, v in self.ARGS[command].items() for t in (f"--{k}", text if k == option else v))]
+        assert getattr(cli._build_parser().parse_args(argv), option) == float(text)
+
+    def test_bound_runs(self, capsys):
+        assert cli.run(["bound", "--n", "3", "--delta", "0", "--H", "3", "--K", "-1e-3"]) == 0
+        assert "-0.001" in capsys.readouterr().out
 
 
 class TestMalformedIntegers:
