@@ -292,11 +292,12 @@ def _exit_code(report: SweepReport) -> int:
 def run(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        outputs = [path for path in (args.out, getattr(args, "mesh_out", None)) if path]
+        outputs = [path for path in (args.out, vars(args).get("mesh_out")) if path]
         for path in outputs:
             _check_output_path(path)
-        if len(outputs) == 2 and _same_file(*outputs):
-            raise UsageError(f"--out {outputs[0]} and --mesh-out {outputs[1]} name one file")
+        for flag, other in (("--mesh-out", vars(args).get("mesh_out")), ("--config", vars(args).get("config"))):
+            if args.out and other and _same_file(args.out, other):  # the report would replace that file
+                raise UsageError(f"--out {args.out} and {flag} {other} name one file")
         metadata = {"tool": "cmcradius", "version": __version__}
         if args.command == "bound":
             report = SweepReport(kind="bound", metadata=metadata)

@@ -2,16 +2,16 @@
 
 Cotangent stiffness and lumped mass are built from geodesic edge lengths
 (the triangles are treated as intrinsic, via law of cosines and Heron's
-formula), as the mesh derives them.  Each undirected edge
-gets one weight (cot a + cot b) / 2 and a vertex's diagonal entry is the
-sum of its edge weights (Pinkall & Polthier, Experiment. Math. 2, 1993).
-The cap's stability potential is constant, so it only shifts the
-spectrum of (stiffness, mass).  Only the Dirichlet block is built.  Its
-first eigenvalue comes from preconditioned inverse iteration, one
-preconditioned residual correction per step, started from the cap's
-closed-form radial eigenfunction, read at each interior vertex's ring, and
-stopped when successive Rayleigh quotients agree to STOP_TOL.  The
-preconditioner is one V-cycle over the cap's own ring hierarchy, where
+formula), as the mesh derives them.  Each undirected edge gets one weight
+(cot a + cot b) / 2 and a vertex's diagonal entry is the sum of its edge
+weights (Pinkall & Polthier, Experiment. Math. 2, 1993).  The cap's
+stability potential is constant, so it only shifts the spectrum of
+(stiffness, mass).  Only the Dirichlet block is built, by one CSC
+conversion.  Its first eigenvalue comes from preconditioned inverse
+iteration, one preconditioned residual correction per step, started from
+the cap's closed-form radial eigenfunction, read at each interior vertex's
+ring, and stopped when successive Rayleigh quotients agree to STOP_TOL.
+The preconditioner is one V-cycle over the cap's own ring hierarchy, where
 level l - 1 has every other ring of level l: damped Jacobi smoothing, with
 the weight from a Gershgorin bound on D^-1 K, around the coarser level's
 correction, down to BASE_LEVEL.  Only that level's stiffness is factored,
@@ -132,24 +132,17 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
     del l2, half_cot  # each temporary is released once spent, to keep the peak low
     diagonal = np.bincount(mesh.edges.ravel(), np.repeat(weight, 2), minlength=nv)
 
-    position = np.full(nv, -1)
+    position = np.full(nv, -1, dtype=np.int32)
     position[idx] = np.arange(idx.size)
     a, b = position[mesh.edges].T
     inner = (a >= 0) & (b >= 0)
     a, b, off = a[inner], b[inner], -weight[inner]  # edges (a, b), a < b, sorted
-    # The canonical CSC, filled in place: column j holds its edges (i, j) by i,
-    # its diagonal, then its edges (j, k) by k.
-    above, below = np.bincount(b, minlength=idx.size), np.bincount(a, minlength=idx.size)
-    indptr = np.append(0, np.cumsum(above + below + 1))
-    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-    slot = np.arange(a.size) + np.cumsum(above + 1)[a]
-    indices[slot], data[slot] = b, off
-    by_column = np.argsort(b, kind="stable")
-    slot = np.arange(a.size) + (np.cumsum(below + 1) - below - 1)[b[by_column]]
-    indices[slot], data[slot] = a[by_column], off[by_column]
-    slot = indptr[:-1] + above
-    indices[slot], data[slot] = np.arange(idx.size), diagonal[idx]
-    stiffness = csc_matrix((data, indices, indptr), shape=(idx.size, idx.size))
+    del weight, inner, position
+    # Column j lists its edges (i, j) by i, its diagonal, then its edges (j, k) by k:
+    # the canonical CSC order, which scipy's stable counting sort by column keeps.
+    d = np.arange(idx.size, dtype=np.int32)
+    stiffness = csc_matrix((np.concatenate([off, diagonal[idx], off]),
+                            (np.concatenate([a, d, b]), np.concatenate([b, d, a]))), shape=(idx.size, idx.size))
     return SpectralProblem(stiffness=stiffness, mass=mass)
 
 
@@ -218,16 +211,12 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
         c_best = cap_bound(2, kappa, H, delta).c
     except NoApplicableBound:
         c_best = None
-    ball = lambda1_ball(2, c, rho)
-    oracle = ball - q
-    # The eigensolve starts from the cap's eigenfunction, tabulated at the finest
-    # level's ring angles: ring i of level l is ring i << (finest - l) there.
-    s, finest, profile = rho * math.sqrt(c), max(levels), None
+    oracle = lambda1_ball(2, c, rho) - q
 
     # Every level from the base up is built, so that each finer one has its
     # V-cycle; a problem is kept as the next one's coarser level, its mesh is not.
     results, problem = [], None
-    for level in range(min(BASE_LEVEL, *levels), finest + 1):
+    for level in range(min(BASE_LEVEL, *levels), max(levels) + 1):
         m = None  # released before the next mesh is built
         m = build_cap_mesh(kappa, H, rho, level)
         coarser, problem = problem, assemble_stability(m)
@@ -235,10 +224,9 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
             problem.coarser, problem.prolongation = coarser, prolongation(kappa, H, rho, level)
         if level not in levels:
             continue
-        if profile is None:  # after the first mesh, so that a cap too large to mesh says so first
-            angles = np.arange(2**finest) * s / 2**finest
-            profile = np.array(radial_profile(2, ball * rho * rho, s, angles.tolist()))
-        lam = lambda1_dirichlet(problem, -q, profile[interior_rings(kappa, H, rho, level) << (finest - level)])
+        # The eigensolve starts from the cap's eigenfunction, read at each interior vertex's ring.
+        profile = np.array(radial_profile(2, c, rho, (np.arange(2**level) / 2**level).tolist()))
+        lam = lambda1_dirichlet(problem, -q, profile[interior_rings(kappa, H, rho, level)])
         radius = intrinsic_radius(m)
         if abs(lam) <= MARGINAL_BAND * q:
             verdict = "marginal"

@@ -8,7 +8,8 @@ the radial eigenfunction with eigenvalue nu(nu+n-1) has the closed form
 2F1(-nu, nu+n-1; n/2; sin^2(s/2)), so bracketed root-finding on it gives
 an exact oracle: in s for the maximal delta-stable cap radius, and in the
 scaled variable w = nu s, on a bracket fixed by Cheng's eigenvalue
-comparison, for the first Dirichlet eigenvalue of a ball.
+comparison, for the first Dirichlet eigenvalue of a ball and, from the
+same root, its eigenfunction (radial_profile).
 """
 
 from __future__ import annotations
@@ -156,9 +157,8 @@ def _radial(n: int, w: float, s: float) -> float:
     cos s for every n.  For n = 3 it is sin(w + s) / ((w + s) sin(s) / s),
     expanded so that a small w keeps its digits and a subnormal s forms no
     1 / tan s.  Otherwise it is a Gauss series up to the equator and the
-    logarithmic series about s = pi past it, where 0 < nu < 1 is required.
-    The callers only need nu <= 1 there: the root searches, and
-    radial_profile, which clamps a w rounded from an eigenvalue.
+    logarithmic series about s = pi past it, where 0 < nu < 1 is required;
+    the root searches and radial_profile keep nu <= 1 there.
     """
     if w == s:
         return math.cos(s)
@@ -200,18 +200,14 @@ def _false_position(f, a: float, b: float, f_a: float, f_b: float) -> float:
     raise NonConvergence("root-finder did not converge")
 
 
-def lambda1_ball(n: int, c_int: float, rho: float) -> float:
-    """First Dirichlet eigenvalue of the geodesic rho-ball in the round sphere of curvature c_int > 0.
+def _ball_root(n: int, c_int: float, rho: float) -> tuple[float, float]:
+    """Scaled radius s = rho sqrt(c_int) of the rho-ball in the sphere of curvature c_int > 0, and w = nu s.
 
-    By scaling it is mu / rho^2, where mu = w (w + (n-1) s) depends only on
-    s = rho sqrt(c_int), and w = nu s is the first zero of the radial
-    function at s.  The sphere has Ricci curvature >= 0, so Cheng's
-    comparison (Math. Z. 143, 1975) puts the eigenvalue below the flat
-    ball's j^2 / rho^2, j = j_{n/2-1,1}: mu lies in (0, j^2), so w lies
-    in (0, j), and (0, j (1 + 1e-9)] brackets the zero up to the equator.
-    Past it nu < 1, so (0, s] brackets it, where the radial function is
-    cos s < 0.  The eigenvalue overflows only where mu / rho / rho does,
-    whatever c_int is.
+    w is the first zero of the radial function at s.  By Cheng's comparison
+    (Math. Z. 143, 1975; the sphere has Ricci curvature >= 0) the eigenvalue
+    w (w + (n-1) s) / rho^2 lies below the flat ball's j^2 / rho^2, j = j_{n/2-1,1},
+    so (0, j (1 + 1e-9)] brackets w up to the equator.  Past it nu < 1, so
+    (0, s] brackets it, where the radial function is cos s < 0, and w <= s.
     """
     bounds._check_dimension(n)
     if not (c_int > 0.0 and math.isfinite(c_int)):
@@ -221,7 +217,16 @@ def lambda1_ball(n: int, c_int: float, rho: float) -> float:
         raise PreconditionViolation(f"rho must lie in (0, {full}), got {rho}")
     s = rho * math.sqrt(c_int)
     hi = s if s > 0.5 * math.pi else _W_MAX[n]
-    w = _false_position(lambda w: _radial(n, w, s), 0.0, hi, 1.0, _radial(n, hi, s))
+    return s, _false_position(lambda w: _radial(n, w, s), 0.0, hi, 1.0, _radial(n, hi, s))
+
+
+def lambda1_ball(n: int, c_int: float, rho: float) -> float:
+    """First Dirichlet eigenvalue of the geodesic rho-ball in the round sphere of curvature c_int > 0.
+
+    By scaling it is w (w + (n-1) s) / rho^2 (see _ball_root), so it
+    overflows only where that does, whatever c_int is.
+    """
+    s, w = _ball_root(n, c_int, rho)
     lam = w * (w + (n - 1.0) * s) / rho / rho
     if lam == math.inf:
         raise PreconditionViolation(f"the first Dirichlet eigenvalue at s={s} overflows float range (rho={rho})")
@@ -238,22 +243,18 @@ def _solve_w(n: int, s: float, mu: float) -> float:
     return mu / (half + math.sqrt(half * half + mu))
 
 
-def radial_profile(n: int, mu: float, s: float, angles: list[float]) -> list[float]:
-    """The first Dirichlet eigenfunction of the s-ball in the unit n-sphere at polar angles in [0, s].
+def radial_profile(n: int, c_int: float, rho: float, fractions: list[float]) -> list[float]:
+    """First Dirichlet eigenfunction of the rho-ball in the sphere of curvature c_int, at polar distances f rho.
 
-    mu is its scaled eigenvalue lambda1_ball(n, c_int, rho) rho^2 for the
-    rho-ball of curvature c_int with s = rho sqrt(c_int), which lies in
-    (0, j^2) by Cheng's comparison (see lambda1_ball).  At the angle t the
-    function is the radial function at w t / s, with w = nu s solved from
-    mu.  It is 1 at the centre and 0 at the rim.  Past the equator the
-    exact nu is at most 1, so a w t / s that rounds above t is clamped to t.
+    At f in [0, 1] it is the radial function at w f and s f (see _ball_root),
+    1 at the centre and 0 at the rim.  Past the equator w <= s, so w f <= s f
+    there, as the radial function requires.
     """
-    bounds._check_dimension(n)
-    if not (0.0 < s < math.pi and 0.0 < mu <= _W_MAX[n] ** 2):
-        raise PreconditionViolation(f"expected 0 < s < pi and 0 < mu <= {_W_MAX[n] ** 2}, got s={s}, mu={mu}")
-    w = _solve_w(n, s, mu)
-    past = s > 0.5 * math.pi
-    return [_radial(n, min(w * (t / s), t) if past else w * (t / s), t) for t in angles]
+    outside = next((f for f in fractions if not 0.0 <= f <= 1.0), None)
+    if outside is not None:
+        raise PreconditionViolation(f"polar distance fractions must lie in [0, 1], got {outside}")
+    s, w = _ball_root(n, c_int, rho)
+    return [_radial(n, w * f, s * f) for f in fractions]
 
 
 @lru_cache(maxsize=None)

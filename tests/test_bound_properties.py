@@ -104,7 +104,6 @@ ROLES = {
     "k": _around(st.floats(0.0, 4.0)),
     "curvature": _around(reals),  # H, K, S or kappa
     "length": _around(st.floats(0.0, 4.0)),
-    "mu": _around(st.floats(0.0, 16.0)),  # a scaled eigenvalue lambda rho^2, below j^2 = 14.68 for n = 4
     "phi": st.sampled_from(PHIS),
 }
 ENTRY_POINTS = {
@@ -126,8 +125,8 @@ ENTRY_POINTS = {
                                         ("n", "curvature", "curvature", "delta")),
     "cot_kappa": (reference.cot_kappa, ("curvature", "length")),
     "lambda1_ball": (spaceforms.lambda1_ball, ("n", "curvature", "length")),
-    "radial_profile": (lambda n, mu, s: min(spaceforms.radial_profile(n, mu, s, [0.0, 0.5 * s, s])),
-                       ("n", "mu", "length")),
+    "radial_profile": (lambda n, c, rho: min(spaceforms.radial_profile(n, c, rho, [0.0, 0.5, 1.0])),
+                       ("n", "curvature", "length")),
     "check_potential_remainder": (algebra.check_potential_remainder, ("phi", "k", "delta")),
 }
 

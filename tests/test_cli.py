@@ -567,6 +567,23 @@ class TestUnusablePaths:
         assert cli.run(argv) == 64
         assert (tmp_path / "mesh.txt").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("out", ["g.cfg", "./g.cfg", "link.cfg", "hard.cfg"],
+                             ids=["the config", "the config by another path", "a symlink", "a hard link"])
+    def test_sweep_report_over_its_config_is_rejected_before_reading_it(self, out, capsys, tmp_path,
+                                                                        monkeypatch):
+        # The report would replace the config, and the next run would fail to parse it.
+        monkeypatch.setattr(cli, "parse_config", lambda path: pytest.fail("the config was read"))
+        monkeypatch.chdir(tmp_path)
+        config = b"mode = bound\nH = 2\n"
+        (tmp_path / "g.cfg").write_bytes(config)
+        (tmp_path / "link.cfg").symlink_to("g.cfg")
+        os.link(tmp_path / "g.cfg", tmp_path / "hard.cfg")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.run(["sweep", "--config", "g.cfg", "--out", out]) == 64
+        assert capsys.readouterr().err == f"usage error: --out {out} and --config g.cfg name one file\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "g.cfg").read_bytes() == config
+
 
 # The grid keys each mode reads, and values that parse; the faults below break one or the other.
 FUZZ_READ = {"cap": ("n", "kappa", "delta", "H"), "bound": ("n", "delta", "H", "K", "S"), "algebra": ("n",)}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
 
 import reference
 from cmcradius import discrete as dd
@@ -104,6 +105,26 @@ class TestStiffness:
         for _ in range(20):
             x = rng.normal(size=S.shape[0])
             assert x @ (S @ x) > 0.0
+
+    @pytest.mark.parametrize("level", range(8))
+    def test_stiffness_is_the_canonical_csc_of_its_triplets(self, level):
+        meshes = [mm.build_cap_mesh(kappa, H, rho, level) for kappa, H, rho, _ in STUDIES]
+        if level == 0:
+            ang = np.arange(6) * math.pi / 3.0
+            pts = np.vstack([np.zeros(3), np.stack([np.cos(ang), np.sin(ang), np.zeros(6)], axis=1)])
+            meshes += [_flat_triangle_mesh(pts, [[0, 1 + i, 1 + (i + 1) % 6] for i in range(6)]),
+                       _flat_grid_mesh(3), _flat_grid_mesh(8)]
+        for m in meshes:
+            stiffness = dd.assemble_stability(m).stiffness
+            # The reference does not depend on the triplets' order: scipy sorts them shuffled.
+            coo = stiffness.tocoo()
+            order = np.random.default_rng(level).permutation(coo.nnz)
+            reference = csc_matrix((coo.data[order], (coo.row[order], coo.col[order])), shape=coo.shape)
+            reference.sum_duplicates()
+            assert stiffness.has_canonical_format and stiffness.indices.dtype == np.int32
+            for name in ("indptr", "indices", "data"):
+                ours, theirs = getattr(stiffness, name), getattr(reference, name)
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
 
     def test_degenerate_triangle_rejected(self):
         m = _flat_triangle_mesh(
@@ -282,7 +303,6 @@ class TestWarmStart:
         levels = [0, 3, 5]
         dd.mesh_verify(kappa, H, rho, delta, levels)
         assert len(starts) == len(levels)
-        mu = sf.lambda1_ball(2, c, rho) * rho * rho
         for level, start in zip(levels, starts):
             m = mm.build_cap_mesh(kappa, H, rho, level)
             ring = mm.interior_rings(kappa, H, rho, level)
@@ -290,7 +310,7 @@ class TestWarmStart:
             assert np.array_equal(np.unique(ring), np.arange(2**level))
             angles = ring * s / 2**level
             assert np.abs(reference.polar_angles(m, kappa)[m.interior] - angles).max() <= 1e-12
-            assert np.array_equal(start, sf.radial_profile(2, mu, s, angles.tolist()))
+            assert np.array_equal(start, sf.radial_profile(2, c, rho, (ring / 2**level).tolist()))
 
 
 class TestShortEdges:

@@ -37,7 +37,15 @@ def test_cap_build_peaks_below_two_and_a_half_times_the_mesh():
     assert peak <= 2.5 * kept, f"peak {peak / 1e6:.1f} MB for a mesh of {kept / 1e6:.1f} MB"
 
 
-def test_mesh_study_and_export_stay_under_36_mb(tmp_path):
+def test_assembly_peaks_below_three_and_a_half_times_the_stiffness():
+    m = mm.build_cap_mesh(*CAP, 7)
+    problem, peak = _traced_peak(lambda: discrete.assemble_stability(m))
+    K = problem.stiffness
+    kept = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+    assert peak <= 3.5 * kept, f"peak {peak / 1e6:.1f} MB for a stiffness of {kept / 1e6:.1f} MB"
+
+
+def test_mesh_study_and_export_stay_under_32_mb(tmp_path):
     def study():
         report = discrete.mesh_verify(*CAP, 0.1, [3, 4, 5, 6, 7])
         mm.save_mesh(report.finest_mesh, str(tmp_path / "mesh.txt"))
@@ -45,4 +53,4 @@ def test_mesh_study_and_export_stay_under_36_mb(tmp_path):
 
     report, peak = _traced_peak(study)
     assert report.levels[-1].vertices > 40_000
-    assert peak < 36e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"

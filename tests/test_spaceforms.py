@@ -9,7 +9,6 @@ from scipy.integrate import solve_ivp
 import reference
 from cmcradius import spaceforms as sf
 from cmcradius.errors import (
-    CmcRadiusError,
     DimensionError,
     NonConvergence,
     PreconditionViolation,
@@ -312,43 +311,41 @@ class TestRootFinder:
 
 
 class TestRadialProfile:
-    @pytest.mark.parametrize("s", [1e-4, 0.6, 1.25, 1.9, 3.1])
+    # From a tiny ball through the hemisphere, one float past it, to one float short of the sphere.
+    @pytest.mark.parametrize("s", [1e-300, 1e-4, 0.6, 1.25, 0.5 * math.pi * (1.0 + 2.0**-52), 1.9, 3.1,
+                                   math.pi * (1.0 - 2.0**-52)])
     def test_one_at_the_centre_and_zero_at_the_rim(self, s):
-        mu = sf.lambda1_ball(2, 1.0, s) * s * s
-        centre, middle, rim = sf.radial_profile(2, mu, s, [0.0, 0.5 * s, s])
-        assert centre == 1.0 and 0.0 < middle < 1.0
-        assert abs(rim) <= 1e-12
+        for n in (2, 3, 4):
+            # Near the antipode the eigenvalue tends to 0 (for n >= 3 as fast as the
+            # excluded ball's capacity), and the profile to 1 short of the rim.
+            centre, middle, rim = sf.radial_profile(n, 1.0, s, [0.0, 0.5, 1.0])
+            assert centre == 1.0 and 0.0 < middle <= 1.0
+            assert abs(rim) <= 1e-12
 
     def test_scales_with_the_curvature(self):
         # On the sphere of curvature c the rho-ball's profile is that of the s-ball, s = rho sqrt(c).
         c, rho = 6.29, 0.5
-        s = rho * math.sqrt(c)
-        angles = [k * s / 8 for k in range(9)]
-        profile = sf.radial_profile(2, sf.lambda1_ball(2, c, rho) * rho * rho, s, angles)
-        unit = sf.radial_profile(2, sf.lambda1_ball(2, 1.0, s) * s * s, s, angles)
-        assert profile == pytest.approx(unit, rel=1e-13)
+        fractions = [k / 8 for k in range(9)]
+        profile = sf.radial_profile(2, c, rho, fractions)
+        unit = sf.radial_profile(2, 1.0, rho * math.sqrt(c), fractions)
+        assert profile == pytest.approx(unit, rel=1e-13, abs=1e-15)
+        assert profile != pytest.approx(sf.radial_profile(2, 1.0, rho, fractions), rel=1e-3)
 
-    @pytest.mark.parametrize("k", [1, 2, 8])
-    def test_nu_rounded_above_one_is_clamped_past_the_equator(self, k):
-        # lam = 2 is nu = 1, the hemisphere; an eigenvalue a few ulps above it
-        # gives w = nu s > s, which past the equator the radial function rejects.
-        s = 0.5 * math.pi * (1.0 + k * 2.0**-52)
-        mu = 2.0 * (1.0 + k * 2.0**-52) * s * s
+    @pytest.mark.parametrize("fraction", [-1e-300, -0.5, 1.0 + 2.0**-52, 2.0, math.nan, math.inf])
+    def test_fraction_outside_the_ball_is_rejected(self, fraction):
         with pytest.raises(PreconditionViolation):
-            sf._radial(2, sf._solve_w(2, s, mu), s)
-        assert sf.radial_profile(2, mu, s, [0.0, s]) == [1.0, math.cos(s)]
-
+            sf.radial_profile(2, 1.0, 1.0, [0.0, fraction, 1.0])
 
     def test_nu_of_the_largest_eigenvalues_is_finite(self):
         nu = sf._solve_w(2, 1.0, 1e308)  # w at s = 1 is nu
         assert math.isfinite(nu) and nu * (nu + 1.0) == pytest.approx(1e308, rel=1e-15)
 
     def test_profile_of_a_huge_eigenvalue_is_finite_or_raises(self):
-        try:
-            profile = sf.radial_profile(2, 1e308 * 1e-154 * 1e-154, 1e-154, [0.0, 5e-155, 1e-154])
-        except CmcRadiusError:
-            return
-        assert all(math.isfinite(value) for value in profile)
+        # The eigenvalue of this ball overflows, but its profile never forms it.
+        with pytest.raises(PreconditionViolation):
+            sf.lambda1_ball(2, 1.0, 1e-160)
+        centre, middle, rim = sf.radial_profile(2, 1.0, 1e-160, [0.0, 0.5, 1.0])
+        assert centre == 1.0 and 0.0 < middle < 1.0 and abs(rim) <= 1e-12
 
 
 class TestMaxStableCapRadius:
