@@ -4,7 +4,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Submodules load on first use: `bound` and `cap` need neither numpy nor scipy.
+# Submodules load on first use: `bound` and `cap` need no numpy.
 _SUBMODULES = ("algebra", "bounds", "discrete", "mesh", "report", "spaceforms")
 
 

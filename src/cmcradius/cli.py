@@ -19,7 +19,7 @@ from dataclasses import fields
 from typing import TYPE_CHECKING
 
 # Only standard-library modules load here, so `bound` and `cap` start fast:
-# the numpy and scipy modules are imported where `mesh` and the algebra sweep run.
+# numpy is imported where `mesh` and the algebra sweep run.  No command loads scipy.
 from . import __version__, bounds, spaceforms
 from .errors import CmcRadiusError, NoApplicableBound
 from .report import FORMATS, SweepReport, emit_report

@@ -6,8 +6,8 @@ formula), as the mesh derives them.  Each undirected edge gets one weight
 (cot a + cot b) / 2 and a vertex's diagonal entry is the sum of its edge
 weights (Pinkall & Polthier, Experiment. Math. 2, 1993).  The cap's
 stability potential is constant, so it only shifts the spectrum of
-(stiffness, mass).  Only the Dirichlet block is built, by one CSC
-conversion.  Its first eigenvalue comes from preconditioned inverse
+(stiffness, mass).  Only the Dirichlet block is built, straight into the
+slots of an ELL matrix.  Its first eigenvalue comes from preconditioned inverse
 iteration, one preconditioned residual correction per step, started from
 the cap's closed-form radial eigenfunction, read at each interior vertex's
 ring, and stopped when successive Rayleigh quotients agree to STOP_TOL.
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
 
+from .ell import Ell
 from .errors import MeshError, NoApplicableBound, NonConvergence
 from .mesh import (MAX_LEVEL, TriMesh, build_cap_mesh, interior_rings, intrinsic_radius, prolongation,
                    require_interior)
@@ -62,13 +62,14 @@ class SpectralProblem:
     vertices, in ascending order, and mass their lumped masses in that
     order.  A level of a ring hierarchy links to the next coarser level's
     problem, and prolongation interpolates that level's interior values to
-    this one's.
+    this one's; its transpose, the restriction, is built on first use.
+    Both matrices are ELL matrices.
     """
 
-    stiffness: csc_matrix
+    stiffness: Ell
     mass: np.ndarray
     coarser: SpectralProblem | None = None
-    prolongation: csr_matrix | None = None
+    prolongation: Ell | None = None
 
     @cached_property
     def _inverse(self) -> np.ndarray:
@@ -82,15 +83,14 @@ class SpectralProblem:
         return inverse_factor.T @ inverse_factor
 
     @cached_property
-    def _restriction(self) -> csr_matrix:
-        return self.prolongation.T.tocsr()
+    def _restriction(self) -> Ell:
+        return self.prolongation.transpose()
 
     @cached_property
     def _smoother(self) -> np.ndarray:
         """Damped Jacobi weights 4 / (3 g) / K_ii, with g >= the spectral radius of D^-1 K."""
-        K = abs(self.stiffness)
         diagonal = self.stiffness.diagonal()
-        gershgorin = float(np.max(np.asarray(K.sum(axis=0)).ravel() / diagonal))
+        gershgorin = float(np.max(np.abs(self.stiffness.values).sum(axis=0) / diagonal))
         return 4.0 / (3.0 * gershgorin) / diagonal
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
@@ -138,11 +138,29 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
     inner = (a >= 0) & (b >= 0)
     a, b, off = a[inner], b[inner], -weight[inner]  # edges (a, b), a < b, sorted
     del weight, inner, position
-    # Column j lists its edges (i, j) by i, its diagonal, then its edges (j, k) by k:
-    # the canonical CSC order, which scipy's stable counting sort by column keeps.
-    d = np.arange(idx.size, dtype=np.int32)
-    stiffness = csc_matrix((np.concatenate([off, diagonal[idx], off]),
-                            (np.concatenate([a, d, b]), np.concatenate([b, d, a]))), shape=(idx.size, idx.size))
+    # Row i holds its edges (k, i) by k, its diagonal, then its edges (i, k) by k, and is
+    # padded with its own index at weight 0.  Slot s of row i is item s n + i of the flat arrays.
+    n = idx.size
+    below, above = np.bincount(b, minlength=n), np.bincount(a, minlength=n)
+    columns = np.tile(np.arange(n, dtype=np.int32), (int((below + above).max()) + 1, 1))
+    values = np.zeros(columns.shape)
+    flat_columns, flat_values = columns.reshape(-1), values.reshape(-1)
+    flat_values[below * n + np.arange(n)] = diagonal[idx]
+    del diagonal
+    # Edge e = (a, b) is entry e - start[a] of row a after its diagonal, and entry
+    # rank[e] - start[b] of row b, where rank orders the edges by b, then a.
+    e = np.arange(a.size)
+    at = (below + 1 - (np.cumsum(above) - above))[a] + e  # its slot in row a
+    at *= n
+    at += a
+    flat_columns[at], flat_values[at] = b, off
+    at[np.argsort(b, kind="stable")] = e
+    del e
+    at -= (np.cumsum(below) - below)[b]  # its slot in row b
+    at *= n
+    at += b
+    flat_columns[at], flat_values[at] = a, off
+    stiffness = Ell(columns, values, n)
     return SpectralProblem(stiffness=stiffness, mass=mass)
 
 

@@ -18,8 +18,8 @@ import itertools
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
+from .ell import Ell
 from .errors import MeshError
 from .spaceforms import intrinsic_curvature
 
@@ -191,8 +191,8 @@ MAX_CAP_RADIUS = float(np.finfo(float).max) ** 0.25 / 4.0
 
 #: Finest refinement level.  Each level quadruples the vertices, zipped ring by
 #: ring in Python: about 44k at level 7 and 0.7M at level 9 (at s = 1.25).  A
-#: level-9 study took 3.0 s and 0.55 GB peak on a 2-CPU host, and building the
-#: mesh alone 1.5 s and 0.35 GB, so a level-10 study would need about 2 GB.
+#: level-9 study took 2.7 s and 0.52 GB peak on a 2-CPU host, and building the
+#: mesh alone 1.0 s and 0.32 GB, so a level-10 study would need about 2 GB.
 MAX_LEVEL = 9
 
 #: Rows of the mesh export formatted per write.
@@ -252,7 +252,7 @@ def interior_rings(kappa: float, H: float, rho: float, level: int) -> np.ndarray
     return np.repeat(np.arange(counts.size), counts)
 
 
-def prolongation(kappa: float, H: float, rho: float, level: int) -> csr_matrix:
+def prolongation(kappa: float, H: float, rho: float, level: int) -> Ell:
     """Interpolation from the interior vertices of the level - 1 cap mesh to those of level.
 
     Fine ring i lies at the polar angle of coarse ring i/2, with ring 0 the
@@ -268,22 +268,25 @@ def prolongation(kappa: float, H: float, rho: float, level: int) -> csr_matrix:
     fine, coarse = np.bincount(ring), np.bincount(interior_rings(kappa, H, rho, level - 1))
     k = np.arange(ring.size) - (np.cumsum(fine) - fine)[ring]  # each vertex's index in its ring
     first = np.cumsum(coarse) - coarse  # the first vertex of each coarse ring
-    odd = ring % 2
-    second = (odd == 1) & ((ring + 1) // 2 < coarse.size)  # an odd ring whose outer coarse ring is interior
-    # The canonical CSR, filled in place: a row holds one entry on the pole, else two per coarse ring.
-    indptr = np.append(0, np.cumsum(np.where(ring > 1, 2, 1) + 2 * second)).astype(np.int32)
-    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-    for j, v, s in ((ring // 2, slice(None), indptr[:-1]), ((ring + 1) // 2, second, indptr[1:] - 2)):
+    odd = ring % 2 == 1
+    second = odd & ((ring + 1) // 2 < coarse.size)  # an odd ring whose outer coarse ring is interior
+    # A row holds one entry on the pole, else two per coarse ring, in four slots: the second
+    # coarse ring's entries follow the first's one or two.  Each row is padded by column 0.
+    columns, values = np.empty((4, ring.size), dtype=np.int32), np.empty((4, ring.size))
+    for v, j, s in ((slice(None), ring // 2, 0), (second, (ring[second] + 1) // 2, np.minimum(ring[second], 2))):
         # Azimuth 2 pi k / m lies between vertices a and a + 1 of coarse ring j, frac of the way on.
-        j, n, m, s = j[v], coarse[j[v]], fine[ring[v]], s[v]
+        n, m = coarse[j], fine[ring[v]]
         a, part = np.divmod(k[v] * n, m)
-        frac, half = part / m, 0.5 ** odd[v]  # an even ring reads one coarse ring, at full weight
+        frac, half = part / m, np.where(odd[v], 0.5, 1.0)  # an even ring reads one coarse ring, at full weight
         col, w, col2, w2 = first[j] + a, half * (1.0 - frac), first[j] + (a + 1) % n, half * frac
-        wrap, pole = col2 < col, n == 1  # vertex a + 1 is the ring's first; the pole is one vertex
-        indices[s], data[s] = np.where(wrap, col2, col), np.where(pole, w + w2, np.where(wrap, w2, w))
-        s = s[~pole] + 1
-        indices[s], data[s] = np.where(wrap, col, col2)[~pole], np.where(wrap, w, w2)[~pole]
-    return csr_matrix((data, indices, indptr), shape=(ring.size, coarse.sum()))
+        del a, part, frac, half
+        wrap = col2 < col  # vertex a + 1 is the ring's first
+        # The pole is one vertex: its entry takes both weights, and its second slot is padding.
+        columns[s, v], values[s, v] = np.where(wrap, col2, col), np.where(n == 1, w + w2, np.where(wrap, w2, w))
+        columns[s + 1, v], values[s + 1, v] = np.where(wrap, col, col2), np.where(wrap, w, w2)
+    padding = np.arange(4)[:, None] >= np.where(ring > 1, 2, 1) + 2 * second
+    columns[padding], values[padding] = 0, 0.0
+    return Ell(columns, values, coarse.sum())
 
 
 def triangle_areas(lengths: np.ndarray) -> np.ndarray:

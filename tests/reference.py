@@ -251,3 +251,19 @@ def report_json(report: SweepReport) -> str:
         "summary": report.summary,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def ell_entries(matrix) -> np.ndarray:
+    """Which slots of an `Ell` hold its entries: each row's leading slots whose
+    columns ascend strictly.  The slots after them are its padding."""
+    return np.logical_and.accumulate(np.diff(matrix.columns, axis=0, prepend=-1) > 0, axis=0)
+
+
+def ell_to_scipy(matrix, layout: str = "csr"):
+    """The entries of an `Ell` as a scipy CSR or CSC matrix, its padding dropped."""
+    from scipy.sparse import csr_matrix
+
+    entries = ell_entries(matrix).T
+    indptr = np.append(0, np.cumsum(entries.sum(axis=1)))
+    csr = csr_matrix((matrix.values.T[entries], matrix.columns.T[entries], indptr), shape=matrix.shape)
+    return csr if layout == "csr" else csr.tocsc()

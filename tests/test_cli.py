@@ -179,13 +179,15 @@ class TestCapCommand:
         assert "float range" in err and "kappa=1e+308" in err and "S_inf" not in err
 
 
-# Runs commands through cli.run, optionally with numpy and scipy blocked
-# (an import of either then raises ImportError), and prints the exit codes,
-# the report bytes and the numeric modules that were loaded.
+# Runs commands through cli.run, optionally with numpy and scipy, or scipy
+# alone, blocked (an import of a blocked package then raises ImportError), and
+# prints the exit codes, the report bytes and the numeric modules that were loaded.
 _LANE_SCRIPT = """
 import json, os, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = sys.modules["scipy"] = None
+elif sys.argv[1] == "scipy-blocked":
+    sys.modules["scipy"] = None
 from cmcradius import cli
 results = []
 for i, argv in enumerate(json.loads(sys.argv[2])):
@@ -262,15 +264,22 @@ class TestScalarLane:
 
 
 class TestMeshCommand:
-    def test_loads_scipy_sparse_only(self, tmp_path):
-        # Topology, radius and the base factor are numpy; scipy.sparse holds the matrices.
-        commands = [["mesh", "--kappa", "-1", "--H", "2.5", "--rho", "0.55", "--delta", "0", "--levels", "3",
-                     "--mesh-out", "cap.txt", "--format", "json"]]
-        run = json.loads(_run_isolated(_LANE_SCRIPT, "unblocked", json.dumps(commands), cwd=tmp_path))
-        assert run["results"][0][0] == 0
-        assert "scipy.sparse" in run["numeric"]
-        heavy = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
-        assert [m for m in run["numeric"] if m.startswith(heavy)] == []
+    def test_loads_no_scipy(self, tmp_path):
+        # Topology, radius, the sparse products and the base factor are all numpy.
+        mesh = ["mesh", "--kappa", "-1", "--H", "2.5", "--rho", "0.55", "--delta", "0", "--format", "json"]
+        commands = [[*mesh, "--levels", "3", "--mesh-out", "cap3.txt"],
+                    [*mesh, "--levels", "3,4", "--mesh-out", "cap34.txt"]]
+        runs = {}
+        for mode in ("scipy-blocked", "unblocked"):
+            (tmp_path / mode).mkdir()
+            runs[mode] = json.loads(_run_isolated(_LANE_SCRIPT, mode, json.dumps(commands), cwd=tmp_path / mode))
+        assert [code for code, _ in runs["unblocked"]["results"]] == [0, 0]
+        assert "numpy" in runs["unblocked"]["numeric"]
+        assert [m for m in runs["unblocked"]["numeric"] if m.startswith("scipy")] == []
+        assert runs["scipy-blocked"] == runs["unblocked"]
+        for name in ("cap3.txt", "cap34.txt"):
+            blocked = (tmp_path / "scipy-blocked" / name).read_bytes()
+            assert blocked.startswith(b"v ") and blocked == (tmp_path / "unblocked" / name).read_bytes()
 
     def test_small_run(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
@@ -287,8 +296,9 @@ class TestMeshCommand:
         assert mesh_file.read_text().startswith("v ")
 
     def test_singular_stiffness_is_an_error(self, capsys):
-        # A level-0 cap within 3e-9 of the whole unit sphere: SuperLU finds
-        # its Dirichlet stiffness singular.
+        # A level-0 cap within 3e-9 of the whole unit sphere: its Dirichlet
+        # stiffness is numerically singular, and the dense Cholesky factorization
+        # refuses it with np.linalg.LinAlgError, which must not escape.
         code = cli.run(["mesh", "--kappa", "1", "--H", "0", "--rho", "3.1415926504", "--delta", "0",
                         "--levels", "0"])
         err = capsys.readouterr().err

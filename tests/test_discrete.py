@@ -98,7 +98,8 @@ class TestStiffness:
         assert np.abs(K @ np.ones(m.num_vertices)).max() < 1e-12
         problem = dd.assemble_stability(m)
         S = problem.stiffness
-        assert (S != S.T).nnz == 0
+        csc = reference.ell_to_scipy(S, "csc")
+        assert (csc != csc.T).nnz == 0
         _assert_matches_reference(m, -1.0, problem)
         # Positive definite: Rayleigh quotient positive on random vectors.
         rng = np.random.default_rng(3)
@@ -108,23 +109,59 @@ class TestStiffness:
 
     @pytest.mark.parametrize("level", range(8))
     def test_stiffness_is_the_canonical_csc_of_its_triplets(self, level):
+        # STUDIES[0] is the mesh-refine benchmark's kappa = -1 cap.
         meshes = [mm.build_cap_mesh(kappa, H, rho, level) for kappa, H, rho, _ in STUDIES]
         if level == 0:
             ang = np.arange(6) * math.pi / 3.0
             pts = np.vstack([np.zeros(3), np.stack([np.cos(ang), np.sin(ang), np.zeros(6)], axis=1)])
             meshes += [_flat_triangle_mesh(pts, [[0, 1 + i, 1 + (i + 1) % 6] for i in range(6)]),
                        _flat_grid_mesh(3), _flat_grid_mesh(8)]
+        rng = np.random.default_rng(level)
         for m in meshes:
             stiffness = dd.assemble_stability(m).stiffness
+            n = m.interior.size
+            assert stiffness.shape == (n, n) and stiffness.columns.dtype == np.int32
+            # Each row's columns ascend, and its padding is its own index at weight 0.
+            padding = ~reference.ell_entries(stiffness)
+            assert not stiffness.values[padding].any()
+            assert np.array_equal(stiffness.columns[padding], np.nonzero(padding)[1])
+            csc = reference.ell_to_scipy(stiffness, "csc")
             # The reference does not depend on the triplets' order: scipy sorts them shuffled.
-            coo = stiffness.tocoo()
-            order = np.random.default_rng(level).permutation(coo.nnz)
-            reference = csc_matrix((coo.data[order], (coo.row[order], coo.col[order])), shape=coo.shape)
-            reference.sum_duplicates()
-            assert stiffness.has_canonical_format and stiffness.indices.dtype == np.int32
+            coo = csc.tocoo()
+            order = rng.permutation(coo.nnz)
+            canonical = csc_matrix((coo.data[order], (coo.row[order], coo.col[order])), shape=coo.shape)
+            canonical.sum_duplicates()
+            assert csc.has_canonical_format and csc.indices.dtype == np.int32
             for name in ("indptr", "indices", "data"):
-                ours, theirs = getattr(stiffness, name), getattr(reference, name)
+                ours, theirs = getattr(csc, name), getattr(canonical, name)
                 assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+            x = rng.normal(size=n)
+            assert (stiffness @ x).tobytes() == (csc @ x).tobytes()
+            assert stiffness.diagonal().tobytes() == csc.diagonal().tobytes()
+            if n <= dd.MAX_FACTORED:
+                assert np.array_equal(stiffness.toarray(), csc.toarray())
+
+    @pytest.mark.parametrize("level", range(1, 8))
+    def test_transfer_products_equal_scipy_bit_for_bit(self, level):
+        # The V-cycle's prolongation P and restriction P^T, each row padded with column 0.
+        rng = np.random.default_rng(level)
+        for kappa, H, rho, _ in STUDIES:
+            P = mm.prolongation(kappa, H, rho, level)
+            R = dd.SpectralProblem(stiffness=None, mass=None, prolongation=P)._restriction
+            csr = reference.ell_to_scipy(P)
+            transposed = csr.T.tocsr()
+            for matrix, want in ((P, csr), (R, transposed)):
+                padding = ~reference.ell_entries(matrix)
+                assert matrix.columns.dtype == np.int32
+                assert not matrix.values[padding].any() and not matrix.columns[padding].any()
+                assert matrix.shape == want.shape
+                x = rng.normal(size=matrix.shape[1])
+                assert (matrix @ x).tobytes() == (want @ x).tobytes()
+            # P^T keeps P's nonzero entries, in the order of scipy's transpose.
+            transposed.eliminate_zeros()
+            got = reference.ell_to_scipy(R)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(transposed, name)), name
 
     def test_degenerate_triangle_rejected(self):
         m = _flat_triangle_mesh(
@@ -207,7 +244,7 @@ class TestMeshVerify:
 
     def test_singular_stiffness_is_a_mesh_error(self):
         # A level-0 cap this close to the whole unit sphere has a numerically
-        # singular Dirichlet stiffness; SuperLU's RuntimeError must not escape.
+        # singular Dirichlet stiffness; np.linalg.LinAlgError must not escape.
         with pytest.raises(MeshError, match="Dirichlet stiffness"):
             dd.mesh_verify(1.0, 0.0, (1 - 1e-9) * math.pi, 0.0, [0])
 
@@ -413,7 +450,8 @@ class TestSparseReference:
 
         problem = _cap_problem(kappa, H, rho, 5)
         M = diags(problem.mass).tocsc()
-        lam_K = eigsh(problem.stiffness, k=1, M=M, sigma=0, return_eigenvectors=False)[0]
+        K = reference.ell_to_scipy(problem.stiffness, "csc")
+        lam_K = eigsh(K, k=1, M=M, sigma=0, return_eigenvectors=False)[0]
         q = 2.0 * (1.0 - delta) * (kappa + H * H)
         lam = dd.lambda1_dirichlet(problem, -q, np.ones_like(problem.mass))
         assert lam == pytest.approx(lam_K - q, rel=1e-10)
@@ -441,7 +479,8 @@ class TestMultigrid:
 
         problem = dd.assemble_stability(mm.build_cap_mesh(kappa, H, rho, 7))
         M = diags(problem.mass).tocsc()
-        lam_K = eigsh(problem.stiffness, k=1, M=M, sigma=0, return_eigenvectors=False)[0]
+        K = reference.ell_to_scipy(problem.stiffness, "csc")
+        lam_K = eigsh(K, k=1, M=M, sigma=0, return_eigenvectors=False)[0]
         q = 2.0 * (1.0 - delta) * (kappa + H * H)
         (row,) = dd.mesh_verify(kappa, H, rho, delta, [7]).levels
         assert row.lambda1 == pytest.approx(lam_K - q, rel=1e-10)

@@ -259,7 +259,7 @@ class TestProlongation:
     def test_rows_sum_to_one_away_from_the_boundary(self, cap):
         s = cap[2] * math.sqrt(cap[0] + cap[1] ** 2)  # ring i lies at polar angle i s / 2**level
         for level in (1, 4, 6):
-            P = mm.prolongation(*cap, level)
+            P = reference.ell_to_scipy(mm.prolongation(*cap, level))
             fine = self._interior_polar(cap, level)
             assert P.shape == (fine.size, self._interior_polar(cap, level - 1).size)
             assert P.min() >= 0.0
@@ -287,7 +287,9 @@ class TestProlongation:
         # Every stored entry in place, the explicit zeros at frac = 0 included:
         # an even ring's two reads of one coarse ring merge bit for bit.
         for level in range(1, 8):
-            got, want = mm.prolongation(*cap, level), reference.coo_prolongation(*cap, level)
+            P = mm.prolongation(*cap, level)
+            assert P.columns.dtype == np.int32 and P.columns.shape == P.values.shape == (4, P.shape[0])
+            got, want = reference.ell_to_scipy(P), reference.coo_prolongation(*cap, level)
             assert got.shape == want.shape and got.has_canonical_format
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(got, name), getattr(want, name)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
 from cmcradius import discrete, mesh
 from cmcradius.errors import CmcRadiusError, MeshError
 
@@ -150,7 +151,10 @@ def test_prolongation_is_finite_or_raises(cap, level):
         return
     assert 1 <= level <= 5
     assert P.shape[0] > P.shape[1] >= 1
-    assert np.isfinite(P.data).all() and P.data.min() >= 0.0
+    data = reference.ell_to_scipy(P).data
+    assert np.isfinite(data).all() and data.min() >= 0.0
+    assert np.isfinite(P.values).all() and P.values.min() >= 0.0
+    assert 0 <= P.columns.min() and P.columns.max() < P.shape[1]
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True, database=None)

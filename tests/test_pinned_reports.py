@@ -4,8 +4,8 @@ Each case runs one command and compares its report with the file
 `pinned/<name>.<format>`, so a change anywhere in the path from the
 input to the bytes shows as a diff.  The mesh report is pinned by its
 structure instead: columns, keys and discrete values exactly, floats to
-1e-9 relative, since their last bits follow SuperLU and numpy
-reductions, which may differ across platforms.
+1e-9 relative, since their last bits follow the dense Cholesky
+factorization and numpy reductions, which may differ across platforms.
 """
 
 import json
