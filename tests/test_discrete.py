@@ -6,6 +6,7 @@ from scipy.sparse import csc_matrix
 
 import reference
 from cmcradius import discrete as dd
+from cmcradius import ell
 from cmcradius import mesh as mm
 from cmcradius import spaceforms as sf
 from cmcradius.errors import MeshError
@@ -125,16 +126,18 @@ class TestStiffness:
             padding = ~reference.ell_entries(stiffness)
             assert not stiffness.values[padding].any()
             assert np.array_equal(stiffness.columns[padding], np.nonzero(padding)[1])
-            csc = reference.ell_to_scipy(stiffness, "csc")
-            # The reference does not depend on the triplets' order: scipy sorts them shuffled.
-            coo = csc.tocoo()
-            order = rng.permutation(coo.nnz)
-            canonical = csc_matrix((coo.data[order], (coo.row[order], coo.col[order])), shape=coo.shape)
+            # Row i of the symmetric stiffness is column i of the canonical CSC of its
+            # triplets, which does not depend on their order: scipy sorts them shuffled.
+            entries = ~padding.T
+            rows, columns, data = np.nonzero(entries)[0], stiffness.columns.T[entries], stiffness.values.T[entries]
+            order = rng.permutation(data.size)
+            canonical = csc_matrix((data[order], (rows[order], columns[order])), shape=stiffness.shape)
             canonical.sum_duplicates()
-            assert csc.has_canonical_format and csc.indices.dtype == np.int32
-            for name in ("indptr", "indices", "data"):
-                ours, theirs = getattr(csc, name), getattr(canonical, name)
+            assert np.array_equal(canonical.indptr, np.append(0, np.cumsum(entries.sum(axis=1))))
+            for name, ours in (("indices", columns), ("data", data)):
+                theirs = getattr(canonical, name)
                 assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+            csc = reference.ell_to_scipy(stiffness, "csc")
             x = rng.normal(size=n)
             assert (stiffness @ x).tobytes() == (csc @ x).tobytes()
             assert stiffness.diagonal().tobytes() == csc.diagonal().tobytes()
@@ -162,6 +165,24 @@ class TestStiffness:
             got = reference.ell_to_scipy(R)
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, name), getattr(transposed, name)), name
+
+    @pytest.mark.parametrize("level", range(4, 8))
+    def test_slot_loop_and_tail_keep_the_bits_of_every_product(self, level, monkeypatch):
+        # Forced onto the slot loop, which adds the last slots of a few rows on those rows
+        # only and, from level 6, reads the stiffness's diagonal and its neighbours by shifted
+        # slices: all rows but one in 16 have them in the same three slots.
+        kappa, H, rho, _ = STUDIES[0]
+        P = mm.prolongation(kappa, H, rho, level)
+        built = [dd.assemble_stability(mm.build_cap_mesh(kappa, H, rho, level)).stiffness, P,
+                 dd.SpectralProblem(stiffness=None, mass=None, prolongation=P)._restriction]
+        monkeypatch.setattr(ell, "GATHER_WHOLE", 0)
+        looped = [ell.Ell(matrix.columns, matrix.values, matrix.shape[1]) for matrix in built]
+        assert looped[0].tail_rows.size and looped[0].width < looped[0].columns.shape[0]
+        assert [band[0] for band in looped[0].bands if band is not None] == ([-1, 0, 1] if level >= 6 else [])
+        rng = np.random.default_rng(level)
+        for matrix in looped:
+            x = rng.normal(size=matrix.shape[1])
+            assert (matrix @ x).tobytes() == (reference.ell_to_scipy(matrix) @ x).tobytes()
 
     def test_degenerate_triangle_rejected(self):
         m = _flat_triangle_mesh(
