@@ -137,6 +137,8 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
     a, b = position[mesh.edges].T
     inner = (a >= 0) & (b >= 0)
     a, b, off = a[inner], b[inner], -weight[inner]  # edges (a, b), a < b, sorted
+    by_b = np.cumsum(inner, dtype=np.int32)[mesh.by_hi[inner[mesh.by_hi]]]  # the stable order by b, from 1
+    by_b -= 1
     del weight, inner, position
     # Row i holds its edges (k, i) by k, its diagonal, then its edges (i, k) by k, and is
     # padded with its own index at weight 0.  Slot s of row i is item s n + i of the flat arrays.
@@ -154,8 +156,8 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
     at *= n
     at += a
     flat_columns[at], flat_values[at] = b, off
-    at[np.argsort(b, kind="stable")] = e
-    del e
+    at[by_b] = e
+    del e, by_b
     at -= (np.cumsum(below) - below)[b]  # its slot in row b
     at *= n
     at += b

@@ -171,6 +171,7 @@ class TestNaiveTopology:
         expected = {"vertices": np.asarray(vertices, dtype=float), "faces": np.asarray(faces, dtype=np.int64),
                     "edges": edges, "face_edges": face_edges, "boundary": boundary, "interior": interior,
                     "edge_lengths": reference.row_gather_edge_lengths(m, kappa)}  # from m.edges, checked first
+        expected["by_hi"] = np.argsort(edges[:, 1], kind="stable").astype(np.int32)
         expected["face_lengths"] = expected["edge_lengths"][face_edges]
         expected["areas"] = mm.triangle_areas(expected["face_lengths"])
         for name, want in expected.items():

@@ -8,11 +8,11 @@ kappa = -1 cap of the mesh-refine benchmark at s = rho sqrt(c) = 1.25.
 import math
 import tracemalloc
 
-from cmcradius import discrete, mesh as mm
+from cmcradius import discrete, mesh as mm, numtext
 
 CAP = (-1.0, 2.7, 1.25 / math.sqrt(6.29))  # kappa, H, rho, with c = kappa + H^2 = 6.29
-KEPT = ("vertices", "faces", "edges", "boundary", "interior", "edge_lengths", "face_edges", "face_lengths",
-        "areas")
+KEPT = ("vertices", "faces", "edges", "by_hi", "boundary", "interior", "edge_lengths", "face_edges",
+        "face_lengths", "areas")
 
 
 def _traced_peak(fn):
@@ -51,6 +51,16 @@ def test_prolongation_peaks_below_three_and_three_quarters_times_its_arrays():
     kept = P.columns.nbytes + P.values.nbytes
     assert P.shape[0] > 40_000
     assert peak <= 3.75 * kept, f"peak {peak / 1e6:.1f} MB for a prolongation of {kept / 1e6:.1f} MB"
+
+
+def test_export_peaks_below_eight_times_a_block_of_vertex_lines(tmp_path):
+    # Measured: 2.96 MB at level 7, 7.1 times the 0.42 MB byte matrix of EXPORT_BLOCK vertex
+    # lines, for a 5.5 MB file.  The bound follows the block, not the file.
+    m = mm.build_cap_mesh(*CAP, 7)
+    _, peak = _traced_peak(lambda: mm.save_mesh(m, str(tmp_path / "mesh.txt")))
+    block = mm.EXPORT_BLOCK * (2 + m.vertices.shape[1] * (1 + numtext.TOKEN))
+    assert (tmp_path / "mesh.txt").stat().st_size > 12 * block
+    assert peak <= 8 * block, f"peak {peak / 1e6:.2f} MB for a block of {block / 1e6:.2f} MB"
 
 
 def test_mesh_study_and_export_stay_under_32_mb(tmp_path):
