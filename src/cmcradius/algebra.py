@@ -8,8 +8,6 @@ algebra sweep and the tests can assert its sign and magnitude directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import bounds
@@ -28,7 +26,6 @@ def traceless_part(raw: np.ndarray) -> np.ndarray:
     return sym - (trace / n)[..., None, None] * np.eye(n)
 
 
-@dataclass(frozen=True)
 class TracelessMatrix:
     """Symmetric traceless n x n matrix (the trace-free shape-operator part),
     or a stack of them with `entries` of shape (m, n, n).
@@ -37,17 +34,13 @@ class TracelessMatrix:
     below give one value per member.
     """
 
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim not in (2, 3) or m.shape[-2:] != (self.n, self.n):
-            raise PreconditionViolation(
-                f"expected a {self.n}x{self.n} matrix or a stack of them, got {m.shape}")
-        stack = m.reshape(-1, self.n, self.n)
+    def __init__(self, n: int, entries: np.ndarray) -> None:
+        m = np.asarray(entries, dtype=float)
+        if m.ndim not in (2, 3) or m.shape[-2:] != (n, n):
+            raise PreconditionViolation(f"expected a {n}x{n} matrix or a stack of them, got {m.shape}")
+        stack = m.reshape(-1, n, n)
         largest = np.abs(stack).max(axis=(1, 2))
-        too_large = largest > _SQRT_FLOAT_MAX / self.n
+        too_large = largest > _SQRT_FLOAT_MAX / n
         if too_large.any():
             raise PreconditionViolation(f"entry {largest[too_large][0]} is too large: |Phi|^2 would overflow")
         # Each member's own tolerance, so a large member does not loosen a small one.
@@ -59,7 +52,7 @@ class TracelessMatrix:
         if off_trace.any():
             raise PreconditionViolation(
                 f"trace {trace[off_trace][0]} is not zero to within {TRACE_TOL} relative")
-        object.__setattr__(self, "entries", m)
+        self.n, self.entries = n, m
 
     @property
     def norm2(self) -> float | np.ndarray:

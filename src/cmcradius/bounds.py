@@ -13,9 +13,9 @@ argument or an overflow raises a package error instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DimensionError,
@@ -59,8 +59,7 @@ def delta_threshold(n: int) -> Fraction:
     return 1 - Fraction(5 * (n - 1) ** 2, 16 * n)
 
 
-@dataclass(frozen=True)
-class KInterval:
+class KInterval(NamedTuple):
     """Open admissible interval for the conformal exponent k."""
 
     lo: Fraction
@@ -93,31 +92,24 @@ def mean_curvature_threshold(K_inf: float) -> float:
     return 2.0 * math.sqrt(abs(min(0.0, _finite("K_inf", K_inf))))
 
 
-@dataclass(frozen=True)
 class BoundInput:
-    """Parameters of a radius-bound query.
+    """Parameters of a radius-bound query, validated on construction.
 
     H is a mean curvature (1/length), K_inf a lower bound on ambient
     sectional curvature (1/length^2), S_inf an optional lower bound on
     ambient scalar curvature (only meaningful for n = 2).
     """
 
-    n: int
-    delta: float
-    H: float
-    K_inf: float = 0.0
-    S_inf: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_dimension(self.n)
-        check_delta(self.delta)
-        for name in ("H", "K_inf", "S_inf"):
-            if getattr(self, name) is not None:
-                _finite(name, getattr(self, name))
+    def __init__(self, n: int, delta: float, H: float, K_inf: float = 0.0, S_inf: float | None = None) -> None:
+        _check_dimension(n)
+        check_delta(delta)
+        self.n, self.delta, self.H, self.K_inf, self.S_inf = n, delta, H, K_inf, S_inf
+        for name, value in (("H", H), ("K_inf", K_inf), ("S_inf", S_inf)):
+            if value is not None:
+                _finite(name, value)
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """A computed distance bound c = pi * sqrt(A / B) and its provenance."""
 
     k_star: float

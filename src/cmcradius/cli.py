@@ -15,12 +15,12 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields
 from typing import TYPE_CHECKING
 
 # Only standard-library modules load here, so `bound` and `cap` start fast:
-# numpy is imported where `mesh` and the algebra sweep run.  No command loads scipy.
-from . import __version__, bounds, spaceforms
+# numpy is imported where `mesh` and the algebra sweep run, and spaceforms where
+# a cap row is built.  No command loads scipy.
+from . import __version__, bounds
 from .errors import CmcRadiusError, NoApplicableBound
 from .report import FORMATS, SweepReport, emit_report
 
@@ -169,7 +169,7 @@ def parse_config(path: str) -> dict[str, list[str]]:
 
 
 #: The BoundResult columns of a row where no bound applies.
-_NO_BOUND = dict.fromkeys(f.name for f in fields(bounds.BoundResult))
+_NO_BOUND = dict.fromkeys(bounds.BoundResult._fields)
 
 
 def _bound_row(n: int, delta: float, H: float, K: float, S: float | None) -> dict:
@@ -179,18 +179,20 @@ def _bound_row(n: int, delta: float, H: float, K: float, S: float | None) -> dic
         res = bounds.best_bound(bounds.BoundInput(n=n, delta=delta, H=H, K_inf=K, S_inf=S))
     except NoApplicableBound as exc:
         return {**inputs, **_NO_BOUND, "status": "not-applicable", "reason": str(exc)}
-    return {**inputs, **vars(res), "status": "pass", "reason": ""}
+    return {**inputs, **res._asdict(), "status": "pass", "reason": ""}
 
 
 def _cap_row(n: int, kappa: float, delta: float, H: float) -> dict:
-    return vars(spaceforms.verify_cap_bound(n, kappa, H, delta))
+    from . import spaceforms
+
+    return spaceforms.verify_cap_bound(n, kappa, H, delta)._asdict()
 
 
 def _mesh_rows(kappa, H, rho, delta, levels) -> tuple[list[dict], dict, TriMesh]:
     from . import discrete
 
     rep = discrete.mesh_verify(kappa, H, rho, delta, levels)
-    rows = [{"kappa": kappa, "H": H, "rho": rho, "delta": delta, **vars(level)} for level in rep.levels]
+    rows = [{"kappa": kappa, "H": H, "rho": rho, "delta": delta, **level._asdict()} for level in rep.levels]
     meta = {key: getattr(rep, key) for key in ("oracle_lambda1", "c_best", "convergence_order",
                                                 "agrees_with_oracle")}
     return rows, meta, rep.finest_mesh

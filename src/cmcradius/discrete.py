@@ -21,8 +21,8 @@ by a dense Cholesky factorization, and kept as its inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +54,6 @@ BASE_LEVEL = 3
 MAX_FACTORED = 2048
 
 
-@dataclass
 class SpectralProblem:
     """Dirichlet-reduced generalized eigenproblem (stiffness, mass).
 
@@ -66,10 +65,9 @@ class SpectralProblem:
     Both matrices are ELL matrices.
     """
 
-    stiffness: Ell
-    mass: np.ndarray
-    coarser: SpectralProblem | None = None
-    prolongation: Ell | None = None
+    def __init__(self, stiffness: Ell, mass: np.ndarray, coarser: SpectralProblem | None = None,
+                 prolongation: Ell | None = None) -> None:
+        self.stiffness, self.mass, self.coarser, self.prolongation = stiffness, mass, coarser, prolongation
 
     @cached_property
     def _inverse(self) -> np.ndarray:
@@ -195,8 +193,7 @@ def lambda1_dirichlet(problem: SpectralProblem, shift: float, start: np.ndarray)
     raise NonConvergence(f"preconditioned inverse iteration did not converge in {MAX_STEPS} steps")
 
 
-@dataclass(frozen=True)
-class LevelResult:
+class LevelResult(NamedTuple):
     """One refinement level of a mesh verification run; its fields are the level columns."""
 
     level: int
@@ -209,8 +206,7 @@ class LevelResult:
     status: str  # "fail" when stable, a bound applies and the radius exceeds it; else "pass"
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Mesh-vs-oracle comparison across refinement levels."""
 
     oracle_lambda1: float
@@ -218,7 +214,7 @@ class ConvergenceReport:
     levels: list[LevelResult]
     convergence_order: float | None  # None with a single level
     agrees_with_oracle: bool
-    finest_mesh: TriMesh = field(repr=False, compare=False)  # mesh of the last level
+    finest_mesh: TriMesh  # mesh of the last level
 
 
 def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[int]) -> ConvergenceReport:
@@ -232,11 +228,16 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
     except NoApplicableBound:
         c_best = None
     oracle = lambda1_ball(2, c, rho) - q
+    # The eigensolve starts from the cap's eigenfunction, read at each interior vertex's
+    # ring.  Level l's rings lie at the fractions k / 2**l, every 2**(top - l)-th one of the
+    # finest level's, so one profile at the finest level serves all of them exactly.
+    top = max(levels)
+    profile = np.array(radial_profile(2, c, rho, (np.arange(2**top) / 2**top).tolist()))
 
     # Every level from the base up is built, so that each finer one has its
     # V-cycle; a problem is kept as the next one's coarser level, its mesh is not.
     results, problem = [], None
-    for level in range(min(BASE_LEVEL, *levels), max(levels) + 1):
+    for level in range(min(BASE_LEVEL, *levels), top + 1):
         m = None  # released before the next mesh is built
         m = build_cap_mesh(kappa, H, rho, level)
         coarser, problem = problem, assemble_stability(m)
@@ -244,9 +245,8 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
             problem.coarser, problem.prolongation = coarser, prolongation(kappa, H, rho, level)
         if level not in levels:
             continue
-        # The eigensolve starts from the cap's eigenfunction, read at each interior vertex's ring.
-        profile = np.array(radial_profile(2, c, rho, (np.arange(2**level) / 2**level).tolist()))
-        lam = lambda1_dirichlet(problem, -q, profile[interior_rings(kappa, H, rho, level)])
+        start = profile[::2 ** (top - level)][interior_rings(kappa, H, rho, level)]
+        lam = lambda1_dirichlet(problem, -q, start)
         radius = intrinsic_radius(m)
         if abs(lam) <= MARGINAL_BAND * q:
             verdict = "marginal"

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 
 FORMATS = ("table", "json", "csv")
 
@@ -23,7 +21,6 @@ def format_number(x) -> object:
     return float(f"{x:.12g}") if isinstance(x, float) else x
 
 
-@dataclass
 class SweepReport:
     """Rows plus summary counts.
 
@@ -33,9 +30,10 @@ class SweepReport:
     each as one unit.
     """
 
-    kind: str
-    rows: list[dict] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, kind: str, rows: list[dict] | None = None, metadata: dict | None = None) -> None:
+        self.kind = kind
+        self.rows = [] if rows is None else rows
+        self.metadata = {} if metadata is None else metadata
 
     @property
     def summary(self) -> dict:
@@ -52,6 +50,8 @@ def emit_report(report: SweepReport, fmt: str = "table") -> str:
     cols = list(report.rows[0]) if report.rows else []
     cells = [["" if v is None else str(format_number(v)) for v in r.values()] for r in report.rows]
     if fmt == "csv":
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(cols)

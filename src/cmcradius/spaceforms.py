@@ -15,8 +15,8 @@ same root, its eigenfunction (radial_profile).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import bounds
 from .errors import NoApplicableBound, NonConvergence, PreconditionViolation, UnattainableCurvature
@@ -292,8 +292,7 @@ def max_stable_cap_radius(n: int, kappa: float, H: float, delta: float) -> float
     return _scaled_marginal_radius(n, float(delta)) / math.sqrt(c)
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Per-case outcome of checking rho* against the best applicable bound; its fields are the cap row."""
 
     n: int

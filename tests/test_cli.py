@@ -179,20 +179,28 @@ class TestCapCommand:
         assert "float range" in err and "kappa=1e+308" in err and "S_inf" not in err
 
 
-# Runs commands through cli.run, optionally with numpy and scipy, or scipy
-# alone, blocked (an import of a blocked package then raises ImportError), and
-# prints the exit codes, the report bytes and the numeric modules that were loaded.
+# Runs commands through cli.run, optionally with numpy and scipy, scipy alone,
+# dataclasses and inspect ("lean"), or dataclasses alone blocked (an import of a
+# blocked module then raises ImportError), and prints the exit codes, the report
+# bytes, the numeric modules that were loaded, and after each command the package,
+# csv, dataclasses and inspect modules loaded so far.
 _LANE_SCRIPT = """
 import json, os, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = sys.modules["scipy"] = None
 elif sys.argv[1] == "scipy-blocked":
     sys.modules["scipy"] = None
+elif sys.argv[1] == "lean":
+    sys.modules["dataclasses"] = sys.modules["inspect"] = None
+elif sys.argv[1] == "dataclasses-blocked":
+    sys.modules["dataclasses"] = None
 from cmcradius import cli
-results = []
+results, loaded = [], []
 for i, argv in enumerate(json.loads(sys.argv[2])):
     out = f"report{i}.txt"
     code = cli.run(argv + ["--out", out])
+    loaded.append(sorted(m for m, mod in sys.modules.items() if mod is not None and (
+        m.startswith("cmcradius") or m in ("csv", "dataclasses", "inspect"))))
     if not os.path.exists(out):  # a usage error writes no report
         results.append([code, None])
         continue
@@ -200,7 +208,7 @@ for i, argv in enumerate(json.loads(sys.argv[2])):
         results.append([code, fh.read()])
 numeric = sorted(m for m, mod in sys.modules.items()
                  if m.split(".")[0] in ("numpy", "scipy") and mod is not None)
-print(json.dumps({"results": results, "numeric": numeric}))
+print(json.dumps({"results": results, "numeric": numeric, "loaded": loaded}))
 """
 
 
@@ -243,7 +251,8 @@ class TestScalarLane:
         ]
         for mode in ("blocked", "unblocked"):
             run = json.loads(_run_isolated(_LANE_SCRIPT, mode, json.dumps(commands), cwd=tmp_path))
-            assert run == {"results": [[64, None]] * len(commands), "numeric": []}
+            assert run["results"] == [[64, None]] * len(commands)
+            assert run["numeric"] == []
 
     def test_package_resolves_submodules_on_access(self, tmp_path):
         code = (
@@ -261,6 +270,45 @@ class TestScalarLane:
         out = _run_isolated(code, cwd=tmp_path).split()
         assert out == ["False", "cmcradius.mesh", "cmcradius.discrete", "cmcradius.algebra",
                        "True", "AttributeError"]
+
+
+class TestLeanStart:
+    """The package imports neither dataclasses nor inspect, `bound` loads no spaceforms,
+    and only a CSV report loads csv."""
+
+    BOUND = ["bound", "--n", "2", "--delta", "0", "--H", "2.5", "--K", "-1", "--S", "0"]
+    CAP = ["cap", "--n", "2", "--kappa", "-1", "--H", "2.5", "--delta", "0"]
+
+    def test_scalar_commands_run_with_dataclasses_and_inspect_blocked(self, tmp_path):
+        (tmp_path / "bound.cfg").write_text("mode = bound\nn = 2\nn = 3\ndelta = 0.1\nH = 2.5\nK = -1\n")
+        (tmp_path / "cap.cfg").write_text("mode = cap\nn = 2\nn = 4\nkappa = 1\ndelta = 0.1\nH = 2.5\n")
+        sweeps = [["sweep", "--config", "bound.cfg"], ["sweep", "--config", "cap.cfg"]]
+        # Every CSV report comes last, so the modules loaded before it show what the others need.
+        commands = [[*command, "--format", fmt] for fmt in ("json", "table", "csv")
+                    for command in (self.BOUND, self.CAP, *sweeps)]
+        runs = {mode: json.loads(_run_isolated(_LANE_SCRIPT, mode, json.dumps(commands), cwd=tmp_path))
+                for mode in ("lean", "unblocked")}
+        assert [code for code, _ in runs["lean"]["results"]] == [0] * len(commands)
+        assert runs["lean"]["results"] == runs["unblocked"]["results"]
+        loaded = runs["unblocked"]["loaded"]
+        assert "cmcradius.spaceforms" not in loaded[0]  # `bound --format json`
+        assert "cmcradius.spaceforms" in loaded[1]
+        assert "csv" not in loaded[7] and "csv" in loaded[8]  # the first CSV report is command 8
+        assert not {"dataclasses", "inspect"} & set(loaded[-1])
+
+    def test_mesh_runs_with_dataclasses_blocked(self, tmp_path):
+        # numpy imports inspect itself, so only dataclasses is blocked here.
+        mesh = ["mesh", "--kappa", "-1", "--H", "2.5", "--rho", "0.55", "--delta", "0",
+                "--levels", "3,4", "--mesh-out", "cap.txt", "--format", "json"]
+        runs = {}
+        for mode in ("dataclasses-blocked", "unblocked"):
+            (tmp_path / mode).mkdir()
+            runs[mode] = json.loads(_run_isolated(_LANE_SCRIPT, mode, json.dumps([mesh]), cwd=tmp_path / mode))
+        assert runs["dataclasses-blocked"]["results"][0][0] == 0
+        assert runs["dataclasses-blocked"]["results"] == runs["unblocked"]["results"]
+        assert not {"csv", "dataclasses"} & set(runs["unblocked"]["loaded"][0])
+        blocked = (tmp_path / "dataclasses-blocked" / "cap.txt").read_bytes()
+        assert blocked.startswith(b"v ") and blocked == (tmp_path / "unblocked" / "cap.txt").read_bytes()
 
 
 class TestMeshCommand:
