@@ -53,7 +53,9 @@ def _finite(name: str, value: float) -> float:
 def delta_threshold(n: int) -> Fraction:
     """Largest near-stability parameter for which the k-interval is nonempty.
 
-    Solves 5(n-1)/(4n(1-d)) = 4/(n-1) for d, exactly.
+    Solves 5(n-1)/(4n(1-d)) = 4/(n-1) for d, exactly.  At n = 5 the
+    formula gives 0: the k-interval at delta = 0 is (1, 1), already empty,
+    so the method ends at n = 4.
     """
     _check_dimension(n)
     return 1 - Fraction(5 * (n - 1) ** 2, 16 * n)

@@ -25,7 +25,7 @@ from .errors import CmcRadiusError, NoApplicableBound
 from .report import FORMATS, SweepReport, emit_report
 
 if TYPE_CHECKING:
-    from .mesh import TriMesh
+    from .mesh import MeshArrays
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -188,7 +188,7 @@ def _cap_row(n: int, kappa: float, delta: float, H: float) -> dict:
     return spaceforms.verify_cap_bound(n, kappa, H, delta)._asdict()
 
 
-def _mesh_rows(kappa, H, rho, delta, levels) -> tuple[list[dict], dict, TriMesh]:
+def _mesh_rows(kappa, H, rho, delta, levels) -> tuple[list[dict], dict, MeshArrays]:
     from . import discrete
 
     rep = discrete.mesh_verify(kappa, H, rho, delta, levels)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .ell import Ell
 from .errors import MeshError, NoApplicableBound, NonConvergence
-from .mesh import (MAX_LEVEL, TriMesh, build_cap_mesh, interior_rings, intrinsic_radius, prolongation,
-                   require_interior)
+from .mesh import (MAX_LEVEL, MeshArrays, TriMesh, build_cap_mesh, interior_rings, intrinsic_radius,
+                   prolongation, require_interior, triangle_areas)
 from .spaceforms import cap_bound, intrinsic_curvature, lambda1_ball, radial_profile
 
 DEGENERATE_AREA_FRACTION = 1e-14
@@ -114,14 +114,18 @@ def assemble_stability(mesh: TriMesh) -> SpectralProblem:
     opposite it, so the stiffness is symmetric and annihilates constants
     by construction.
     """
-    areas = mesh.areas
+    # One distance per undirected edge, scattered to the faces' corners: ambient_distance
+    # is exactly symmetric in its two points.  Entry i of a face lies opposite corner i.
+    lengths = mesh.edge_lengths[mesh.face_edges]
+    areas = triangle_areas(lengths)  # Heron areas of the intrinsic triangles
     mean_area = areas.mean()
     if not (0.0 < mean_area < math.inf and np.all(areas >= DEGENERATE_AREA_FRACTION * mean_area)):
         raise MeshError("degenerate triangle in mesh (area below 1e-14 of mean, or not finite)")
     nv = mesh.num_vertices
     idx = require_interior(mesh)
     mass = np.bincount(mesh.faces.T.ravel(), np.tile(areas / 3.0, 3), minlength=nv)[idx]
-    l2 = mesh.face_lengths.T**2  # one row per corner
+    l2 = lengths.T**2  # one row per corner
+    del lengths
     i = np.arange(3)
     j, k = (i + 1) % 3, (i + 2) % 3
     # Half-cotangent of the angle at corner i, weighting the edge opposite it.
@@ -214,7 +218,7 @@ class ConvergenceReport(NamedTuple):
     levels: list[LevelResult]
     convergence_order: float | None  # None with a single level
     agrees_with_oracle: bool
-    finest_mesh: TriMesh  # mesh of the last level
+    finest_mesh: MeshArrays  # vertices and faces of the last level, for the export
 
 
 def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[int]) -> ConvergenceReport:
@@ -236,18 +240,22 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
 
     # Every level from the base up is built, so that each finer one has its
     # V-cycle; a problem is kept as the next one's coarser level, its mesh is not.
+    # A mesh's topology is released once the row's mesh columns and the assembly
+    # have read it, before the prolongation and the eigensolve.
     results, problem = [], None
     for level in range(min(BASE_LEVEL, *levels), top + 1):
         m = None  # released before the next mesh is built
         m = build_cap_mesh(kappa, H, rho, level)
+        if level in levels:
+            vertices, max_edge, radius = m.num_vertices, float(m.edge_lengths.max()), intrinsic_radius(m)
         coarser, problem = problem, assemble_stability(m)
+        m = MeshArrays(m.vertices, m.faces)  # the finest level's are the export's
         if level > BASE_LEVEL:
             problem.coarser, problem.prolongation = coarser, prolongation(kappa, H, rho, level)
         if level not in levels:
             continue
         start = profile[::2 ** (top - level)][interior_rings(kappa, H, rho, level)]
         lam = lambda1_dirichlet(problem, -q, start)
-        radius = intrinsic_radius(m)
         if abs(lam) <= MARGINAL_BAND * q:
             verdict = "marginal"
         elif lam >= -1e-8 * c:
@@ -256,7 +264,7 @@ def mesh_verify(kappa: float, H: float, rho: float, delta: float, levels: list[i
             verdict = "unstable"
         fails = verdict == "stable" and c_best is not None and not radius <= c_best * (1.0 + 1e-6)
         results.append(LevelResult(
-            level=level, vertices=m.num_vertices, max_edge=float(m.edge_lengths.max()), lambda1=lam,
+            level=level, vertices=vertices, max_edge=max_edge, lambda1=lam,
             radius=radius, verdict=verdict, oracle_error=abs(lam - oracle),
             status="fail" if fails else "pass",
         ))

@@ -15,6 +15,7 @@ layout alone; prolongation and the eigensolve's start vector read it.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,8 @@ class TriMesh:
     vertices in range, no edge lies in more than two faces, the Euler
     characteristic is 1, the faces are consistently oriented, the edges
     connect every vertex and some edge lies in one face only (a boundary).
-    The constructor's traced memory peaks at about 1.45 times the bytes of
-    the arrays it adds to the vertices and faces (1.0 times all it keeps).
+    The constructor's traced memory peaks at about 2.1 times the bytes of
+    the arrays it adds to the vertices and faces (1.35 times all it keeps).
     """
 
     def __init__(self, vertices: np.ndarray, faces: np.ndarray, kappa: float):
@@ -91,10 +92,6 @@ class TriMesh:
         self.interior = np.flatnonzero(~on_boundary)
         # Geodesic lengths from the chord, gathered one coordinate column at a time.
         self.edge_lengths = ambient_distance(kappa, (x[lo] - x[hi] for x in v.T))
-        # One distance per undirected edge, scattered back to the faces:
-        # ambient_distance is exactly symmetric in its two points.
-        self.face_lengths = self.edge_lengths[self.face_edges]
-        self.areas = triangle_areas(self.face_lengths)  # Heron areas of the intrinsic triangles
 
     @property
     def num_vertices(self) -> int:
@@ -103,6 +100,13 @@ class TriMesh:
     @property
     def num_faces(self) -> int:
         return self.faces.shape[0]
+
+
+class MeshArrays(NamedTuple):
+    """A mesh's vertices and faces without its topology: all that save_mesh reads."""
+
+    vertices: np.ndarray
+    faces: np.ndarray
 
 
 def component_roots(edges: np.ndarray, n: int) -> np.ndarray:
@@ -191,8 +195,9 @@ MAX_CAP_RADIUS = float(np.finfo(float).max) ** 0.25 / 4.0
 
 #: Finest refinement level.  Each level quadruples the vertices, zipped ring by
 #: ring in Python: about 44k at level 7 and 0.7M at level 9 (at s = 1.25).  A
-#: level-9 study took 2.7 s and 0.52 GB peak on a 2-CPU host, and building the
-#: mesh alone 1.0 s and 0.32 GB, so a level-10 study would need about 2 GB.
+#: level-9 study and its export took about 3 s and 0.42 GB peak on a 2-CPU host,
+#: and building the mesh alone 0.7 s and 0.32 GB, so a level-10 study would need
+#: about 1.7 GB.
 MAX_LEVEL = 9
 
 #: Rows of the mesh export formatted per write.
@@ -333,7 +338,7 @@ def require_interior(mesh: TriMesh) -> np.ndarray:
     return mesh.interior
 
 
-def save_mesh(mesh: TriMesh, path: str) -> None:
+def save_mesh(mesh: TriMesh | MeshArrays, path: str) -> None:
     """Plain-text polygon export: vertex lines, then 1-indexed face lines.
 
     The bytes are those of %.17g for every coordinate and %d for every face
@@ -369,7 +374,7 @@ def save_mesh(mesh: TriMesh, path: str) -> None:
                     token, varying = varying[:, 0], varying[:, 1:]
                 line[:, 2 + j * (1 + TOKEN):(j + 1) * (1 + TOKEN) + 1] = token
             fh.write(line[line != 0])
-        for a in range(0, mesh.num_faces, EXPORT_BLOCK):
+        for a in range(0, len(mesh.faces), EXPORT_BLOCK):
             f = mesh.faces[a:a + EXPORT_BLOCK]
             line = np.zeros((f.shape[0], 2 + 3 * words.shape[1] * 8), dtype=np.uint8)
             line[:, 0], line[:, -1] = ord("f"), ord("\n")

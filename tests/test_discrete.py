@@ -200,7 +200,7 @@ class TestStiffness:
     def test_mass_rowsums_are_vertex_areas(self):
         m = mm.build_cap_mesh(0.0, 1.0, 1.0, 3)
         _, masses = _reference_system(m, 0.0)
-        total = mm.triangle_areas(m.face_lengths).sum()
+        total = mm.triangle_areas(m.edge_lengths[m.face_edges]).sum()
         assert masses.sum() == pytest.approx(total, rel=1e-12)
         assert (masses > 0).all()
         problem = dd.assemble_stability(m)

@@ -110,7 +110,7 @@ class TestBuildCapMesh:
         with pytest.raises(MeshError):
             mm.build_cap_mesh(1.057370767916776e-228, 0.0, 1.5275879615279113e114, 0)
         m = mm.build_cap_mesh(1e-200, 0.0, 0.99 * mm.MAX_CAP_RADIUS, 0)
-        assert np.isfinite(m.areas).all()
+        assert np.isfinite(mm.triangle_areas(m.edge_lengths[m.face_edges])).all()
 
     def test_deterministic(self):
         a = mm.build_cap_mesh(-1.0, 2.5, 0.6, 3)
@@ -132,8 +132,10 @@ class TestTopologyRecord:
         lengths = mm.ambient_distance(kappa, (m.vertices[edges[:, 0]] - m.vertices[edges[:, 1]]).T)
         assert np.array_equal(m.edge_lengths, lengths)
         assert np.array_equal(m.edges[m.face_edges], np.sort(m.faces[:, [[1, 2], [2, 0], [0, 1]]], axis=2))
-        assert np.array_equal(m.face_lengths, _per_corner_lengths(m, kappa))
-        assert np.array_equal(m.areas, mm.triangle_areas(_per_corner_lengths(m, kappa)))
+        # The assembly reads each face's lengths and Heron areas through face_edges.
+        face_lengths = m.edge_lengths[m.face_edges]
+        assert np.array_equal(face_lengths, _per_corner_lengths(m, kappa))
+        assert np.array_equal(mm.triangle_areas(face_lengths), mm.triangle_areas(_per_corner_lengths(m, kappa)))
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
     def test_edge_lengths_scatter_to_faces_exactly(self, kappa):
@@ -141,7 +143,7 @@ class TestTopologyRecord:
         H = 2.5 if kappa < 0 else 1.0
         for level in range(8):
             m = mm.build_cap_mesh(kappa, H, 1.4 / math.sqrt(kappa + H * H), level)
-            assert np.array_equal(m.face_lengths, _per_corner_lengths(m, kappa)), f"level {level}"
+            assert np.array_equal(m.edge_lengths[m.face_edges], _per_corner_lengths(m, kappa)), f"level {level}"
 
 
 def _hand_built(name):
@@ -172,12 +174,14 @@ class TestNaiveTopology:
                     "edges": edges, "face_edges": face_edges, "boundary": boundary, "interior": interior,
                     "edge_lengths": reference.row_gather_edge_lengths(m, kappa)}  # from m.edges, checked first
         expected["by_hi"] = np.argsort(edges[:, 1], kind="stable").astype(np.int32)
-        expected["face_lengths"] = expected["edge_lengths"][face_edges]
-        expected["areas"] = mm.triangle_areas(expected["face_lengths"])
+        assert set(vars(m)) == set(expected)  # the mesh keeps these arrays and nothing else
         for name, want in expected.items():
             got = getattr(m, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert np.array_equal(got, want), name
+        face_lengths = expected["edge_lengths"][face_edges]  # what the assembly derives
+        assert np.array_equal(m.edge_lengths[m.face_edges], face_lengths)
+        assert np.array_equal(mm.triangle_areas(m.edge_lengths[m.face_edges]), mm.triangle_areas(face_lengths))
 
     @pytest.mark.parametrize("kappa", sorted(PINNED_CAPS))
     @pytest.mark.parametrize("level", range(7))
@@ -540,7 +544,7 @@ class TestCheckTopology:
         m = self._cap()
         rebuilt = mm.TriMesh(vertices=m.vertices, faces=m.faces, kappa=0.0)
         assert np.array_equal(rebuilt.edges, m.edges)
-        assert np.array_equal(rebuilt.areas, m.areas)
+        assert np.array_equal(rebuilt.edge_lengths, m.edge_lengths)
 
     def test_edge_in_three_faces(self):
         m = self._cap()
@@ -601,7 +605,7 @@ class TestTriMeshInput:
         assert np.array_equal(m.edges, [[0, 1], [0, 2], [1, 2]])
         assert np.array_equal(m.boundary, [0, 1, 2])
         assert m.interior.size == 0
-        assert m.areas[0] == pytest.approx(0.5, rel=1e-15)
+        assert mm.triangle_areas(m.edge_lengths[m.face_edges])[0] == pytest.approx(0.5, rel=1e-15)
         with pytest.raises(MeshError, match="^mesh has no interior vertices$"):
             mm.intrinsic_radius(m)
 

@@ -139,7 +139,7 @@ def test_trimesh_is_checked_or_raises(inputs):
     assert np.array_equal(np.union1d(m.boundary, m.interior), np.arange(nv))
     assert np.intersect1d(m.boundary, m.interior).size == 0
     assert np.array_equal(m.edges[m.face_edges], np.sort(faces[:, [[1, 2], [2, 0], [0, 1]]], axis=2))
-    assert np.isfinite(m.edge_lengths).all() and np.isfinite(m.areas).all()
+    assert np.isfinite(m.edge_lengths).all() and np.isfinite(mesh.triangle_areas(m.edge_lengths[m.face_edges])).all()
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True, database=None)
