@@ -218,17 +218,26 @@ def radius_bound_scalar(delta: float, H: float, S_inf: float) -> BoundResult:
     return BoundResult(k_star=1.0 / (1.0 - delta), A=A, B=B, c=c, source="scalar")
 
 
-def best_bound(inp: BoundInput) -> BoundResult:
+def best_bound(inp: BoundInput, sectional: dict | None = None) -> BoundResult:
     """Minimum c among all bounds whose hypotheses hold for this input.
 
     Raises NoApplicableBound, with every route's reason, when none holds.
+    `sectional`, if given, holds the sectional route of a whole sweep: it maps
+    (n, delta, H, K_inf) to a BoundResult or a HypothesisViolation's text.
+    The route sees no zero's sign there, so 0.0 and -0.0 may share a key.
     """
     candidates: list[BoundResult] = []
     reasons: list[str] = []
-    try:
-        candidates.append(radius_bound(inp))
-    except HypothesisViolation as exc:
-        reasons.append(f"sectional: {exc}")
+    memo = {} if sectional is None else sectional
+    if (route := memo.get(key := (inp.n, inp.delta, inp.H, inp.K_inf))) is None:
+        try:
+            route = memo[key] = radius_bound(inp)
+        except HypothesisViolation as exc:  # not the exception, whose traceback would grow
+            route = memo[key] = str(exc)
+    if isinstance(route, str):
+        reasons.append(f"sectional: {route}")
+    else:
+        candidates.append(route)
     if inp.n == 2 and inp.S_inf is not None:
         try:
             candidates.append(radius_bound_scalar(inp.delta, inp.H, inp.S_inf))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import itertools
 import math
 import os
@@ -172,11 +173,12 @@ def parse_config(path: str) -> dict[str, list[str]]:
 _NO_BOUND = dict.fromkeys(bounds.BoundResult._fields)
 
 
-def _bound_row(n: int, delta: float, H: float, K: float, S: float | None) -> dict:
+def _bound_row(n: int, delta: float, H: float, K: float, S: float | None,
+               sectional: dict | None = None) -> dict:
     """The inputs, then the BoundResult's fields (None where no bound applies), then status and reason."""
     inputs = {"n": n, "delta": delta, "H": H, "K": K, "S": S}
     try:
-        res = bounds.best_bound(bounds.BoundInput(n=n, delta=delta, H=H, K_inf=K, S_inf=S))
+        res = bounds.best_bound(bounds.BoundInput(n=n, delta=delta, H=H, K_inf=K, S_inf=S), sectional)
     except NoApplicableBound as exc:
         return {**inputs, **_NO_BOUND, "status": "not-applicable", "reason": str(exc)}
     return {**inputs, **res._asdict(), "status": "pass", "reason": ""}
@@ -275,10 +277,10 @@ def _run_sweep(args) -> SweepReport:
         ns, (samples,) = values
         report.rows = _algebra_rows(sorted(ns), samples, args.seed)
     else:
-        row = _cap_row if mode == "cap" else _bound_row
-        cases = sorted(itertools.product(*values), key=lambda t: tuple(
-            -1.0 if x is None else float(x) for x in t))
-        report.rows = [row(*case) for case in cases]
+        # The cases sort by value, key by key: ints compare exactly with floats, and None
+        # is only the bound S axis's sole default, so no case compares it with a number.
+        row = _cap_row if mode == "cap" else functools.partial(_bound_row, sectional={})
+        report.rows = [row(*case) for case in sorted(itertools.product(*values))]
     return report
 
 

@@ -42,13 +42,25 @@ class SweepReport:
 
 
 def emit_report(report: SweepReport, fmt: str = "table") -> str:
-    """Serialize deterministically; identical inputs give identical bytes."""
+    """Serialize deterministically; identical inputs give identical bytes.
+
+    Floats are rounded by `format_number`, each distinct value once per call.
+    """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    memo: dict[float, float] = {}
+
+    def rounded(x):
+        if not isinstance(x, float):
+            return x
+        if not x or (r := memo.get(x)) is None:  # 0.0 and -0.0 are one key but print apart
+            r = memo[x] = format_number(x)
+        return r
+
     if fmt == "json":
-        return _json(report)
+        return _json(report, rounded)
     cols = list(report.rows[0]) if report.rows else []
-    cells = [["" if v is None else str(format_number(v)) for v in r.values()] for r in report.rows]
+    cells = [["" if v is None else str(rounded(v)) for v in r.values()] for r in report.rows]
     if fmt == "csv":
         import csv
 
@@ -70,10 +82,10 @@ def _flat(encode, d: dict, indent: str) -> str:
     return text if text == "{}" else f"{{\n{indent}  {text[1:-1]}\n{indent}}}"
 
 
-def _json(report: SweepReport) -> str:
+def _json(report: SweepReport, rounded) -> str:
     """Exactly `json.dumps(doc, indent=2) + "\\n"`: the frame is written here, each flat dict by C."""
-    metadata = _flat(_ENCODE_4, {k: format_number(v) for k, v in report.metadata.items()}, "  ")
-    rows = ",\n".join("    " + _flat(_ENCODE_6, {k: format_number(v) for k, v in r.items()}, "    ")
+    metadata = _flat(_ENCODE_4, {k: rounded(v) for k, v in report.metadata.items()}, "  ")
+    rows = ",\n".join("    " + _flat(_ENCODE_6, {k: rounded(v) for k, v in r.items()}, "    ")
                       for r in report.rows)
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     summary = _flat(_ENCODE_4, report.summary, "  ")

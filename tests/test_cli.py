@@ -1,4 +1,7 @@
+import argparse
+import itertools
 import json
+import math
 import os
 import re
 import shlex
@@ -8,11 +11,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmcradius import bounds, cli, discrete
-from cmcradius.report import SweepReport, emit_report
+from cmcradius.report import FORMATS, SweepReport, emit_report
 from reference import parse_report_json, report_json
 
 
@@ -69,8 +72,15 @@ JSON_DICTS = st.dictionaries(st.one_of(JSON_STRINGS, st.just("status")), JSON_SC
 
 
 class TestJsonBytes:
+    # Values equal as dict keys that print apart: the report rounds each distinct float once.
+    @example(kind="k", metadata={"a": 0.0, "b": -0.0, "c": 0.0},
+             rows=[{"x": 0.0}, {"x": -0.0}, {"x": 0.0}, {"x": -0.0}])
+    @example(kind="k", metadata={"a": -0.0, "b": 0.0}, rows=[{"x": -0.0}, {"x": 0.0}])
+    @example(kind="k", metadata={"a": 1.0, "b": True, "c": 1},
+             rows=[{"x": 1}, {"x": 1.0}, {"x": True}, {"x": 1.0}, {"x": 1}])
+    @example(kind="k", metadata={"a": True, "b": 1}, rows=[{"x": True}, {"x": 1.0}, {"x": 1}])
     @given(kind=JSON_STRINGS, metadata=JSON_DICTS, rows=st.lists(JSON_DICTS, max_size=4))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     def test_json_is_json_dumps_indent_2(self, kind, metadata, rows):
         rep = SweepReport(kind=kind, rows=rows, metadata=metadata)
         assert emit_report(rep, "json") == report_json(rep)
@@ -690,6 +700,78 @@ def test_malformed_sweep_config_exits_with_a_code(text):
         cfg, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "out"
         cfg.write_text(text)
         assert cli.run(["sweep", "--config", str(cfg), "--out", str(out)]) in {0, 1, 2, 64}
+
+
+# Bound grids around every edge the sectional route decides on: delta at a
+# signed zero, just below each threshold and at or past one; |H| below
+# 2 sqrt(|K|) for K = -1; K at a signed zero.  Values may repeat.
+GRID_DELTAS = (0.0, -0.0, 0.2, 0.9, 0.75, math.nextafter(0.75, 0.0),
+               *(float(bounds.delta_threshold(n) - e) for n in (2, 3, 4) for e in (0, 10**-10)))
+GRID_VALUES = {"n": (2, 3, 4), "delta": GRID_DELTAS, "H": (0.0, -0.0, 1.5, 2.0, 2.5, -3.0),
+               "K": (-1.0, -0.0, 0.0, 0.5), "S": (-20.0, -6.0, 4.0)}
+
+
+@st.composite
+def bound_grids(draw) -> dict:
+    """A bound sweep's grid, key -> values; S is sometimes absent."""
+    keys = ("n", "delta", "H", "K", "S") if draw(st.booleans()) else ("n", "delta", "H", "K")
+    return {key: draw(st.lists(st.sampled_from(GRID_VALUES[key]), min_size=1, max_size=3)) for key in keys}
+
+
+def _grid_config(grid: dict, tmp: str) -> str:
+    """The path of a bound sweep config over `grid`, written into `tmp`."""
+    cfg = Path(tmp) / "grid.cfg"
+    cfg.write_text("mode = bound\n" + "".join(f"{k} = {v!r}\n" for k, vs in grid.items() for v in vs))
+    return str(cfg)
+
+
+def _float_key_cases(grid: dict) -> list[tuple]:
+    """The grid's cases in the order of the float sort key that `cli._run_sweep` once used."""
+    cases = itertools.product(*(grid.get(key, [None]) for key in ("n", "delta", "H", "K", "S")))
+    return sorted(cases, key=lambda t: tuple(-1.0 if x is None else float(x) for x in t))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(grid=bound_grids())
+def test_bound_sweep_orders_cases_as_the_float_key(grid):
+    # repr tells 0.0 from -0.0, so equal values must also keep their order.
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = cli._run_sweep(argparse.Namespace(config=_grid_config(grid, tmp), seed=0)).rows
+    assert [repr(tuple(r[k] for k in ("n", "delta", "H", "K", "S"))) for r in rows] == \
+        [repr(case) for case in _float_key_cases(grid)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grid=bound_grids())
+def test_bound_sweep_rows_equal_rows_computed_one_by_one(grid):
+    # The sweep's memos key on values; each row must be what the row alone gives, reasons and bytes too.
+    rows = [cli._bound_row(*case) for case in _float_key_cases(grid)]
+    expected = SweepReport(kind="sweep-bound", rows=rows,
+                           metadata={"tool": "cmcradius", "version": cli.__version__, "mode": "bound", "seed": 0})
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = _grid_config(grid, tmp), Path(tmp) / "report"
+        got = cli._run_sweep(argparse.Namespace(config=cfg, seed=0)).rows
+        assert [repr(r) for r in got] == [repr(r) for r in rows]
+        for fmt in FORMATS:
+            assert cli.run(["sweep", "--config", cfg, "--format", fmt, "--out", str(out)]) in {0, 2}
+            assert out.read_text() == (report_json(expected) if fmt == "json" else emit_report(expected, fmt))
+
+
+def test_each_bound_sweep_computes_each_sectional_bound_once(monkeypatch, tmp_path):
+    # No memo outlives its command: a second sweep in the process computes every bound again.
+    calls = []
+    radius_bound = bounds.radius_bound
+    monkeypatch.setattr(bounds, "radius_bound", lambda inp: calls.append(inp) or radius_bound(inp))
+    grid = {"n": [2, 3], "delta": [0.0, -0.0, 0.9], "H": [1.5, 2.5], "K": [-1.0, 0.0, -0.0], "S": [-6.0, 4.0]}
+    distinct = set(itertools.product(*(grid[key] for key in ("n", "delta", "H", "K"))))
+    assert len(distinct) == 16  # 0.0 and -0.0 are one value
+    argv = ["sweep", "--config", _grid_config(grid, str(tmp_path)), "--out", str(tmp_path / "report")]
+    counts = []
+    for _ in range(2):
+        assert cli.run(argv) == 0
+        counts.append(len(calls))
+        calls.clear()
+    assert counts == [len(distinct), len(distinct)]
 
 
 def _readme_cli_section() -> tuple[list[list[str]], str]:
