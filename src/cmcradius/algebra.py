@@ -45,7 +45,7 @@ class TracelessMatrix:
             raise PreconditionViolation(f"entry {largest[too_large][0]} is too large: |Phi|^2 would overflow")
         # Each member's own tolerance, so a large member does not loosen a small one.
         atol = 1e-12 * np.maximum(1.0, largest)
-        if not np.all(np.abs(stack - stack.transpose(0, 2, 1)) <= atol[:, None, None]):
+        if not np.all(np.abs(stack - stack.swapaxes(1, 2)) <= atol[:, None, None]):
             raise PreconditionViolation("matrix is not symmetric")
         trace = np.trace(stack, axis1=1, axis2=2)
         off_trace = np.abs(trace) > TRACE_TOL * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))

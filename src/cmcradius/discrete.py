@@ -60,9 +60,9 @@ class SpectralProblem:
     stiffness is the full stiffness restricted to the mesh's interior
     vertices, in ascending order, and mass their lumped masses in that
     order.  A level of a ring hierarchy links to the next coarser level's
-    problem, and prolongation interpolates that level's interior values to
-    this one's; its transpose, the restriction, is built on first use.
-    Both matrices are ELL matrices.
+    problem, and prolongation, an ELL matrix like the stiffness, interpolates
+    that level's interior values to this one's; its transposed product
+    restricts a residual.
     """
 
     def __init__(self, stiffness: Ell, mass: np.ndarray, coarser: SpectralProblem | None = None,
@@ -79,10 +79,6 @@ class SpectralProblem:
         except np.linalg.LinAlgError as exc:  # "Matrix is not positive definite"
             raise MeshError(f"the Dirichlet stiffness cannot be factored: {exc}") from None
         return inverse_factor.T @ inverse_factor
-
-    @cached_property
-    def _restriction(self) -> Ell:
-        return self.prolongation.transpose()
 
     @cached_property
     def _smoother(self) -> np.ndarray:
@@ -103,7 +99,7 @@ class SpectralProblem:
             return self._inverse @ r
         K, weight = self.stiffness, self._smoother
         e = weight * r
-        e += self.prolongation @ self.coarser.precondition(self._restriction @ (r - K @ e))
+        e += self.prolongation @ self.coarser.precondition(self.prolongation.rmatvec(r - K @ e))
         return e + weight * (r - K @ e)
 
 

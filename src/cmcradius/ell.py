@@ -5,6 +5,9 @@ Row i of an Ell holds its entries in columns[:, i] and values[:, i], the
 its last entry are padding, of weight 0 with a column no greater than that
 entry's.  A product adds the slots in order, so each row sums its terms in
 column order, as scipy's CSR and CSC products do, and gives their bits.
+The transposed product adds the terms row after row, so each column sums
+its terms in row order, as a product with scipy's transposed CSR does,
+and builds no transpose; the padding's zero terms leave every sum's bits.
 A large matrix's product skips the padding of its last, nearly empty slots
 and reads a slot of nearly constant column offset by a shifted slice: the
 terms and their order stay those of the gather.
@@ -84,29 +87,12 @@ class Ell:
         np.add.at(dense, (np.arange(self.shape[0]), self.columns), self.values)
         return dense
 
-    def transpose(self) -> Ell:
-        """The transpose, with the nonzero entries only, each row padded by column 0."""
-        n, num_rows = self.shape
-        nonzero = self.values != 0.0
-        key = self.columns.astype(np.int64)
-        key *= n
-        key += np.arange(n)
-        key = key[nonzero]  # column n + row of each nonzero entry, all distinct
-        order = np.argsort(key, kind="stable")  # the faster sort on w nearly sorted runs
-        values = self.values[nonzero].take(order)
-        key = key.take(order)
-        del nonzero, order
-        new_row = key // n
-        key -= new_row * n  # the entries' rows
-        counts = np.bincount(new_row, minlength=num_rows)
-        at = np.arange(key.size) - (np.cumsum(counts) - counts).take(new_row)  # the slot in the new row
-        at *= num_rows
-        at += new_row
-        del new_row
-        t_columns = np.zeros((int(counts.max()), num_rows), dtype=np.int32)
-        t_values = np.zeros(t_columns.shape)
-        t_columns.reshape(-1)[at], t_values.reshape(-1)[at] = key, values
-        return Ell(t_columns, t_values, n)
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """The transposed product A^T x, which adds each column's terms in row order."""
+        terms = np.empty((self.shape[0], self.columns.shape[0]))  # (n, w): the terms row after row
+        np.multiply(self.values, x, out=terms.T)
+        columns = self.columns.T.astype(np.intp, order="C")
+        return np.bincount(columns.ravel(), terms.ravel(), minlength=self.shape[1])
 
 
 def _band(columns: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | None:

@@ -97,10 +97,6 @@ class TriMesh:
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    @property
-    def num_faces(self) -> int:
-        return self.faces.shape[0]
-
 
 class MeshArrays(NamedTuple):
     """A mesh's vertices and faces without its topology: all that save_mesh reads."""

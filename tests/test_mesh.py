@@ -57,7 +57,7 @@ class TestBuildCapMesh:
 
     def test_level_zero_is_a_disk(self):
         m = mm.build_cap_mesh(0.0, 1.0, math.pi / 2, 0)
-        assert m.num_vertices - len(m.edges) + m.num_faces == 1
+        assert m.num_vertices - len(m.edges) + len(m.faces) == 1
         assert np.array_equal(m.boundary, np.arange(1, m.num_vertices))
         assert np.array_equal(m.interior, [0])
 
@@ -363,7 +363,7 @@ class TestExport:
         v_lines = [l for l in lines if l.startswith("v ")]
         f_lines = [l for l in lines if l.startswith("f ")]
         assert len(v_lines) == m.num_vertices
-        assert len(f_lines) == m.num_faces
+        assert len(f_lines) == len(m.faces)
         verts = np.array([[float(x) for x in l.split()[1:]] for l in v_lines])
         faces = np.array([[int(x) - 1 for x in l.split()[1:]] for l in f_lines])
         assert np.allclose(verts, m.vertices)

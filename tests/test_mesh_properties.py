@@ -135,7 +135,7 @@ def test_trimesh_is_checked_or_raises(inputs):
         return
     nv = m.num_vertices
     assert faces.min() >= 0 and faces.max() < nv
-    assert nv - len(m.edges) + m.num_faces == 1
+    assert nv - len(m.edges) + len(m.faces) == 1
     assert np.array_equal(np.union1d(m.boundary, m.interior), np.arange(nv))
     assert np.intersect1d(m.boundary, m.interior).size == 0
     assert np.array_equal(m.edges[m.face_edges], np.sort(faces[:, [[1, 2], [2, 0], [0, 1]]], axis=2))
