@@ -7,6 +7,8 @@ value, or a `CmcRadiusError`.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -251,6 +253,34 @@ def report_json(report: SweepReport) -> str:
         "summary": report.summary,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _report_cells(report: SweepReport) -> list[list[str]]:
+    """Each row's values, rounded by `format_number` one by one and printed by `str` ("" for None)."""
+    return [["" if v is None else str(format_number(v)) for v in r.values()] for r in report.rows]
+
+
+def report_csv(report: SweepReport) -> str:
+    """The bytes `emit_report(report, "csv")` must give: the first row's keys,
+    then every row's cells, through `csv.writer`."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(report.rows[0]) if report.rows else [])
+    writer.writerows(_report_cells(report))
+    return out.getvalue()
+
+
+def report_table(report: SweepReport) -> str:
+    """The bytes `emit_report(report, "table")` must give: the first row's keys,
+    then every row's cells, each padded to its column's widest cell and two
+    spaces apart, then the summary line."""
+    cols = list(report.rows[0]) if report.rows else []
+    cells = _report_cells(report)
+    widths = [max(map(len, column)) for column in zip(cols, *cells)]
+    lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in [cols, *cells]]
+    s = report.summary
+    lines += ["", f"pass={s['pass']} fail={s['fail']} not-applicable={s['not_applicable']}"]
+    return "\n".join(lines) + "\n"
 
 
 def ell_entries(matrix) -> np.ndarray:

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmcradius import bounds, cli, discrete
+from cmcradius import bounds, cli, discrete, report
 from cmcradius.report import FORMATS, SweepReport, emit_report
-from reference import parse_report_json, report_json
+from reference import parse_report_json, report_csv, report_json, report_table
 
 
 class TestEmitReport:
@@ -71,14 +71,33 @@ JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
 JSON_DICTS = st.dictionaries(st.one_of(JSON_STRINGS, st.just("status")), JSON_SCALARS, max_size=6)
 
 
+# Reports that test the cell step of `emit_report`: values equal as dict keys
+# that print apart (each distinct value of a column is rendered once), keys
+# that look like format directives, runs of rows broken by a key order or an
+# empty row, and a column of zeros of both signs among other types.
+REPORT_EXAMPLES = (
+    ("k", {"a": 0.0, "b": -0.0, "c": 0.0}, [{"x": 0.0}, {"x": -0.0}, {"x": 0.0}, {"x": -0.0}]),
+    ("k", {"a": -0.0, "b": 0.0}, [{"x": -0.0}, {"x": 0.0}]),
+    ("k", {"a": 1.0, "b": True, "c": 1}, [{"x": 1}, {"x": 1.0}, {"x": True}, {"x": 1.0}, {"x": 1}]),
+    ("k", {"a": True, "b": 1}, [{"x": True}, {"x": 1.0}, {"x": 1}]),
+    ("%s", {"%s": "%s", "%%": 1.5, "%(x)s": "%(x)s"},
+     [{"%s": 1.5, "%%": "%%", "%(x)s": 2}, {"%s": "%", "%%": "%d", "%(x)s": None}]),
+    ("k", {}, [{"a": 1.5, "b": "p"}, {"a": 2.5, "b": "q"}, {"b": "r", "a": 1.5}, {"a": 1.5, "b": "p"},
+               {"a": 0.1 + 0.2, "b": "q"}]),
+    ("k", {"a": 1}, [{"a": 1.5, "b": "p"}, {}, {"a": 2.5, "b": "q"}, {}, {}]),
+    ("k", {"z": "s"}, [{"z": 0.0}, {"z": -0.0}, {"z": None}, {"z": "s"}, {"z": -0.0}, {"z": ""},
+                       {"z": 0.0}]),
+)
+
+
+def report_examples(test):
+    for kind, metadata, rows in REPORT_EXAMPLES:
+        test = example(kind=kind, metadata=metadata, rows=rows)(test)
+    return test
+
+
 class TestJsonBytes:
-    # Values equal as dict keys that print apart: the report rounds each distinct float once.
-    @example(kind="k", metadata={"a": 0.0, "b": -0.0, "c": 0.0},
-             rows=[{"x": 0.0}, {"x": -0.0}, {"x": 0.0}, {"x": -0.0}])
-    @example(kind="k", metadata={"a": -0.0, "b": 0.0}, rows=[{"x": -0.0}, {"x": 0.0}])
-    @example(kind="k", metadata={"a": 1.0, "b": True, "c": 1},
-             rows=[{"x": 1}, {"x": 1.0}, {"x": True}, {"x": 1.0}, {"x": 1}])
-    @example(kind="k", metadata={"a": True, "b": 1}, rows=[{"x": True}, {"x": 1.0}, {"x": 1}])
+    @report_examples
     @given(kind=JSON_STRINGS, metadata=JSON_DICTS, rows=st.lists(JSON_DICTS, max_size=4))
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     def test_json_is_json_dumps_indent_2(self, kind, metadata, rows):
@@ -86,8 +105,54 @@ class TestJsonBytes:
         assert emit_report(rep, "json") == report_json(rep)
 
     def test_the_c_encoder_is_available(self):
-        # Without it reports stay correct but are written by the pure-Python encoder.
+        # Each column's distinct values are encoded in one call; without the C
+        # encoder reports stay correct but each call runs the pure-Python one.
         assert json.encoder.c_make_encoder is not None
+
+
+class TestTextBytes:
+    @pytest.mark.parametrize("fmt, reference", [("csv", report_csv), ("table", report_table)])
+    @report_examples
+    @given(kind=JSON_STRINGS, metadata=JSON_DICTS, rows=st.lists(JSON_DICTS, max_size=4))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_text_is_the_per_value_text(self, fmt, reference, kind, metadata, rows):
+        rep = SweepReport(kind=kind, rows=rows, metadata=metadata)
+        assert emit_report(rep, fmt) == reference(rep)
+
+
+# A bound sweep of the benchmark's size, 3 n x 12 delta x 10 H x 4 K x 3 S =
+# 4,320 rows, with zeros of both signs in delta and K.
+SCALE_GRID = {"n": [2, 3, 4], "delta": [0.0, -0.0, 0.06, 0.12, 0.2, 0.33, 0.45, 0.52, 0.62, 0.7, 0.8, 0.9],
+              "H": [0.3, 0.6, 1.0, 1.4, 2.0, 2.6, 3.1, 4.0, 5.5, 7.0], "K": [-1.0, -0.0, 0.0, 0.5],
+              "S": [-20.0, -2.0, 4.0]}
+
+
+@pytest.fixture(scope="module")
+def scale_report():
+    with tempfile.TemporaryDirectory() as tmp:
+        rep = cli._run_sweep(argparse.Namespace(config=_grid_config(SCALE_GRID, tmp), seed=0))
+    assert len(rep.rows) == 4320
+    return rep
+
+
+REFERENCES = {"json": report_json, "csv": report_csv, "table": report_table}
+
+
+class TestScale:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_bytes_of_a_bound_sweep(self, fmt, scale_report):
+        assert emit_report(scale_report, fmt) == REFERENCES[fmt](scale_report)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_each_distinct_float_is_rounded_once_per_column(self, fmt, scale_report, monkeypatch):
+        calls = []
+        format_number = report.format_number
+        monkeypatch.setattr(report, "format_number", lambda x: calls.append(x) or format_number(x))
+        emit_report(scale_report, fmt)
+        columns = [*zip(*(r.values() for r in scale_report.rows)), *([v] for v in scale_report.metadata.values())]
+        distinct = sum(len({v for v in column if isinstance(v, float) and v}) for column in columns)
+        rounded = sum(isinstance(x, float) and x != 0.0 for x in calls)
+        assert 0 < rounded <= distinct
 
 
 class TestBoundCommand:
@@ -754,7 +819,7 @@ def test_bound_sweep_rows_equal_rows_computed_one_by_one(grid):
         assert [repr(r) for r in got] == [repr(r) for r in rows]
         for fmt in FORMATS:
             assert cli.run(["sweep", "--config", cfg, "--format", fmt, "--out", str(out)]) in {0, 2}
-            assert out.read_text() == (report_json(expected) if fmt == "json" else emit_report(expected, fmt))
+            assert out.read_text() == REFERENCES[fmt](expected)
 
 
 def test_each_bound_sweep_computes_each_sectional_bound_once(monkeypatch, tmp_path):
